@@ -6,7 +6,7 @@ classical and quantum Fisher information for the bath temperature, and
 evaluates the matching closed-form short-time expressions.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .bath import BathParams, RateModel, Rates, rates, thermal_occupation, thermal_occupation_dT
 from .bounds import (
@@ -20,14 +20,7 @@ from .bounds import (
     enqfi,
     scaling_table,
 )
-from .dynamics import (
-    EvolutionConfig,
-    EvolutionMethod,
-    evolve,
-    lindblad_rhs,
-    mean_photon_analytic,
-    short_time_populations,
-)
+from .dynamics import evolve, mean_photon_analytic, short_time_populations
 from .errors import FockThermoError
 from .fisher import (
     DerivativeConfig,
@@ -60,10 +53,7 @@ __all__ = [
     "bound_squeezed",
     "enqfi",
     "scaling_table",
-    "EvolutionConfig",
-    "EvolutionMethod",
     "evolve",
-    "lindblad_rhs",
     "mean_photon_analytic",
     "short_time_populations",
     "FockThermoError",

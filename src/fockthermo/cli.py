@@ -26,7 +26,7 @@ from .errors import ConfigError, FockThermoError
 from .fisher import DEFAULT_DIFF, DerivativeConfig, FisherMethod, qfi_point
 from .probes import DIM_MAX_ENV, ProbeKind, ProbeSpec, dim_ceiling
 from .selfcheck import run_selfcheck
-from .sweep import SweepAxis, SweepMethod, SweepSpec, run_sweep
+from .sweep import SweepAxis, SweepMethod, SweepSpec, _atomic_write, run_sweep
 
 
 def _fmt(x: float) -> str:
@@ -43,7 +43,6 @@ class RunConfig:
     g: float = 0.05
     rate_model: str = "markovian"
     t: float = 0.5
-    dt: float | None = None
     probe: str = "fock:1"
     probes: tuple[str, ...] = ()
     method: tuple[str, ...] = ()  # empty means command default ('qfi')
@@ -105,8 +104,6 @@ class RunConfig:
         lines.append("")
         lines.append("[run]")
         lines.append(f"t = {self.t!r}")
-        if self.dt is not None:
-            lines.append(f"dt = {self.dt!r}")
         lines.append(f"probe = {self.probe}")
         if self.method:
             lines.append(f"method = {','.join(self.method)}")
@@ -140,7 +137,6 @@ _FLOAT_KEYS = {
     ("bath", "gamma"): "gamma",
     ("bath", "g"): "g",
     ("run", "t"): "t",
-    ("run", "dt"): "dt",
     ("derivative", "h_rel"): "h_rel",
     ("derivative", "h_abs_floor"): "h_abs_floor",
 }
@@ -227,8 +223,6 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"g must be >= 0, got {cfg.g!r}")
     if cfg.t < 0:
         raise ConfigError(f"t must be >= 0, got {cfg.t!r}")
-    if cfg.dt is not None and not cfg.dt > 0:
-        raise ConfigError(f"dt must be > 0, got {cfg.dt!r}")
     if cfg.dim is not None and cfg.dim < 2:
         raise ConfigError(f"dim must be >= 2, got {cfg.dim!r}")
     if cfg.workers is not None and cfg.workers < 1:
@@ -266,67 +260,74 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, help="config file (flat key = value with sections)")
-    common.add_argument("--omega", type=float)
-    common.add_argument("--T", type=float, dest="T")
-    common.add_argument("--gamma", type=float)
-    common.add_argument("--g", type=float)
-    common.add_argument("--rate-model", type=str, dest="rate_model")
-    common.add_argument("--t", type=float)
-    common.add_argument("--dt", type=float)
-    common.add_argument("--probe", type=str)
-    common.add_argument("--probes", type=str, help="comma-separated probe list")
-    common.add_argument("--method", type=str, help="comma-separated method list")
-    common.add_argument("--axis", type=str)
-    common.add_argument("--axis-values", type=str, dest="axis_values",
-                        help="comma-separated axis values")
-    common.add_argument("--dim", type=int)
-    common.add_argument("--workers", type=int)
-    common.add_argument("--out", type=str)
+_FLAGS = {
+    "config": dict(type=str, help="config file (flat key = value with sections)"),
+    "omega": dict(type=float),
+    "T": dict(type=float),
+    "gamma": dict(type=float),
+    "g": dict(type=float),
+    "rate-model": dict(type=str),
+    "t": dict(type=float),
+    "probe": dict(type=str),
+    "probes": dict(type=str, help="comma-separated probe list"),
+    "method": dict(type=str, help="comma-separated method list"),
+    "axis": dict(type=str),
+    "axis-values": dict(type=str, help="comma-separated axis values"),
+    "dim": dict(type=int),
+    "workers": dict(type=int),
+    "out": dict(type=str),
+}
+_BATH_FLAGS = ("omega", "T", "gamma", "g", "rate-model")
 
+# Each subcommand accepts exactly the flags it reads; argparse rejects the rest.
+_SUBCOMMANDS = {
+    "qfi": ("single-point Fisher information",
+            ("config", *_BATH_FLAGS, "t", "probe", "method", "dim")),
+    "bounds": ("closed-form short-time scaling table",
+               ("config", *_BATH_FLAGS, "t", "method", "axis-values", "dim", "out")),
+    "sweep": ("parameter sweep to CSV/JSON", tuple(_FLAGS)),
+    "validate": ("run the invariant suite", ()),
+}
+
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="fockthermo", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fockthermo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, brief in (
-        ("qfi", "single-point Fisher information"),
-        ("bounds", "closed-form short-time scaling table"),
-        ("sweep", "parameter sweep to CSV/JSON"),
-        ("validate", "run the invariant suite"),
-    ):
-        sub.add_parser(name, parents=[common], help=brief)
+    for name, (brief, flags) in _SUBCOMMANDS.items():
+        # no prefix matching: bounds would otherwise read --axis as --axis-values
+        command = sub.add_parser(name, help=brief, allow_abbrev=False)
+        for flag in flags:
+            command.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def parse_args(argv: list[str] | None = None) -> tuple[str, RunConfig]:
-    ns = build_parser().parse_args(argv)
+    # a subcommand's namespace holds only the flags that subcommand reads
+    ns = vars(build_parser().parse_args(argv))
     updates: dict = {}
-    if ns.config is not None:
-        path = Path(ns.config)
+    if ns.get("config") is not None:
+        path = Path(ns["config"])
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         updates.update(dataclasses.asdict(parse_config_text(path.read_text())))
         # asdict gives every field; keep only non-default overrides is unnecessary,
         # flags below still win
-    for key in ("omega", "T", "gamma", "g", "rate_model", "t", "dt", "probe",
+    for key in ("omega", "T", "gamma", "g", "rate_model", "t", "probe",
                 "dim", "workers", "out", "axis"):
-        val = getattr(ns, key)
-        if val is not None:
-            updates[key] = val
-    if ns.method is not None:
-        updates["method"] = tuple(m.strip() for m in ns.method.split(",") if m.strip())
-    if ns.probes is not None:
-        updates["probes"] = tuple(p.strip() for p in ns.probes.split(",") if p.strip())
-    if ns.axis_values is not None:
+        if ns.get(key) is not None:
+            updates[key] = ns[key]
+    for key in ("method", "probes"):
+        if ns.get(key) is not None:
+            updates[key] = tuple(item.strip() for item in ns[key].split(",") if item.strip())
+    axis_values = ns.get("axis_values")
+    if axis_values is not None:
         try:
-            updates["axis_values"] = tuple(
-                float(v) for v in ns.axis_values.split(",") if v.strip()
-            )
+            updates["axis_values"] = tuple(float(v) for v in axis_values.split(",") if v.strip())
         except ValueError:
             raise ConfigError(f"--axis-values must be comma-separated numbers, "
-                              f"got {ns.axis_values!r}") from None
-    return ns.command, _build_config(updates)
+                              f"got {axis_values!r}") from None
+    return ns["command"], _build_config(updates)
 
 
 def cmd_qfi(cfg: RunConfig) -> int:
@@ -339,7 +340,7 @@ def cmd_qfi(cfg: RunConfig) -> int:
         record = qfi_point(
             probe, bath, cfg.t,
             FisherMethod.CFI_NUMBER if method is SweepMethod.CFI else FisherMethod.QFI_SLD,
-            dim=cfg.resolved_dim(), dt=cfg.dt, diff=cfg.diff(),
+            dim=cfg.resolved_dim(), diff=cfg.diff(),
         )
         diag = record.diagnostics
         print(
@@ -371,7 +372,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
     csv_text = scaling_table_csv(table)
     print(csv_text, end="")
     if cfg.out:
-        Path(cfg.out).write_text(csv_text)
+        _atomic_write(Path(cfg.out), csv_text)
         print(f"# wrote {cfg.out}", file=sys.stderr)
     return 0
 
@@ -402,6 +403,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.axis_values:
         raise ConfigError("sweep requires --axis-values")
     axis = _parse_axis(cfg.axis)
+    out_csv = Path(cfg.out or "sweep.csv")
+    out_json = out_csv.with_suffix(".json")
+    if out_json == out_csv:
+        raise ConfigError(f"--out {out_csv} would be overwritten by its JSON mirror; "
+                          "give the CSV a suffix other than .json")
     try:
         spec = SweepSpec(
             axis=axis,
@@ -416,8 +422,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     except FockThermoError as exc:  # spec assembly failures are usage errors
         raise ConfigError(str(exc)) from None
     result = run_sweep(spec, workers=cfg.workers)
-    out_csv = Path(cfg.out or "sweep.csv")
-    out_json = out_csv.with_suffix(".json")
     result.write_csv(out_csv)
     result.write_json(out_json)
     failed = result.metadata["n_failed"]

@@ -5,103 +5,56 @@ The generator is the purely dissipative master equation
     d rho/dt = Gamma+ D[a^dag] rho + Gamma- D[a] rho,
     D[O] rho = O rho O^dag - (O^dag O rho + rho O^dag O) / 2,
 
-integrated two ways:
-
-* ``rk4_full``        - fixed-step RK4 on the full complex density matrix;
-  works for any initial state.
-* ``birth_death_expm`` - exact scaling-and-squaring exponential of the
-  tridiagonal population generator; number-diagonal initial states only.
+which is phase covariant: it maps the coherence band k = j - i of rho
+(the entries rho[m, m+k]) onto itself. Each band therefore evolves under
+its own (dim-k) x (dim-k) tridiagonal generator, and ``evolve`` applies
+the exact matrix exponential of that generator band by band. Band 0 is
+the birth-death generator of the photon-number populations.
 
 On the truncated space the top Fock level has no upward channel (the
-matrix element to the discarded level |dim> does not exist), so both
-representations are trace preserving and agree with each other exactly;
-the leakage budget then monitors the genuinely physical truncation error.
+matrix element to the discarded level |dim> does not exist), so the
+truncated generator is exactly trace preserving; the leakage budget then
+monitors the genuinely physical truncation error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.linalg import expm
 
 from .bath import Rates
-from .errors import (
-    DomainError,
-    InvalidDimensionError,
-    MethodMismatchError,
-    PositivityError,
-    TruncationError,
-)
-from .fockspace import LEAKAGE_BUDGET, DensityMatrix, annihilation
+from .errors import DomainError, PositivityError, TruncationError
+from .fockspace import LEAKAGE_BUDGET, DensityMatrix
 
 # Populations inside this band of zero are roundoff and are clipped;
 # anything more negative aborts the run.
 NEGATIVE_CLIP = 1e-12
 
-# Off-diagonal mass above this disqualifies a state from the birth-death path.
-DIAGONAL_TOL = 1e-12
 
+def band_generator(dim: int, k: int, rates: Rates) -> np.ndarray:
+    """Tridiagonal generator G of coherence band k: d/dt v = G v for
+    v[m] = rho[m, m+k], m = 0 .. dim-k-1.
 
-class EvolutionMethod(str, Enum):
-    RK4_FULL = "rk4_full"
-    BIRTH_DEATH_EXPM = "birth_death_expm"
+    With u[m] = m+1 (the diagonal of a a^dag) and u[dim-1] = 0, because the
+    top level carries no upward channel:
 
+    * G[m, m]   = -Gamma- (m + k/2) - Gamma+ (u[m] + u[m+k]) / 2;
+    * G[m, m-1] = Gamma+ sqrt(m (m+k)),          absorption from rho[m-1, m-1+k];
+    * G[m, m+1] = Gamma- sqrt((m+1) (m+k+1)),    emission from rho[m+1, m+1+k].
 
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Time span, step control, method, and leakage budget for one evolution."""
-
-    t_final: float
-    dt: float | None = None
-    method: EvolutionMethod = EvolutionMethod.RK4_FULL
-    leakage_budget: float = LEAKAGE_BUDGET
-
-    def __post_init__(self) -> None:
-        if not (self.t_final >= 0.0) or not math.isfinite(self.t_final):
-            raise DomainError(f"t_final must be >= 0, got {self.t_final!r}")
-        if self.dt is not None:
-            if not (self.dt > 0.0):
-                raise DomainError(f"dt must be > 0, got {self.dt!r}")
-            if self.t_final > 0.0 and self.dt > self.t_final:
-                raise DomainError(f"dt={self.dt!r} exceeds t_final={self.t_final!r}")
-        object.__setattr__(self, "method", EvolutionMethod(self.method))
-
-    def step(self, rates: Rates) -> float:
-        """Default step keeps the stiffest channel resolved: min(1e-3/Gamma-, t/100)."""
-        if self.dt is not None:
-            return self.dt
-        return min(1e-3 / rates.gamma_minus, self.t_final / 100.0)
-
-
-def lindblad_rhs(rho: DensityMatrix | np.ndarray, rates: Rates) -> np.ndarray:
-    """Right-hand side Gamma+ D[a^dag] rho + Gamma- D[a] rho; traceless, Hermitian."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidDimensionError(f"state must be a square matrix, got shape {mat.shape}")
-    a = annihilation(mat.shape[0])
-    ad = a.conj().T
-    n_op = ad @ a
-    aad = a @ ad
-    up = ad @ mat @ a - 0.5 * (aad @ mat + mat @ aad)
-    down = a @ mat @ ad - 0.5 * (n_op @ mat + mat @ n_op)
-    return rates.gamma_plus * up + rates.gamma_minus * down
-
-
-def birth_death_generator(dim: int, rates: Rates) -> np.ndarray:
-    """Tridiagonal population generator W with dp/dt = W p.
-
-    W[m+1, m] = Gamma+ (m+1), W[m-1, m] = Gamma- m, diagonal balancing the
-    column; the top level carries no upward outflow, matching the truncated
-    dissipator and keeping every column sum exactly zero.
+    Band 0 is the population generator, whose columns sum exactly to zero.
     """
-    up_out = rates.gamma_plus * np.arange(1.0, dim)       # out of m, into m+1
-    down_out = rates.gamma_minus * np.arange(float(dim))  # out of m, into m-1
-    diag = -down_out
-    diag[:-1] -= up_out
-    return np.diag(diag) + np.diag(up_out, k=-1) + np.diag(down_out[1:], k=1)
+    m = np.arange(float(dim - k))
+    u = np.arange(1.0, dim + 1.0)
+    u[-1] = 0.0
+    gp, gm = rates.gamma_plus, rates.gamma_minus
+    diag = -(gm * (m + k / 2)) - gp * ((u[: dim - k] + u[k:]) / 2)
+    sub = gp * np.sqrt(m[1:] * (m[1:] + k))
+    sup = gm * np.sqrt((m[:-1] + 1) * (m[:-1] + k + 1))
+    return np.diag(diag) + np.diag(sub, k=-1) + np.diag(sup, k=1)
 
 
 def population_vector(p: np.ndarray, *, clip: bool = True) -> np.ndarray:
@@ -117,75 +70,44 @@ def population_vector(p: np.ndarray, *, clip: bool = True) -> np.ndarray:
     return p
 
 
-def _check_leakage(top: float, budget: float, t: float) -> None:
-    if top > budget:
-        raise TruncationError(
-            f"top-level population {top:.3e} exceeded the leakage budget {budget:.0e} "
-            f"by t={t:.6g}; raise dim"
-        )
+def evolve(
+    rho0: DensityMatrix,
+    rates: Rates,
+    t: float,
+    *,
+    leakage_budget: float = LEAKAGE_BUDGET,
+) -> DensityMatrix:
+    """Propagate rho0 for a time t with the exact exponential of each band.
 
-
-def evolve(rho0: DensityMatrix, rates: Rates, cfg: EvolutionConfig) -> DensityMatrix:
-    """Propagate rho0 for cfg.t_final under the chosen method.
-
-    Trace is preserved within 1e-9 and the top-level population is checked
-    against the leakage budget throughout; violations raise
-    :class:`TruncationError` with a raise-dim diagnostic.
+    Only the coherence bands present in rho0 are propagated; a
+    number-diagonal state costs one population exponential. The lower
+    triangle is the conjugate of the upper one, so the result is Hermitian
+    by construction. Trace is preserved within 1e-9, and the top-level
+    population at t is checked against the leakage budget; a violation
+    raises :class:`TruncationError` with a raise-dim diagnostic.
     """
-    if cfg.t_final == 0.0:
+    if not (t >= 0.0) or not math.isfinite(t):
+        raise DomainError(f"t must be >= 0, got {t!r}")
+    if t == 0.0:
         return rho0
-    if cfg.method is EvolutionMethod.BIRTH_DEATH_EXPM:
-        out = _evolve_birth_death(rho0, rates, cfg)
-    else:
-        out = _evolve_rk4(rho0, rates, cfg)
-    trace_defect = abs(out.mat.trace().real - 1.0)
+    dim = rho0.dim
+    p = propagate_populations(population_vector(rho0.populations), rates, t)
+    if p[-1] > leakage_budget:
+        raise TruncationError(
+            f"top-level population {p[-1]:.3e} exceeded the leakage budget "
+            f"{leakage_budget:.0e} by t={t:.6g}; raise dim"
+        )
+    mat = np.diag(p).astype(complex)
+    rows, cols = np.nonzero(np.triu(rho0.mat, 1))
+    for k in np.unique(cols - rows):
+        m = np.arange(dim - k)
+        band = expm(band_generator(dim, k, rates) * t) @ rho0.mat.diagonal(k)
+        mat[m, m + k] = band
+        mat[m + k, m] = band.conj()
+    trace_defect = abs(mat.trace().real - 1.0)
     if trace_defect > 1e-9:
         raise PositivityError(f"trace drifted by {trace_defect:.3e} during evolution")
-    return out
-
-
-def _evolve_rk4(rho0: DensityMatrix, rates: Rates, cfg: EvolutionConfig) -> DensityMatrix:
-    dim = rho0.dim
-    a = annihilation(dim)
-    ad = a.conj().T
-    # a^dag a and a a^dag are diagonal; broadcasting beats dense matmul.
-    # The top entry of a a^dag is 0, not dim: the upward channel out of the
-    # retained space does not exist, which is what keeps the trace exact.
-    n_diag = np.arange(dim, dtype=float)
-    aad_diag = np.concatenate([np.arange(1.0, dim), [0.0]])
-    gp, gm = rates.gamma_plus, rates.gamma_minus
-
-    def rhs(mat: np.ndarray) -> np.ndarray:
-        up = ad @ mat @ a - 0.5 * (aad_diag[:, None] * mat + mat * aad_diag[None, :])
-        down = a @ mat @ ad - 0.5 * (n_diag[:, None] * mat + mat * n_diag[None, :])
-        return gp * up + gm * down
-
-    t = cfg.t_final
-    steps = max(1, int(math.ceil(t / cfg.step(rates))))
-    h = t / steps
-    mat = np.array(rho0.mat, dtype=complex)
-    for k in range(steps):
-        k1 = rhs(mat)
-        k2 = rhs(mat + 0.5 * h * k1)
-        k3 = rhs(mat + 0.5 * h * k2)
-        k4 = rhs(mat + h * k3)
-        mat += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_leakage(float(mat[-1, -1].real), cfg.leakage_budget, (k + 1) * h)
-    mat = 0.5 * (mat + mat.conj().T)
     return DensityMatrix(mat)
-
-
-def _evolve_birth_death(rho0: DensityMatrix, rates: Rates, cfg: EvolutionConfig) -> DensityMatrix:
-    off = rho0.max_offdiagonal()
-    if off > DIAGONAL_TOL:
-        raise MethodMismatchError(
-            f"birth_death_expm needs a number-diagonal state; "
-            f"max off-diagonal modulus is {off:.3e}"
-        )
-    p0 = population_vector(rho0.populations)
-    p = propagate_populations(p0, rates, cfg.t_final)
-    _check_leakage(float(p[-1]), cfg.leakage_budget, cfg.t_final)
-    return DensityMatrix(np.diag(p).astype(complex))
 
 
 def propagate_populations(p0: np.ndarray, rates: Rates, t: float) -> np.ndarray:
@@ -195,7 +117,7 @@ def propagate_populations(p0: np.ndarray, rates: Rates, t: float) -> np.ndarray:
     p0 = np.asarray(p0, dtype=float)
     if t == 0.0:
         return p0.copy()
-    p = expm(birth_death_generator(p0.size, rates) * t) @ p0
+    p = expm(band_generator(p0.size, 0, rates) * t) @ p0
     low = float(p.min())
     if low < -NEGATIVE_CLIP:
         raise PositivityError(f"population {low:.3e} from the exponential propagator")
@@ -207,7 +129,7 @@ def mean_photon_analytic(n0: float, rates: Rates, t: float) -> float:
     """Closed-form first moment n0 e^{-Gamma0 t} + nbar (1 - e^{-Gamma0 t}).
 
     The mean obeys d<n>/dt = -Gamma0 <n> + Gamma+ for every initial state,
-    so this serves as a state-independent oracle for the integrators.
+    so this serves as a state-independent oracle for the propagator.
     """
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t!r}")

@@ -17,10 +17,6 @@ class TruncationError(FockThermoError):
     """Fock-space cutoff is insufficient; rerun with a larger dimension."""
 
 
-class MethodMismatchError(FockThermoError):
-    """Requested evolution method does not apply to the given initial state."""
-
-
 class PositivityError(FockThermoError):
     """Populations went negative by more than roundoff can explain."""
 

@@ -24,12 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .bath import BathParams, rates
-from .dynamics import (
-    EvolutionConfig,
-    EvolutionMethod,
-    evolve,
-    population_vector,
-)
+from .dynamics import evolve, population_vector
 from .errors import DomainError, SingularSupportError
 from .fockspace import EIGENVALUE_FLOOR, LEAKAGE_BUDGET, DensityMatrix
 from .probes import ProbeSpec, default_dim, make_state
@@ -75,37 +70,25 @@ class TemperatureDerivative:
     dim: int
 
 
-def _pick_method(probe: ProbeSpec, method: EvolutionMethod | None) -> EvolutionMethod:
-    if method is not None:
-        return method
-    if probe.is_number_diagonal:
-        return EvolutionMethod.BIRTH_DEATH_EXPM
-    return EvolutionMethod.RK4_FULL
-
-
 def d_dT_state(
     probe: ProbeSpec,
     bath: BathParams,
     t: float,
     *,
     dim: int | None = None,
-    method: EvolutionMethod | None = None,
-    dt: float | None = None,
     leakage_budget: float = LEAKAGE_BUDGET,
     diff: DerivativeConfig = DEFAULT_DIFF,
 ) -> TemperatureDerivative:
     """Evolved state rho(t; T) and its central-difference d rho/dT.
 
     The probe itself is temperature independent; only the bath rates move.
-    All shifted evolutions share one step size (chosen from the central
-    rates) so integrator bias cancels in the difference. With Richardson
-    enabled the h and h/2 estimates combine as (4 D_{h/2} - D_h) / 3.
+    With Richardson enabled the h and h/2 estimates combine as
+    (4 D_{h/2} - D_h) / 3.
     """
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t!r}")
     dim = default_dim(probe) if dim is None else dim
     rho0 = make_state(probe, dim)
-    evo_method = _pick_method(probe, method)
 
     h = max(diff.h_rel * bath.T, diff.h_abs_floor)
     while bath.T - h <= 0.0:
@@ -113,13 +96,10 @@ def d_dT_state(
         if bath.T + h == bath.T:
             raise DomainError(f"derivative step underflowed at T={bath.T!r}")
 
-    step = dt
-    if step is None and evo_method is EvolutionMethod.RK4_FULL and t > 0.0:
-        step = EvolutionConfig(t_final=t).step(rates(bath))
-
     def run(T_shifted: float) -> DensityMatrix:
-        cfg = EvolutionConfig(t_final=t, dt=step, method=evo_method, leakage_budget=leakage_budget)
-        return evolve(rho0, rates(bath.with_temperature(T_shifted)), cfg)
+        return evolve(
+            rho0, rates(bath.with_temperature(T_shifted)), t, leakage_budget=leakage_budget
+        )
 
     center = run(bath.T)
     plus, minus = run(bath.T + h), run(bath.T - h)
@@ -231,25 +211,18 @@ def qfi_point(
     method: FisherMethod,
     *,
     dim: int | None = None,
-    evolution: EvolutionMethod | None = None,
-    dt: float | None = None,
     leakage_budget: float = LEAKAGE_BUDGET,
     diff: DerivativeConfig = DEFAULT_DIFF,
 ) -> QfiRecord:
     """Single Fisher-information evaluation at time t."""
     method = FisherMethod(method)
-    deriv = d_dT_state(
-        probe, bath, t,
-        dim=dim, method=evolution, dt=dt, leakage_budget=leakage_budget, diff=diff,
-    )
+    deriv = d_dT_state(probe, bath, t, dim=dim, leakage_budget=leakage_budget, diff=diff)
     dropped = 0
     if method is FisherMethod.CFI_NUMBER:
         p = population_vector(deriv.rho.populations)
         value = cfi_number_basis(p, deriv.drho.diagonal().real)
     else:
         value, dropped = qfi_sld_detailed(deriv.rho, deriv.drho)
-    if -1e-12 <= value < 0.0:
-        value = 0.0
     return QfiRecord(
         value=value,
         method=method.value,
@@ -272,8 +245,6 @@ def qfi_curve(
     method: FisherMethod,
     *,
     dim: int | None = None,
-    evolution: EvolutionMethod | None = None,
-    dt: float | None = None,
     leakage_budget: float = LEAKAGE_BUDGET,
     diff: DerivativeConfig = DEFAULT_DIFF,
 ) -> list[QfiRecord]:
@@ -284,9 +255,6 @@ def qfi_curve(
     if any(t < 0.0 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise DomainError("t_grid must be strictly ascending and nonnegative")
     return [
-        qfi_point(
-            probe, bath, t, method,
-            dim=dim, evolution=evolution, dt=dt, leakage_budget=leakage_budget, diff=diff,
-        )
+        qfi_point(probe, bath, t, method, dim=dim, leakage_budget=leakage_budget, diff=diff)
         for t in t_grid
     ]

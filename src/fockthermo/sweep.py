@@ -34,6 +34,7 @@ from .bounds import (
 )
 from .errors import DomainError, FockThermoError, InsufficientDataError, SweepError
 from .fisher import DEFAULT_DIFF, DerivativeConfig, FisherMethod, delta_t_min, qfi_point
+from .fockspace import LEAKAGE_BUDGET
 from .probes import ProbeKind, ProbeSpec, energy_match
 
 CSV_HEADER = "axis,axis_value,probe,method,qfi,delta_t_min,valid_short_time,leakage,h_used,dim"
@@ -75,7 +76,7 @@ class SweepSpec:
     t: float = 0.5
     dim: int | None = None
     diff: DerivativeConfig = DEFAULT_DIFF
-    leakage_budget: float = 1e-8
+    leakage_budget: float = LEAKAGE_BUDGET
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", SweepAxis(self.axis))

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from fockthermo import cli
 from fockthermo.cli import RunConfig, main, parse_args, parse_config_text
 from fockthermo.errors import ConfigError
 from fockthermo.selfcheck import MANIFEST, registered_checks
@@ -63,7 +64,7 @@ class TestParsing:
         cfg = RunConfig(
             T=0.25, gamma=0.17, probe="fock:2", method=("cfi", "qfi"),
             axis="time", axis_values=(0.01, 0.1), probes=("fock:1", "coherent:1.0"),
-            dim=48, workers=2, out="x.csv", dt=1e-3, richardson=False,
+            dim=48, workers=2, out="x.csv", richardson=False,
         )
         assert parse_config_text(cfg.to_text()) == cfg
 
@@ -169,6 +170,45 @@ class TestCommands:
     def test_usage_error_exit_code(self, capsys):
         assert main(["qfi", "--T", "-3"]) == 1
         assert "T must be > 0" in capsys.readouterr().err
+
+    def test_sweep_out_shadowed_by_json_mirror_rejected(self, tmp_path, capsys, monkeypatch):
+        def no_points(*args, **kwargs):
+            raise AssertionError("no point may be computed for a rejected --out")
+
+        monkeypatch.setattr(cli, "run_sweep", no_points)
+        out = tmp_path / "r.json"
+        code = main(["sweep", "--axis", "time", "--axis-values", "0.01,0.02",
+                     "--probe", "fock:1", "--method", "bound_fock_linear", "--out", str(out)])
+        assert code == 1
+        assert "JSON mirror" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bounds_out_matches_stdout(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main(["bounds", "--t", "0.01", "--axis-values", "0,1", "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert [f.name for f in tmp_path.iterdir()] == ["table.csv"]  # no temp file left
+
+
+# A value each flag would accept where it is read.
+_FLAG_VALUES = {
+    "--config": "run.cfg", "--omega": "1.0", "--T": "0.5", "--gamma": "0.1", "--g": "0.05",
+    "--rate-model": "markovian", "--t": "0.1", "--probe": "fock:3", "--probes": "fock:3",
+    "--method": "cfi", "--axis": "time", "--axis-values": "0.1", "--dim": "40",
+    "--workers": "7", "--out": "x.csv",
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("validate", flag) for flag in _FLAG_VALUES]
+    + [("qfi", flag) for flag in ("--probes", "--workers", "--axis", "--axis-values", "--out")]
+    + [("bounds", flag) for flag in ("--probe", "--probes", "--workers", "--axis")]
+    + [(command, "--dt") for command in ("qfi", "bounds", "sweep")],
+)
+def test_subcommand_rejects_flags_it_does_not_read(command, flag, capsys):
+    assert main([command, flag, _FLAG_VALUES.get(flag, "0.01")]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -2,21 +2,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
+from oracle import apply, lindblad_rhs, propagator
 
-from fockthermo.bath import rates, thermal_occupation
+from fockthermo.bath import BathParams, rates, thermal_occupation
 from fockthermo.dynamics import (
-    EvolutionConfig,
-    EvolutionMethod,
-    birth_death_generator,
+    band_generator,
     evolve,
-    lindblad_rhs,
     mean_photon_analytic,
     population_vector,
     propagate_populations,
     short_time_populations,
 )
-from fockthermo.errors import DomainError, MethodMismatchError, PositivityError, TruncationError
-from fockthermo.probes import ProbeSpec, default_dim, make_state
+from fockthermo.errors import DomainError, InvalidDimensionError, PositivityError, TruncationError
+from fockthermo.probes import ProbeKind, ProbeSpec, default_dim, make_state
 
 GAMMA_PLUS = 0.015651764274966565
 GAMMA_MINUS = 0.11565176427496657
@@ -54,56 +54,82 @@ class TestLindbladRhs:
         rho = np.diag(p0).astype(complex)
         np.testing.assert_allclose(
             lindblad_rhs(rho, fig_rates).diagonal().real,
-            birth_death_generator(30, fig_rates) @ p0,
+            band_generator(30, 0, fig_rates) @ p0,
             atol=1e-16,
         )
+
+    def test_band_generators_match_every_coherence_band(self, fig_rates):
+        rho = make_state(ProbeSpec.coherent(1.2 + 0.3j), 20)
+        rhs = lindblad_rhs(rho, fig_rates)
+        for k in range(20):
+            np.testing.assert_allclose(
+                band_generator(20, k, fig_rates) @ rho.mat.diagonal(k), rhs.diagonal(k), atol=1e-15
+            )
 
 
 class TestEvolve:
     def test_zero_time_returns_state(self, fig_rates):
         rho = make_state(ProbeSpec.fock(2), 10)
-        out = evolve(rho, fig_rates, EvolutionConfig(t_final=0.0))
+        out = evolve(rho, fig_rates, 0.0)
         np.testing.assert_array_equal(out.mat, rho.mat)
+
+    def test_negative_time_rejected(self, fig_rates):
+        rho = make_state(ProbeSpec.fock(2), 10)
+        for t in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                evolve(rho, fig_rates, t)
 
     def test_fock1_short_time_populations(self, fig_rates):
         rho = make_state(ProbeSpec.fock(1), 40)
-        cfg = EvolutionConfig(t_final=0.01, method=EvolutionMethod.BIRTH_DEATH_EXPM)
-        p = evolve(rho, fig_rates, cfg).populations
+        p = evolve(rho, fig_rates, 0.01).populations
         assert p[2] == pytest.approx(GAMMA_PLUS * 0.01 * 2, rel=0.02)
         assert p[0] == pytest.approx(GAMMA_MINUS * 0.01, rel=0.02)
 
     def test_fock1_mean_photon_relaxation(self, fig_rates):
         rho = make_state(ProbeSpec.fock(1), 40)
-        cfg = EvolutionConfig(t_final=1.0, method=EvolutionMethod.BIRTH_DEATH_EXPM)
-        out = evolve(rho, fig_rates, cfg)
+        out = evolve(rho, fig_rates, 1.0)
         assert out.mean_photon() == pytest.approx(0.9197320410429429, abs=1e-9)
 
-    def test_rk4_matches_expm_on_diagonals(self, fig_bath):
-        for T in (0.3, 1.0):
-            r = rates(fig_bath.with_temperature(T))
-            for t in (0.1, 1.0):
-                rho = make_state(ProbeSpec.fock(1), 40)
-                full = evolve(rho, r, EvolutionConfig(t_final=t, method=EvolutionMethod.RK4_FULL))
-                fast = evolve(
-                    rho, r, EvolutionConfig(t_final=t, method=EvolutionMethod.BIRTH_DEATH_EXPM)
-                )
-                assert np.max(np.abs(full.populations - fast.populations)) <= 1e-8
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        T=st.floats(0.05, 5.0),
+        t=st.floats(0.0, 3.0),
+        kind=st.sampled_from(list(ProbeKind)),
+        size=st.floats(0.0, 1.0),
+        phase=st.floats(0.0, 2 * np.pi),
+        dim=st.integers(8, 20),
+    )
+    def test_matches_liouvillian_oracle(self, T, t, kind, size, phase, dim):
+        spec = {
+            ProbeKind.FOCK: ProbeSpec.fock(round(6 * size)),
+            ProbeKind.COHERENT: ProbeSpec.coherent(1.2 * size * np.exp(1j * phase)),
+            ProbeKind.SQUEEZED: ProbeSpec.squeezed(0.5 * size),
+            ProbeKind.THERMAL: ProbeSpec.thermal(0.5 * size),
+        }[kind]
+        r = rates(BathParams(T=T))
+        try:
+            rho = make_state(spec, dim)
+        except (InvalidDimensionError, TruncationError):
+            reject()  # the drawn dim cannot hold the drawn probe
+        got = evolve(rho, r, t, leakage_budget=1.0)  # the oracle has the same truncation
+        want = apply(propagator(dim, r, t), rho)
+        assert np.max(np.abs(got.mat - want)) <= 1e-8
 
     def test_diagonal_states_stay_exactly_diagonal(self, fig_rates):
         for spec in (ProbeSpec.fock(1), ProbeSpec.thermal(0.5)):
             rho = make_state(spec, 40)
-            out = evolve(rho, fig_rates, EvolutionConfig(t_final=0.5))
+            out = evolve(rho, fig_rates, 0.5)
             assert out.max_offdiagonal() == 0.0
 
     def test_trace_preserved_for_coherent_probe(self, fig_rates):
         rho = make_state(ProbeSpec.coherent(1.0), 40)
-        out = evolve(rho, fig_rates, EvolutionConfig(t_final=1.0))
+        out = evolve(rho, fig_rates, 1.0)
         assert abs(out.mat.trace().real - 1.0) < 1e-9
 
     def test_thermal_fixed_point(self, fig_bath, fig_rates):
         nT = thermal_occupation(fig_bath.omega, fig_bath.T)
         rho = make_state(ProbeSpec.thermal(nT), 40)
-        out = evolve(rho, fig_rates, EvolutionConfig(t_final=1.0))
+        out = evolve(rho, fig_rates, 1.0)
         assert np.max(np.abs(out.mat - rho.mat)) < 1e-8
 
     @pytest.mark.parametrize(
@@ -113,41 +139,19 @@ class TestEvolve:
     )
     def test_first_moment_law_all_probe_classes(self, fig_rates, spec):
         rho = make_state(spec, default_dim(spec))
-        out = evolve(rho, fig_rates, EvolutionConfig(t_final=0.5))
+        out = evolve(rho, fig_rates, 0.5)
         expected = mean_photon_analytic(rho.mean_photon(), fig_rates, 0.5)
         assert abs(out.mean_photon() - expected) < 1e-7
-
-    def test_expm_demands_diagonal_state(self, fig_rates):
-        rho = make_state(ProbeSpec.coherent(1.0), 40)
-        cfg = EvolutionConfig(t_final=0.1, method=EvolutionMethod.BIRTH_DEATH_EXPM)
-        with pytest.raises(MethodMismatchError):
-            evolve(rho, fig_rates, cfg)
 
     def test_leakage_budget_aborts(self, fig_rates):
         rho = make_state(ProbeSpec.fock(8), 10)
         with pytest.raises(TruncationError, match="raise dim"):
-            evolve(rho, fig_rates, EvolutionConfig(t_final=1.0))
+            evolve(rho, fig_rates, 1.0)
 
     def test_positivity_throughout(self, fig_rates):
         rho = make_state(ProbeSpec.squeezed(0.6), 50)
-        out = evolve(rho, fig_rates, EvolutionConfig(t_final=0.5))
+        out = evolve(rho, fig_rates, 0.5)
         assert float(np.linalg.eigvalsh(out.mat).min()) > -1e-9
-
-
-class TestEvolutionConfig:
-    def test_default_step_rule(self, fig_rates):
-        cfg = EvolutionConfig(t_final=10.0)
-        assert cfg.step(fig_rates) == pytest.approx(1e-3 / fig_rates.gamma_minus)
-        cfg = EvolutionConfig(t_final=0.1)
-        assert cfg.step(fig_rates) == pytest.approx(1e-3)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            EvolutionConfig(t_final=-1.0)
-        with pytest.raises(DomainError):
-            EvolutionConfig(t_final=1.0, dt=0.0)
-        with pytest.raises(DomainError):
-            EvolutionConfig(t_final=0.5, dt=1.0)
 
 
 class TestShortTimePopulations:
@@ -173,9 +177,7 @@ class TestShortTimePopulations:
         # Gamma0 t = 1e-3: exact and first-order populations agree to O(Gamma0 t)
         t = 1e-3 / fig_rates.gamma0
         rho = make_state(ProbeSpec.fock(1), 40)
-        p = evolve(
-            rho, fig_rates, EvolutionConfig(t_final=t, method=EvolutionMethod.BIRTH_DEATH_EXPM)
-        ).populations
+        p = evolve(rho, fig_rates, t).populations
         pred = short_time_populations(1, fig_rates, t)
         band = 10.0 * fig_rates.gamma0 * t
         for exact, lin in ((p[0], pred.p_below), (p[1], pred.p_stay), (p[2], pred.p_above)):
@@ -203,7 +205,7 @@ class TestMeanPhotonAnalytic:
 
 class TestPopulations:
     def test_generator_columns_sum_to_zero(self, fig_rates):
-        W = birth_death_generator(12, fig_rates)
+        W = band_generator(12, 0, fig_rates)
         np.testing.assert_allclose(W.sum(axis=0), 0.0, atol=1e-16)
 
     def test_propagator_preserves_total_probability(self, fig_rates):

@@ -7,7 +7,6 @@ import pytest
 
 from fockthermo.bath import thermal_occupation_dT
 from fockthermo.bounds import bound_fock_linear
-from fockthermo.dynamics import EvolutionMethod
 from fockthermo.errors import DomainError, SingularSupportError
 from fockthermo.fisher import (
     DerivativeConfig,
@@ -157,14 +156,6 @@ class TestQfiPoint:
         rec = qfi_point(ProbeSpec.fock(1), fig_bath, 0.1, FisherMethod.QFI_SLD)
         for key in ("h_used", "dropped_pairs", "leakage", "dim"):
             assert key in rec.diagnostics
-
-    def test_explicit_evolution_method_respected(self, fig_bath):
-        rec = qfi_point(
-            ProbeSpec.fock(1), fig_bath, 0.1, FisherMethod.CFI_NUMBER,
-            evolution=EvolutionMethod.RK4_FULL,
-        )
-        fast = qfi_point(ProbeSpec.fock(1), fig_bath, 0.1, FisherMethod.CFI_NUMBER)
-        assert rec.value == pytest.approx(fast.value, rel=1e-8)
 
 
 class TestQfiCurve:
