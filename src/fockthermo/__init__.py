@@ -6,7 +6,7 @@ classical and quantum Fisher information for the bath temperature, and
 evaluates the matching closed-form short-time expressions.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .bath import BathParams, RateModel, Rates, rates, thermal_occupation, thermal_occupation_dT
 from .bounds import (

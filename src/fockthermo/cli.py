@@ -15,15 +15,17 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .bath import BathParams, RateModel
 from .bounds import scaling_table, scaling_table_csv
 from .errors import ConfigError, FockThermoError
-from .fisher import DEFAULT_DIFF, DerivativeConfig, FisherMethod, qfi_point
+from .fisher import FisherMethod, qfi_point
 from .probes import DIM_MAX_ENV, ProbeKind, ProbeSpec, dim_ceiling
 from .selfcheck import run_selfcheck
 from .sweep import SweepAxis, SweepMethod, SweepSpec, _atomic_write, run_sweep
@@ -33,27 +35,67 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
+# Text parsers shared by a flag and its config-file key; a ValueError names
+# what the text must be.
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("must be a number") from None
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("must be an integer") from None
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(_number(item) for item in _names(text))
+    except ValueError:
+        raise ValueError("must be comma-separated finite numbers") from None
+
+
+def _param(default, section: str, parse: Callable[[str], object],
+           reads: tuple[str, ...], help: str | None = None):
+    """A parameter's only declaration: its config section, the parser of its
+    text form, and the subcommands that read it (and so take its flag)."""
+    return field(default=default,
+                 metadata={"section": section, "parse": parse, "reads": reads, "help": help})
+
+
+_COMPUTE = ("qfi", "bounds", "sweep")  # every subcommand but validate
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Flat, fully validated parameter record for one invocation."""
 
-    omega: float = 1.0
-    T: float = 0.5
-    gamma: float = 0.1
-    g: float = 0.05
-    rate_model: str = "markovian"
-    t: float = 0.5
-    probe: str = "fock:1"
-    probes: tuple[str, ...] = ()
-    method: tuple[str, ...] = ()  # empty means command default ('qfi')
-    axis: str | None = None
-    axis_values: tuple[float, ...] = ()
-    dim: int | None = None
-    h_rel: float = DEFAULT_DIFF.h_rel
-    h_abs_floor: float = DEFAULT_DIFF.h_abs_floor
-    richardson: bool = True
-    workers: int | None = None
-    out: str | None = None
+    omega: float = _param(1.0, "bath", _number, _COMPUTE)
+    T: float = _param(0.5, "bath", _number, _COMPUTE)
+    gamma: float = _param(0.1, "bath", _number, _COMPUTE)
+    g: float = _param(0.05, "bath", _number, _COMPUTE)
+    rate_model: str = _param("markovian", "bath", str, _COMPUTE)
+    t: float = _param(0.5, "run", _number, _COMPUTE)
+    probe: str = _param("fock:1", "run", str, ("qfi", "sweep"))
+    probes: tuple[str, ...] = _param((), "sweep", _names, ("sweep",), "comma-separated probe list")
+    # empty means command default ('qfi')
+    method: tuple[str, ...] = _param((), "run", _names, _COMPUTE, "comma-separated method list")
+    axis: str | None = _param(None, "sweep", str, ("sweep",))
+    axis_values: tuple[float, ...] = _param((), "sweep", _numbers, ("bounds", "sweep"),
+                                            "comma-separated axis values")
+    dim: int | None = _param(None, "run", _integer, _COMPUTE)
+    workers: int | None = _param(None, "sweep", _integer, ("sweep",))
+    out: str | None = _param(None, "output", str, ("bounds", "sweep"))
 
     def bath(self) -> BathParams:
         try:
@@ -65,14 +107,6 @@ class RunConfig:
             raise ConfigError(
                 f"rate_model must be 'markovian' or 'purcell', got {self.rate_model!r}"
             ) from None
-        except FockThermoError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def diff(self) -> DerivativeConfig:
-        try:
-            return DerivativeConfig(
-                h_rel=self.h_rel, richardson=self.richardson, h_abs_floor=self.h_abs_floor
-            )
         except FockThermoError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -95,144 +129,77 @@ class RunConfig:
 
     def to_text(self) -> str:
         """Config-file serialization; ``parse_config_text`` is its inverse."""
-        lines = ["[bath]"]
-        lines.append(f"omega = {self.omega!r}")
-        lines.append(f"T = {self.T!r}")
-        lines.append(f"gamma = {self.gamma!r}")
-        lines.append(f"g = {self.g!r}")
-        lines.append(f"rate_model = {self.rate_model}")
-        lines.append("")
-        lines.append("[run]")
-        lines.append(f"t = {self.t!r}")
-        lines.append(f"probe = {self.probe}")
-        if self.method:
-            lines.append(f"method = {','.join(self.method)}")
-        if self.dim is not None:
-            lines.append(f"dim = {self.dim}")
-        lines.append("")
-        lines.append("[derivative]")
-        lines.append(f"h_rel = {self.h_rel!r}")
-        lines.append(f"h_abs_floor = {self.h_abs_floor!r}")
-        lines.append(f"richardson = {'true' if self.richardson else 'false'}")
-        lines.append("")
-        lines.append("[sweep]")
-        if self.axis is not None:
-            lines.append(f"axis = {self.axis}")
-        if self.axis_values:
-            lines.append(f"axis_values = {','.join(repr(v) for v in self.axis_values)}")
-        if self.probes:
-            lines.append(f"probes = {','.join(self.probes)}")
-        if self.workers is not None:
-            lines.append(f"workers = {self.workers}")
-        lines.append("")
-        lines.append("[output]")
-        if self.out is not None:
-            lines.append(f"out = {self.out}")
-        return "\n".join(lines) + "\n"
+        sections: dict[str, list[str]] = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None and value != ():
+                sections.setdefault(f.metadata["section"], []).append(
+                    f"{f.name} = {_text(value)}\n")
+        return "\n".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
 
 
-_FLOAT_KEYS = {
-    ("bath", "omega"): "omega",
-    ("bath", "T"): "T",
-    ("bath", "gamma"): "gamma",
-    ("bath", "g"): "g",
-    ("run", "t"): "t",
-    ("derivative", "h_rel"): "h_rel",
-    ("derivative", "h_abs_floor"): "h_abs_floor",
-}
-_STR_KEYS = {
-    ("bath", "rate_model"): "rate_model",
-    ("run", "probe"): "probe",
-    ("sweep", "axis"): "axis",
-    ("output", "out"): "out",
-}
-_INT_KEYS = {
-    ("run", "dim"): "dim",
-    ("sweep", "workers"): "workers",
-}
-_LIST_KEYS = {
-    ("run", "method"): "method",
-    ("sweep", "probes"): "probes",
-}
-_KNOWN_SECTIONS = ("bath", "run", "derivative", "sweep", "output")
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_text(item) for item in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def parse_config_text(text: str) -> RunConfig:
-    """Parse the flat key = value format with section headers."""
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_SECTIONS = {f.metadata["section"] for f in _FIELDS.values()}
+
+
+def _convert(f: dataclasses.Field, raw: str, where: str):
+    try:
+        return f.metadata["parse"](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}, got {raw!r}") from None
+
+
+def _read_config(text: str, command: str | None) -> dict:
+    """Field values set by a config file; keys ``command`` does not read are
+    rejected (``None`` accepts every key)."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case sensitive ('T')
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    if parser.defaults():  # would otherwise leak into every section
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
     updates: dict = {}
     for section in parser.sections():
-        if section not in _KNOWN_SECTIONS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            raw = raw.strip()
             where = f"[{section}] {key}"
-            if (section, key) in _FLOAT_KEYS:
-                try:
-                    updates[_FLOAT_KEYS[(section, key)]] = float(raw)
-                except ValueError:
-                    raise ConfigError(f"{where} must be a number, got {raw!r}") from None
-            elif (section, key) in _INT_KEYS:
-                try:
-                    updates[_INT_KEYS[(section, key)]] = int(raw)
-                except ValueError:
-                    raise ConfigError(f"{where} must be an integer, got {raw!r}") from None
-            elif (section, key) in _STR_KEYS:
-                updates[_STR_KEYS[(section, key)]] = raw
-            elif (section, key) in _LIST_KEYS:
-                updates[_LIST_KEYS[(section, key)]] = tuple(
-                    item.strip() for item in raw.split(",") if item.strip()
-                )
-            elif (section, key) == ("sweep", "axis_values"):
-                try:
-                    updates["axis_values"] = tuple(float(v) for v in raw.split(",") if v.strip())
-                except ValueError:
-                    raise ConfigError(f"{where} must be comma-separated numbers, got {raw!r}") from None
-            elif (section, key) == ("derivative", "richardson"):
-                low = raw.lower()
-                if low not in ("true", "false"):
-                    raise ConfigError(f"{where} must be true or false, got {raw!r}")
-                updates["richardson"] = low == "true"
-            else:
+            f = _FIELDS.get(key)
+            if f is None or f.metadata["section"] != section:
                 raise ConfigError(f"unknown config key {where}")
-    return _build_config(updates)
+            if command is not None and command not in f.metadata["reads"]:
+                raise ConfigError(f"config key {where} is not read by {command}")
+            updates[key] = _convert(f, raw, where)
+    return updates
+
+
+def parse_config_text(text: str) -> RunConfig:
+    """Parse the flat key = value format with section headers."""
+    return _build_config(_read_config(text, None))
 
 
 def _build_config(updates: dict) -> RunConfig:
-    try:
-        cfg = RunConfig(**updates)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if not cfg.T > 0:
-        raise ConfigError(f"T must be > 0, got {cfg.T!r}")
-    if not cfg.omega > 0:
-        raise ConfigError(f"omega must be > 0, got {cfg.omega!r}")
-    if not cfg.gamma > 0:
-        raise ConfigError(f"gamma must be > 0, got {cfg.gamma!r}")
-    if cfg.g < 0:
-        raise ConfigError(f"g must be >= 0, got {cfg.g!r}")
+    cfg = RunConfig(**updates)
+    cfg.bath()  # BathParams checks omega, T, gamma, g and rate_model
     if cfg.t < 0:
         raise ConfigError(f"t must be >= 0, got {cfg.t!r}")
     if cfg.dim is not None and cfg.dim < 2:
         raise ConfigError(f"dim must be >= 2, got {cfg.dim!r}")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers!r}")
-    if cfg.rate_model not in (m.value for m in RateModel):
-        raise ConfigError(f"rate_model must be 'markovian' or 'purcell', got {cfg.rate_model!r}")
     for name in cfg.method:
         _parse_method(name)
     if cfg.axis is not None:
         _parse_axis(cfg.axis)
+    return cfg
 
 
 def _parse_method(name: str) -> SweepMethod:
@@ -260,77 +227,47 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_FLAGS = {
-    "config": dict(type=str, help="config file (flat key = value with sections)"),
-    "omega": dict(type=float),
-    "T": dict(type=float),
-    "gamma": dict(type=float),
-    "g": dict(type=float),
-    "rate-model": dict(type=str),
-    "t": dict(type=float),
-    "probe": dict(type=str),
-    "probes": dict(type=str, help="comma-separated probe list"),
-    "method": dict(type=str, help="comma-separated method list"),
-    "axis": dict(type=str),
-    "axis-values": dict(type=str, help="comma-separated axis values"),
-    "dim": dict(type=int),
-    "workers": dict(type=int),
-    "out": dict(type=str),
-}
-_BATH_FLAGS = ("omega", "T", "gamma", "g", "rate-model")
-
-# Each subcommand accepts exactly the flags it reads; argparse rejects the rest.
-_SUBCOMMANDS = {
-    "qfi": ("single-point Fisher information",
-            ("config", *_BATH_FLAGS, "t", "probe", "method", "dim")),
-    "bounds": ("closed-form short-time scaling table",
-               ("config", *_BATH_FLAGS, "t", "method", "axis-values", "dim", "out")),
-    "sweep": ("parameter sweep to CSV/JSON", tuple(_FLAGS)),
-    "validate": ("run the invariant suite", ()),
-}
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fockthermo", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fockthermo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (brief, flags) in _SUBCOMMANDS.items():
+    for name, run in _COMMANDS.items():
         # no prefix matching: bounds would otherwise read --axis as --axis-values
-        command = sub.add_parser(name, help=brief, allow_abbrev=False)
-        for flag in flags:
-            command.add_argument(f"--{flag}", **_FLAGS[flag])
+        command = sub.add_parser(name, help=run.__doc__, allow_abbrev=False)
+        # each subcommand takes exactly the flags of the fields it reads
+        fields = [f for f in _FIELDS.values() if name in f.metadata["reads"]]
+        if fields:
+            command.add_argument("--config", help="config file (flat key = value with sections)")
+        for f in fields:
+            command.add_argument(_flag(f.name), dest=f.name, help=f.metadata["help"])
     return parser
 
 
 def parse_args(argv: list[str] | None = None) -> tuple[str, RunConfig]:
-    # a subcommand's namespace holds only the flags that subcommand reads
     ns = vars(build_parser().parse_args(argv))
+    command = ns.pop("command")
+    path = ns.pop("config", None)
     updates: dict = {}
-    if ns.get("config") is not None:
-        path = Path(ns["config"])
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        updates.update(dataclasses.asdict(parse_config_text(path.read_text())))
-        # asdict gives every field; keep only non-default overrides is unnecessary,
-        # flags below still win
-    for key in ("omega", "T", "gamma", "g", "rate_model", "t", "probe",
-                "dim", "workers", "out", "axis"):
-        if ns.get(key) is not None:
-            updates[key] = ns[key]
-    for key in ("method", "probes"):
-        if ns.get(key) is not None:
-            updates[key] = tuple(item.strip() for item in ns[key].split(",") if item.strip())
-    axis_values = ns.get("axis_values")
-    if axis_values is not None:
+    if path is not None:
         try:
-            updates["axis_values"] = tuple(float(v) for v in axis_values.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(f"--axis-values must be comma-separated numbers, "
-                              f"got {axis_values!r}") from None
-    return ns["command"], _build_config(updates)
+            text = Path(path).read_text()
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        updates = _read_config(text, command)
+    for name, raw in ns.items():  # flags win over the file
+        if raw is not None:
+            updates[name] = _convert(_FIELDS[name], raw, _flag(name))
+    return command, _build_config(updates)
 
 
 def cmd_qfi(cfg: RunConfig) -> int:
+    """single-point Fisher information"""
     bath = cfg.bath()
     probe = cfg.probe_spec()
     for name in cfg.method or ("qfi",):
@@ -340,7 +277,7 @@ def cmd_qfi(cfg: RunConfig) -> int:
         record = qfi_point(
             probe, bath, cfg.t,
             FisherMethod.CFI_NUMBER if method is SweepMethod.CFI else FisherMethod.QFI_SLD,
-            dim=cfg.resolved_dim(), diff=cfg.diff(),
+            dim=cfg.resolved_dim(),
         )
         diag = record.diagnostics
         print(
@@ -357,6 +294,7 @@ def cmd_qfi(cfg: RunConfig) -> int:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
+    """closed-form short-time scaling table"""
     bath = cfg.bath()
     if cfg.axis_values:
         if any(v != int(v) or v < 0 for v in cfg.axis_values):
@@ -398,6 +336,7 @@ def _sweep_probes(cfg: RunConfig) -> tuple:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    """parameter sweep to CSV/JSON"""
     if cfg.axis is None:
         raise ConfigError("sweep requires --axis")
     if not cfg.axis_values:
@@ -417,7 +356,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
             bath=cfg.bath(),
             t=cfg.t,
             dim=cfg.resolved_dim(),
-            diff=cfg.diff(),
         )
     except FockThermoError as exc:  # spec assembly failures are usage errors
         raise ConfigError(str(exc)) from None
@@ -433,6 +371,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    """run the invariant suite"""
     results = run_selfcheck()
     groups: dict[str, list] = {}
     for res in results:

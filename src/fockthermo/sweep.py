@@ -33,7 +33,7 @@ from .bounds import (
     short_time_valid,
 )
 from .errors import DomainError, FockThermoError, InsufficientDataError, SweepError
-from .fisher import DEFAULT_DIFF, DerivativeConfig, FisherMethod, delta_t_min, qfi_point
+from .fisher import FisherMethod, delta_t_min, qfi_point
 from .fockspace import LEAKAGE_BUDGET
 from .probes import ProbeKind, ProbeSpec, energy_match
 
@@ -75,7 +75,6 @@ class SweepSpec:
     bath: BathParams = BathParams()
     t: float = 0.5
     dim: int | None = None
-    diff: DerivativeConfig = DEFAULT_DIFF
     leakage_budget: float = LEAKAGE_BUDGET
 
     def __post_init__(self) -> None:
@@ -221,7 +220,6 @@ class _Point:
     probe: ProbeSpec
     method: SweepMethod
     dim: int | None
-    diff: DerivativeConfig
     leakage_budget: float
 
 
@@ -264,7 +262,6 @@ def _plan(spec: SweepSpec) -> list[_Point]:
                         probe=probe,
                         method=method,
                         dim=spec.dim,
-                        diff=spec.diff,
                         leakage_budget=spec.leakage_budget,
                     )
                 )
@@ -285,7 +282,7 @@ def _evaluate_point(pt: _Point) -> SweepRow:
             )
             record = qfi_point(
                 pt.probe, pt.bath, pt.t, fisher_method,
-                dim=pt.dim, leakage_budget=pt.leakage_budget, diff=pt.diff,
+                dim=pt.dim, leakage_budget=pt.leakage_budget,
             )
             return SweepRow(
                 **base,

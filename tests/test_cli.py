@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockthermo import cli
 from fockthermo.cli import RunConfig, main, parse_args, parse_config_text
 from fockthermo.errors import ConfigError
-from fockthermo.selfcheck import MANIFEST, registered_checks
-from fockthermo.sweep import CSV_HEADER
+from fockthermo.selfcheck import registered_checks
+from fockthermo.sweep import CSV_HEADER, SweepAxis, SweepMethod
 
 
 class TestParsing:
@@ -64,7 +69,7 @@ class TestParsing:
         cfg = RunConfig(
             T=0.25, gamma=0.17, probe="fock:2", method=("cfi", "qfi"),
             axis="time", axis_values=(0.01, 0.1), probes=("fock:1", "coherent:1.0"),
-            dim=48, workers=2, out="x.csv", richardson=False,
+            dim=48, workers=2, out="x.csv",
         )
         assert parse_config_text(cfg.to_text()) == cfg
 
@@ -211,19 +216,155 @@ def test_subcommand_rejects_flags_it_does_not_read(command, flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestValidateCommand:
-    def test_manifest_matches_registry(self):
-        registered = set(registered_checks())
-        for group, names in MANIFEST.items():
-            for name in names:
-                assert (group, name) in registered, f"missing check {group}.{name}"
-        # and nothing registered that the manifest does not claim
-        claimed = {(g, n) for g, names in MANIFEST.items() for n in names}
-        assert registered == claimed
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        pytest.param(["bounds", "--axis-values", "nan"], None, id="bounds-axis-values-nan"),
+        pytest.param(["bounds", "--axis-values", "inf"], None, id="bounds-axis-values-inf"),
+        pytest.param(["bounds", "--t", "nan"], None, id="bounds-t-nan"),
+        pytest.param(["qfi", "--t", "nan"], None, id="qfi-t-nan"),
+        pytest.param(["qfi", "--t", "inf"], None, id="qfi-t-inf"),
+        pytest.param(["sweep", "--axis", "time", "--axis-values", "0.1,nan", "--probe", "fock:1",
+                      "--method", "bound_fock_linear"], None, id="sweep-axis-values-nan"),
+        pytest.param(["qfi"], "[run]\nt = inf\n", id="qfi-config-t-inf"),
+        pytest.param(["sweep", "--axis", "time", "--probe", "fock:1"],
+                     "[sweep]\naxis_values = 0.1,nan\n", id="sweep-config-axis-values-nan"),
+    ],
+)
+def test_non_finite_numbers_rejected(argv, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a sweep would write sweep.csv here
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = [*argv, "--config", "run.cfg"]
+    assert main(argv) == 1
+    assert "finite" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == (["run.cfg"] if config else [])
 
+
+class TestConfigFileKeys:
+    def test_key_the_subcommand_does_not_read_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("[sweep]\nprobes = fock:3\n")
+        assert main(["qfi", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "[sweep] probes" in err and "qfi" in err
+
+    def test_derivative_section_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("[derivative]\nh_rel = 0.3\nrichardson = false\n")
+        assert main(["qfi", "--config", str(path)]) == 1
+        assert "unknown config section [derivative]" in capsys.readouterr().err
+
+    def test_default_section_rejected(self):
+        # configparser would copy its keys into every section, or drop them
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            parse_config_text("[DEFAULT]\nT = 0.3\n")
+
+    def test_key_the_subcommand_reads_accepted(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        path = tmp_path / "c.cfg"
+        path.write_text(f"[output]\nout = {out}\n")
+        assert main(["bounds", "--config", str(path), "--t", "0.01", "--axis-values", "0,1"]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+
+# Front-end fuzzing: random subcommands, flags and config-file entries, with
+# values that are malformed, non-finite or out of range as often as valid.
+_FUZZ_VALUES = (
+    "nan", "inf", "-inf", "-1", "", "0", "0.5", "2", "1e-3", "fock:1", "coherent:1.0",
+    "squeezed", "fock", "cfi", "qfi,bound_squeezed", "psychic", "time", "temperature",
+    "0,1,2", "0.1,0.2", "1.5", "purcell", "markovian", "x.csv",
+)
+_FUZZ_SECTIONS = ("bath", "run", "sweep", "output", "derivative", "lab", "DEFAULT")
+_FUZZ_KEYS = (*(f.name for f in dataclasses.fields(RunConfig)), "h_rel", "richardson", "humidity")
+
+
+@st.composite
+def _cli_inputs(draw, commands=("qfi", "bounds", "sweep", "validate"), skip=()):
+    command = draw(st.sampled_from(commands))
+    flags = [f for f in _FLAG_VALUES if f != "--config" and f.lstrip("-") not in skip]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=6)):
+        argv += [flag, draw(st.sampled_from(_FUZZ_VALUES))]
+    entries = draw(st.lists(
+        st.tuples(st.sampled_from(_FUZZ_SECTIONS),
+                  st.sampled_from([k for k in _FUZZ_KEYS if k not in skip]),
+                  st.sampled_from(_FUZZ_VALUES)),
+        max_size=4,
+    ))
+    sections: dict[str, list[str]] = {}
+    for section, key, value in entries:
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    text = "".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
+    config = draw(st.sampled_from([None, "file", "", "missing.cfg"]))
+    return argv, config, text
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _with_config(argv, config, text, workdir):
+    if config is None:
+        return argv
+    path = workdir / "run.cfg"
+    path.write_text(text)
+    return [*argv, "--config", str(path) if config == "file" else str(workdir / config)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_cli_inputs())
+def test_fuzz_parse_args_returns_config_or_config_error(inputs, fuzz_dir):
+    argv = _with_config(*inputs, fuzz_dir)
+    try:
+        command, cfg = parse_args(argv)
+    except ConfigError:
+        return
+    assert command == argv[0]
+    assert isinstance(cfg, RunConfig)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=_cli_inputs(commands=("bounds",), skip=("method",)))
+def test_fuzz_bounds_exits_with_a_contract_code(inputs, fuzz_dir):
+    argv = _with_config(*inputs, fuzz_dir)
+    if "--out" in argv:  # keep every written table inside the temp dir
+        at = argv.index("--out") + 1
+        argv[at] = str(fuzz_dir / argv[at]) if argv[at] else ""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=st.builds(
+    RunConfig,
+    omega=_positive, T=_positive, gamma=_positive, g=_nonnegative,
+    rate_model=st.sampled_from(["markovian", "purcell"]), t=_nonnegative,
+    probe=st.sampled_from(["fock:1", "coherent:1.0", "squeezed:0.5", "thermal:0.5"]),
+    probes=st.lists(st.sampled_from(["fock:2", "coherent:0.5", "fock"])).map(tuple),
+    method=st.lists(st.sampled_from([m.value for m in SweepMethod])).map(tuple),
+    axis=st.none() | st.sampled_from([a.value for a in SweepAxis]),
+    axis_values=st.lists(st.floats(allow_nan=False, allow_infinity=False)).map(tuple),
+    dim=st.none() | st.integers(min_value=2, max_value=4096),
+    workers=st.none() | st.integers(min_value=1, max_value=64),
+    out=st.none() | st.sampled_from(["x.csv", "out/run.csv"]),
+))
+def test_fuzz_to_text_round_trip(cfg):
+    assert parse_config_text(cfg.to_text()) == cfg
+
+
+class TestValidateCommand:
     def test_validate_passes_on_clean_build(self, capsys):
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
-        for group in MANIFEST:
+        for group in {group for group, _ in registered_checks()}:
             assert f"PASS {group}" in out
         assert "FAIL" not in out
