@@ -28,6 +28,7 @@ from .fisher import (
     QfiRecord,
     cfi_number_basis,
     d_dT_state,
+    fisher_record,
     qfi_curve,
     qfi_point,
     qfi_sld,
@@ -62,6 +63,7 @@ __all__ = [
     "QfiRecord",
     "cfi_number_basis",
     "d_dT_state",
+    "fisher_record",
     "qfi_curve",
     "qfi_point",
     "qfi_sld",

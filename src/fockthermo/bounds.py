@@ -17,6 +17,7 @@ they are reported as written.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +25,7 @@ from typing import Sequence
 
 from .bath import BathParams, base_rate, rates, thermal_occupation, thermal_occupation_dT
 from .errors import DomainError
-from .fisher import FisherMethod, qfi_point
+from .fisher import FisherMethod, d_dT_state, fisher_record
 from .probes import ProbeSpec
 
 SHORT_TIME_LIMIT = 0.1
@@ -45,6 +46,8 @@ class BoundResult:
     underflow: bool = False
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise DomainError(f"bound value is not representable, got {self.value!r}")
         if self.value < 0.0:
             raise DomainError(f"bound value must be >= 0, got {self.value!r}")
 
@@ -63,11 +66,26 @@ def short_time_valid(bath: BathParams, t: float, excitation: float) -> bool:
     return base_rate(bath) * t * (2.0 * excitation + 1.0) <= SHORT_TIME_LIMIT
 
 
+def _representable(bound):
+    """Float overflow, or a divisor underflowing to zero, in a bound's formula
+    raises DomainError rather than escaping as an arithmetic error."""
+
+    @functools.wraps(bound)
+    def checked(*args, **kwargs) -> BoundResult:
+        try:
+            return bound(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"{bound.__name__} is not representable here: {exc}") from None
+
+    return checked
+
+
 def _check_nt(n: int | float, t: float) -> None:
     if n < 0 or t < 0.0:
         raise DomainError(f"need excitation >= 0 and t >= 0, got ({n!r}, {t!r})")
 
 
+@_representable
 def bound_fock_linear(n: int, bath: BathParams, t: float) -> BoundResult:
     """Linear-in-time law from first-order population leakage of |n>."""
     _check_nt(n, t)
@@ -80,6 +98,7 @@ def bound_fock_linear(n: int, bath: BathParams, t: float) -> BoundResult:
     return BoundResult(t * base_rate(bath) * dn**2 * bracket, BoundKind.FOCK_LINEAR, valid)
 
 
+@_representable
 def bound_fock_quadratic(n: int, bath: BathParams, t: float) -> BoundResult:
     """Quadratic-in-time form weighted by the log-derivatives of both rates.
 
@@ -102,6 +121,7 @@ def _dlog_occupation(bath: BathParams) -> float:
     return (bath.omega / bath.T**2) * (thermal_occupation(bath.omega, bath.T) + 1.0)
 
 
+@_representable
 def bound_squeezed(nbar: float, bath: BathParams, t: float) -> BoundResult:
     """Quadratic Gaussian form 4 nbar (nbar+1) (dT ln nbar_T)^2 t^2."""
     _check_nt(nbar, t)
@@ -109,6 +129,7 @@ def bound_squeezed(nbar: float, bath: BathParams, t: float) -> BoundResult:
     return BoundResult(value, BoundKind.SQUEEZED_VACUUM, short_time_valid(bath, t, nbar))
 
 
+@_representable
 def bound_coherent(nbar: float, bath: BathParams, t: float) -> BoundResult:
     """Quadratic Gaussian form nbar (dT ln nbar_T)^2 t^2."""
     _check_nt(nbar, t)
@@ -170,8 +191,9 @@ def scaling_table(
         cfi_val = qfi_val = None
         if include_numerics:
             probe = ProbeSpec.fock(n)
-            cfi_val = qfi_point(probe, bath, t, FisherMethod.CFI_NUMBER, dim=dim).value
-            qfi_val = qfi_point(probe, bath, t, FisherMethod.QFI_SLD, dim=dim).value
+            deriv = d_dT_state(probe, bath, t, dim=dim)
+            cfi_val = fisher_record(deriv, FisherMethod.CFI_NUMBER, probe, bath, t).value
+            qfi_val = fisher_record(deriv, FisherMethod.QFI_SLD, probe, bath, t).value
         out.append(
             ScalingRow(
                 n=n, nbar=float(n),

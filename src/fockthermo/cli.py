@@ -25,7 +25,7 @@ from . import __version__
 from .bath import BathParams, RateModel
 from .bounds import scaling_table, scaling_table_csv
 from .errors import ConfigError, FockThermoError
-from .fisher import FisherMethod, qfi_point
+from .fisher import FisherMethod, d_dT_state, fisher_record
 from .probes import DIM_MAX_ENV, ProbeKind, ProbeSpec, dim_ceiling
 from .selfcheck import run_selfcheck
 from .sweep import SweepAxis, SweepMethod, SweepSpec, _atomic_write, run_sweep
@@ -52,6 +52,12 @@ def _integer(text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError("must be an integer") from None
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("must not be empty")
+    return text
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -95,7 +101,7 @@ class RunConfig:
                                             "comma-separated axis values")
     dim: int | None = _param(None, "run", _integer, _COMPUTE)
     workers: int | None = _param(None, "sweep", _integer, ("sweep",))
-    out: str | None = _param(None, "output", str, ("bounds", "sweep"))
+    out: str | None = _param(None, "output", _path, ("bounds", "sweep"))
 
     def bath(self) -> BathParams:
         try:
@@ -270,15 +276,15 @@ def cmd_qfi(cfg: RunConfig) -> int:
     """single-point Fisher information"""
     bath = cfg.bath()
     probe = cfg.probe_spec()
+    methods = []
     for name in cfg.method or ("qfi",):
         method = _parse_method(name)
         if method not in (SweepMethod.CFI, SweepMethod.QFI):
             raise ConfigError(f"qfi command computes 'cfi' or 'qfi', not {name!r}")
-        record = qfi_point(
-            probe, bath, cfg.t,
-            FisherMethod.CFI_NUMBER if method is SweepMethod.CFI else FisherMethod.QFI_SLD,
-            dim=cfg.resolved_dim(),
-        )
+        methods.append(FisherMethod(method.value))
+    deriv = d_dT_state(probe, bath, cfg.t, dim=cfg.resolved_dim())
+    for method in methods:
+        record = fisher_record(deriv, method, probe, bath, cfg.t)
         diag = record.diagnostics
         print(
             f"method={record.method} probe={probe.canonical()} "

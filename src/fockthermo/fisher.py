@@ -204,19 +204,20 @@ class QfiRecord:
         return delta_t_min(self.value)
 
 
-def qfi_point(
+def fisher_record(
+    deriv: TemperatureDerivative,
+    method: FisherMethod,
     probe: ProbeSpec,
     bath: BathParams,
     t: float,
-    method: FisherMethod,
-    *,
-    dim: int | None = None,
-    leakage_budget: float = LEAKAGE_BUDGET,
-    diff: DerivativeConfig = DEFAULT_DIFF,
 ) -> QfiRecord:
-    """Single Fisher-information evaluation at time t."""
+    """Reduce a temperature derivative, evaluated for (probe, bath, t), to the
+    Fisher information of ``method``.
+
+    Every method reduces the same derivative, so a caller wanting several
+    evaluates :func:`d_dT_state` once.
+    """
     method = FisherMethod(method)
-    deriv = d_dT_state(probe, bath, t, dim=dim, leakage_budget=leakage_budget, diff=diff)
     dropped = 0
     if method is FisherMethod.CFI_NUMBER:
         p = population_vector(deriv.rho.populations)
@@ -236,6 +237,22 @@ def qfi_point(
             "dim": deriv.dim,
         },
     )
+
+
+def qfi_point(
+    probe: ProbeSpec,
+    bath: BathParams,
+    t: float,
+    method: FisherMethod,
+    *,
+    dim: int | None = None,
+    leakage_budget: float = LEAKAGE_BUDGET,
+    diff: DerivativeConfig = DEFAULT_DIFF,
+) -> QfiRecord:
+    """Single Fisher-information evaluation at time t."""
+    method = FisherMethod(method)
+    deriv = d_dT_state(probe, bath, t, dim=dim, leakage_budget=leakage_budget, diff=diff)
+    return fisher_record(deriv, method, probe, bath, t)
 
 
 def qfi_curve(

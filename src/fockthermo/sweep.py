@@ -2,9 +2,11 @@
 rate, or time, evaluated point by point with deterministic aggregation.
 
 Every point is a pure computation, so results are identical for any worker
-count; points are split round-robin across a process pool and reassembled
-by index. CSV bodies carry a fixed column schema and are written
-atomically (temp file + rename); a JSON mirror adds a metadata block.
+count. The rows of one (axis value, probe) pair form a task, whose Fisher
+rows reduce one shared temperature derivative; tasks are split round-robin
+across a process pool and their rows reassembled by index. CSV bodies carry
+a fixed column schema and are written atomically (temp file + rename); a
+JSON mirror adds a metadata block.
 """
 
 from __future__ import annotations
@@ -33,7 +35,13 @@ from .bounds import (
     short_time_valid,
 )
 from .errors import DomainError, FockThermoError, InsufficientDataError, SweepError
-from .fisher import FisherMethod, delta_t_min, qfi_point
+from .fisher import (
+    FisherMethod,
+    TemperatureDerivative,
+    d_dT_state,
+    delta_t_min,
+    fisher_record,
+)
 from .fockspace import LEAKAGE_BUDGET
 from .probes import ProbeKind, ProbeSpec, energy_match
 
@@ -64,6 +72,9 @@ _BOUND_FOR_KIND = {
     ProbeKind.COHERENT: {SweepMethod.BOUND_COHERENT},
     ProbeKind.THERMAL: set(),
 }
+
+# The methods that reduce the temperature derivative of the evolved probe.
+_FISHER = {SweepMethod.CFI: FisherMethod.CFI_NUMBER, SweepMethod.QFI: FisherMethod.QFI_SLD}
 
 
 @dataclass(frozen=True)
@@ -212,13 +223,16 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 @dataclass(frozen=True)
-class _Point:
+class _Task:
+    """One (axis value, probe) pair and its rows: (row index, method) in the
+    order the methods were requested. The Fisher rows share one derivative."""
+
     axis: SweepAxis
     axis_value: float
     bath: BathParams
     t: float
     probe: ProbeSpec
-    method: SweepMethod
+    rows: tuple[tuple[int, SweepMethod], ...]
     dim: int | None
     leakage_budget: float
 
@@ -236,8 +250,9 @@ def _instantiate_probe(entry: ProbeSpec | ProbeKind, n: float) -> ProbeSpec:
     return ProbeSpec.thermal(n)
 
 
-def _plan(spec: SweepSpec) -> list[_Point]:
-    points: list[_Point] = []
+def _plan(spec: SweepSpec) -> list[_Task]:
+    tasks: list[_Task] = []
+    n_rows = 0
     for value in spec.axis_values:
         bath, t = spec.bath, spec.t
         if spec.axis is SweepAxis.TEMPERATURE:
@@ -250,57 +265,71 @@ def _plan(spec: SweepSpec) -> list[_Point]:
             t = value
         for entry in spec.probes:
             probe = _instantiate_probe(entry, value)
-            for method in spec.methods:
-                if method.value.startswith("bound_") and method not in _BOUND_FOR_KIND[probe.kind]:
-                    continue  # bound derived for a different probe class
-                points.append(
-                    _Point(
-                        axis=spec.axis,
-                        axis_value=value,
-                        bath=bath,
-                        t=t,
-                        probe=probe,
-                        method=method,
-                        dim=spec.dim,
-                        leakage_budget=spec.leakage_budget,
-                    )
+            methods = [
+                m for m in spec.methods if m in _FISHER or m in _BOUND_FOR_KIND[probe.kind]
+            ]
+            if not methods:
+                continue
+            tasks.append(
+                _Task(
+                    axis=spec.axis,
+                    axis_value=value,
+                    bath=bath,
+                    t=t,
+                    probe=probe,
+                    rows=tuple(enumerate(methods, start=n_rows)),
+                    dim=spec.dim,
+                    leakage_budget=spec.leakage_budget,
                 )
-    return points
+            )
+            n_rows += len(methods)
+    return tasks
 
 
-def _evaluate_point(pt: _Point) -> SweepRow:
+def _evaluate_task(task: _Task) -> list[tuple[int, SweepRow]]:
+    deriv: TemperatureDerivative | FockThermoError | None = None
+    if any(method in _FISHER for _, method in task.rows):
+        try:
+            deriv = d_dT_state(
+                task.probe, task.bath, task.t,
+                dim=task.dim, leakage_budget=task.leakage_budget,
+            )
+        except FockThermoError as exc:
+            deriv = exc  # reported on every Fisher row of the task
+    return [(idx, _evaluate_row(task, method, deriv)) for idx, method in task.rows]
+
+
+def _evaluate_row(
+    task: _Task, method: SweepMethod, deriv: TemperatureDerivative | FockThermoError | None
+) -> SweepRow:
     base = dict(
-        axis=pt.axis.value,
-        axis_value=pt.axis_value,
-        probe=pt.probe.canonical(),
-        method=pt.method.value,
+        axis=task.axis.value,
+        axis_value=task.axis_value,
+        probe=task.probe.canonical(),
+        method=method.value,
     )
     try:
-        if pt.method in (SweepMethod.CFI, SweepMethod.QFI):
-            fisher_method = (
-                FisherMethod.CFI_NUMBER if pt.method is SweepMethod.CFI else FisherMethod.QFI_SLD
-            )
-            record = qfi_point(
-                pt.probe, pt.bath, pt.t, fisher_method,
-                dim=pt.dim, leakage_budget=pt.leakage_budget,
-            )
+        if method in _FISHER:
+            if isinstance(deriv, FockThermoError):
+                raise deriv
+            record = fisher_record(deriv, _FISHER[method], task.probe, task.bath, task.t)
             return SweepRow(
                 **base,
                 qfi=record.value,
                 delta_t_min=record.delta_t_min,
-                valid_short_time=short_time_valid(pt.bath, pt.t, pt.probe.mean_photon),
+                valid_short_time=short_time_valid(task.bath, task.t, task.probe.mean_photon),
                 leakage=record.diagnostics["leakage"],
                 h_used=record.diagnostics["h_used"],
                 dim=record.diagnostics["dim"],
             )
-        if pt.method is SweepMethod.BOUND_FOCK_LINEAR:
-            bound = bound_fock_linear(pt.probe.n, pt.bath, pt.t)
-        elif pt.method is SweepMethod.BOUND_FOCK_QUADRATIC:
-            bound = bound_fock_quadratic(pt.probe.n, pt.bath, pt.t)
-        elif pt.method is SweepMethod.BOUND_SQUEEZED:
-            bound = bound_squeezed(pt.probe.mean_photon, pt.bath, pt.t)
+        if method is SweepMethod.BOUND_FOCK_LINEAR:
+            bound = bound_fock_linear(task.probe.n, task.bath, task.t)
+        elif method is SweepMethod.BOUND_FOCK_QUADRATIC:
+            bound = bound_fock_quadratic(task.probe.n, task.bath, task.t)
+        elif method is SweepMethod.BOUND_SQUEEZED:
+            bound = bound_squeezed(task.probe.mean_photon, task.bath, task.t)
         else:
-            bound = bound_coherent(pt.probe.mean_photon, pt.bath, pt.t)
+            bound = bound_coherent(task.probe.mean_photon, task.bath, task.t)
         return SweepRow(
             **base,
             qfi=bound.value,
@@ -323,8 +352,8 @@ def _evaluate_point(pt: _Point) -> SweepRow:
         )
 
 
-def _evaluate_slice(batch: list[tuple[int, _Point]]) -> list[tuple[int, SweepRow]]:
-    return [(idx, _evaluate_point(pt)) for idx, pt in batch]
+def _evaluate_slice(batch: list[_Task]) -> list[tuple[int, SweepRow]]:
+    return [pair for task in batch for pair in _evaluate_task(task)]
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
@@ -334,18 +363,17 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     continues; more than 50% failures raise :class:`SweepError`.
     """
     started = time.monotonic()
-    points = _plan(spec)
-    if not points:
+    tasks = _plan(spec)
+    if not tasks:
         raise SweepError("sweep plan is empty (no probe/method combination applies)")
     workers = os.cpu_count() or 1 if workers is None else int(workers)
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers!r}")
-    indexed = list(enumerate(points))
-    if workers == 1 or len(points) == 1:
-        gathered = _evaluate_slice(indexed)
+    if workers == 1 or len(tasks) == 1:
+        gathered = _evaluate_slice(tasks)
     else:
-        workers = min(workers, len(points))
-        slices = [indexed[i::workers] for i in range(workers)]  # static round-robin
+        workers = min(workers, len(tasks))
+        slices = [tasks[i::workers] for i in range(workers)]  # static round-robin
         gathered = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_evaluate_slice, slices):

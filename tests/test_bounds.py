@@ -104,6 +104,21 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             bound_squeezed(1.0, fig_bath, -0.01)
 
+    @pytest.mark.parametrize(
+        "bound, bath, t",
+        [
+            pytest.param(bound_squeezed, dict(T=1e-200), 0.01, id="squeezed-T-squared-underflows"),
+            pytest.param(bound_coherent, dict(T=1e-200), 0.01, id="coherent-T-squared-underflows"),
+            pytest.param(bound_fock_quadratic, {}, 1e300, id="quadratic-t-squared-overflows"),
+            pytest.param(bound_squeezed, {}, 1e300, id="squeezed-t-squared-overflows"),
+            pytest.param(bound_coherent, {}, 1e300, id="coherent-t-squared-overflows"),
+            pytest.param(bound_fock_linear, dict(gamma=1e10), 1e300, id="linear-product-overflows"),
+        ],
+    )
+    def test_unrepresentable_value_is_a_domain_error(self, bound, bath, t):
+        with pytest.raises(DomainError, match="not representable"):
+            bound(1, BathParams(**bath), t)
+
     @settings(max_examples=60, deadline=None)
     @given(
         logx=st.floats(min_value=-1.0, max_value=math.log10(20.0)),

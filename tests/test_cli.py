@@ -176,6 +176,17 @@ class TestCommands:
         assert main(["qfi", "--T", "-3"]) == 1
         assert "T must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--T", "1e-200", "--t", "0.01"], id="T-squared-underflows"),
+            pytest.param(["--t", "1e300"], id="t-squared-overflows"),
+        ],
+    )
+    def test_bounds_unrepresentable_value_is_a_numerical_failure(self, argv, capsys):
+        assert main(["bounds", *argv, "--axis-values", "1"]) == 2
+        assert "numerical failure: DomainError" in capsys.readouterr().err
+
     def test_sweep_out_shadowed_by_json_mirror_rejected(self, tmp_path, capsys, monkeypatch):
         def no_points(*args, **kwargs):
             raise AssertionError("no point may be computed for a rejected --out")
@@ -239,6 +250,27 @@ def test_non_finite_numbers_rejected(argv, config, tmp_path, monkeypatch, capsys
     assert main(argv) == 1
     assert "finite" in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == (["run.cfg"] if config else [])
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["bounds", "--t", "0.01", "--axis-values", "1"], id="bounds"),
+        pytest.param(["sweep", "--axis", "time", "--axis-values", "0.01", "--probe", "fock:1",
+                      "--method", "bound_fock_linear"], id="sweep"),
+    ],
+)
+def test_empty_out_rejected(argv, via_config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a sweep would write sweep.csv here
+    if via_config:
+        (tmp_path / "run.cfg").write_text("[output]\nout =\n")
+        argv = [*argv, "--config", "run.cfg"]
+    else:
+        argv = [*argv, "--out", ""]
+    assert main(argv) == 1
+    assert "out must not be empty" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == (["run.cfg"] if via_config else [])
 
 
 class TestConfigFileKeys:

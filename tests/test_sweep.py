@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fockthermo import fisher
 from fockthermo.bath import BathParams, RateModel
 from fockthermo.bounds import bound_fock_linear
-from fockthermo.errors import DomainError, InsufficientDataError, SweepError
-from fockthermo.fisher import FisherMethod, qfi_point
+from fockthermo.errors import DomainError, InsufficientDataError, SingularSupportError, SweepError
+from fockthermo.fisher import FisherMethod, d_dT_state, qfi_point
 from fockthermo.probes import ProbeKind, ProbeSpec, default_dim, make_state
 from fockthermo.sweep import (
     CSV_HEADER,
@@ -185,6 +187,18 @@ class TestRunSweep:
         assert math.isnan(bad.qfi)
         assert result.metadata["n_failed"] == 1
 
+    def test_unrepresentable_bound_marks_its_row(self, fig_bath):
+        # (omega/T^2) underflows its divisor at T = 1e-200
+        spec = SweepSpec(
+            axis=SweepAxis.TEMPERATURE, axis_values=(1e-200, 0.5),
+            probes=(ProbeSpec.coherent(1.0),), methods=(SweepMethod.BOUND_COHERENT,),
+            bath=fig_bath, t=0.01,
+        )
+        bad, good = run_sweep(spec, workers=1).rows
+        assert bad.error is not None and bad.error.startswith("DomainError")
+        assert math.isnan(bad.qfi)
+        assert good.error is None and good.qfi > 0.0
+
     def test_majority_failure_aborts(self, fig_bath):
         spec = SweepSpec(
             axis=SweepAxis.EXCITATION_N, axis_values=(45.0, 50.0),
@@ -193,6 +207,75 @@ class TestRunSweep:
         )
         with pytest.raises(SweepError):
             run_sweep(spec, workers=1)
+
+
+class TestSharedDerivative:
+    VALUES = (0.3, 0.5, 1.0)
+    PROBES = (ProbeSpec.fock(1), ProbeSpec.thermal(0.5), ProbeSpec.coherent(1.0))
+
+    def test_one_derivative_per_value_and_probe(self, fig_bath, monkeypatch):
+        calls = []
+        evolve = fisher.evolve
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(fisher, "evolve", counted)
+        d_dT_state(ProbeSpec.fock(1), fig_bath, 0.5)
+        per_derivative = len(calls)
+        calls.clear()
+        spec = SweepSpec(
+            axis=SweepAxis.TEMPERATURE, axis_values=self.VALUES, probes=self.PROBES,
+            methods=(SweepMethod.CFI, SweepMethod.QFI), bath=fig_bath,
+        )
+        rows = run_sweep(spec, workers=1).rows
+        assert len(rows) == 2 * len(self.VALUES) * len(self.PROBES)
+        assert len(calls) == per_derivative * len(self.VALUES) * len(self.PROBES)
+
+        direct = [
+            qfi_point(probe, dataclasses.replace(fig_bath, T=T), spec.t, method)
+            for T in self.VALUES
+            for probe in self.PROBES
+            for method in (FisherMethod.CFI_NUMBER, FisherMethod.QFI_SLD)
+        ]
+        for row, record in zip(rows, direct):
+            assert (row.probe, row.method) == (record.probe.canonical(), record.method)
+            assert row.qfi == record.value
+            assert row.leakage == record.diagnostics["leakage"]
+            assert row.h_used == record.diagnostics["h_used"]
+            assert row.dim == record.diagnostics["dim"]
+
+    def test_derivative_failure_marks_every_fisher_row_of_its_task(self, fig_bath):
+        # |30> does not fit in dim = 20; its bound needs no state
+        spec = SweepSpec(
+            axis=SweepAxis.TIME, axis_values=(0.05, 0.1),
+            probes=(ProbeSpec.fock(1), ProbeSpec.fock(30)),
+            methods=(SweepMethod.CFI, SweepMethod.QFI, SweepMethod.BOUND_FOCK_LINEAR),
+            bath=fig_bath, dim=20,
+        )
+        rows = run_sweep(spec, workers=1).rows
+        assert all(r.error is None for r in rows if r.probe == "fock:1")
+        for t in spec.axis_values:
+            cfi, qfi, bound = (r for r in rows if r.axis_value == t and r.probe == "fock:30")
+            assert cfi.error is not None and "dim" in cfi.error
+            assert qfi.error == cfi.error
+            assert bound.error is None
+            assert bound.qfi == bound_fock_linear(30, fig_bath, t).value
+
+    def test_failed_reduction_marks_only_its_row(self, fig_bath, monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularSupportError("forced")
+
+        monkeypatch.setattr(fisher, "cfi_number_basis", singular)
+        spec = SweepSpec(
+            axis=SweepAxis.TIME, axis_values=(0.1,), probes=(ProbeSpec.fock(1),),
+            methods=(SweepMethod.CFI, SweepMethod.QFI), bath=fig_bath,
+        )
+        cfi, qfi = run_sweep(spec, workers=1).rows
+        assert cfi.error == "SingularSupportError: forced"
+        assert qfi.error is None
+        assert qfi.qfi == qfi_point(ProbeSpec.fock(1), fig_bath, 0.1, FisherMethod.QFI_SLD).value
 
 
 class TestOutputs:
@@ -243,13 +326,13 @@ class TestOutputs:
         spec = SweepSpec(
             axis=SweepAxis.TIME, axis_values=(0.02, 0.05, 0.1, 0.2),
             probes=(ProbeSpec.fock(1), ProbeSpec.coherent(1.0)),
-            methods=(SweepMethod.CFI, SweepMethod.BOUND_FOCK_LINEAR,
+            methods=(SweepMethod.CFI, SweepMethod.QFI, SweepMethod.BOUND_FOCK_LINEAR,
                      SweepMethod.BOUND_COHERENT),
             bath=fig_bath,
         )
         serial = run_sweep(spec, workers=1).csv_body()
-        parallel = run_sweep(spec, workers=4).csv_body()
-        assert serial == parallel
+        for workers in (2, 3, 4):
+            assert run_sweep(spec, workers=workers).csv_body() == serial
 
     def test_end_to_end_slopes_from_sweep(self, fig_bath):
         ts = tuple(np.logspace(-2, -1, 5))
