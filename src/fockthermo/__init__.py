@@ -6,7 +6,7 @@ classical and quantum Fisher information for the bath temperature, and
 evaluates the matching closed-form short-time expressions.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .bath import BathParams, RateModel, Rates, rates, thermal_occupation, thermal_occupation_dT
 from .bounds import (
@@ -23,7 +23,6 @@ from .bounds import (
 from .dynamics import evolve, mean_photon_analytic, short_time_populations
 from .errors import FockThermoError
 from .fisher import (
-    DerivativeConfig,
     FisherMethod,
     QfiRecord,
     cfi_number_basis,
@@ -31,7 +30,6 @@ from .fisher import (
     fisher_record,
     qfi_curve,
     qfi_point,
-    qfi_sld,
 )
 from .fockspace import DensityMatrix, annihilation, creation, number_operator, validate_density
 from .probes import EnergyMatch, ProbeKind, ProbeSpec, default_dim, energy_match, make_state
@@ -58,7 +56,6 @@ __all__ = [
     "mean_photon_analytic",
     "short_time_populations",
     "FockThermoError",
-    "DerivativeConfig",
     "FisherMethod",
     "QfiRecord",
     "cfi_number_basis",
@@ -66,7 +63,6 @@ __all__ = [
     "fisher_record",
     "qfi_curve",
     "qfi_point",
-    "qfi_sld",
     "DensityMatrix",
     "annihilation",
     "creation",

@@ -38,12 +38,6 @@ def _check_mode(omega: float, T: float) -> None:
         raise DomainError(f"T must be > 0, got {T!r}")
 
 
-def occupation_underflows(omega: float, T: float) -> bool:
-    """True when omega/T is so large that the occupation evaluates to 0.0."""
-    _check_mode(omega, T)
-    return omega / T > UNDERFLOW_EXPONENT
-
-
 def thermal_occupation(omega: float, T: float) -> float:
     """Mean thermal photon number 1/(exp(omega/T) - 1).
 
@@ -89,14 +83,6 @@ class BathParams:
     def with_temperature(self, T: float) -> "BathParams":
         return dataclasses.replace(self, T=T)
 
-    @property
-    def nbar(self) -> float:
-        return thermal_occupation(self.omega, self.T)
-
-    @property
-    def nbar_dT(self) -> float:
-        return thermal_occupation_dT(self.omega, self.T)
-
 
 @dataclass(frozen=True)
 class Rates:
@@ -119,12 +105,22 @@ class Rates:
 
 
 def base_rate(params: BathParams) -> float:
-    """Gamma0 under the chosen rate model."""
+    """Gamma0 under the chosen rate model.
+
+    A Purcell rate beyond double precision raises :class:`DomainError`.
+    """
     if params.rate_model is RateModel.MARKOVIAN:
         return params.gamma
-    if params.gamma == 0.0:
-        raise DomainError("Purcell rate 4 g^2 / gamma undefined at gamma = 0")
-    return 4.0 * params.g**2 / params.gamma
+    try:
+        rate = 4.0 * params.g**2 / params.gamma
+    except OverflowError:
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise DomainError(
+            f"Purcell rate 4 g^2 / gamma is not representable at g={params.g!r}, "
+            f"gamma={params.gamma!r}"
+        )
+    return rate
 
 
 def rates(params: BathParams) -> Rates:

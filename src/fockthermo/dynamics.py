@@ -57,16 +57,15 @@ def band_generator(dim: int, k: int, rates: Rates) -> np.ndarray:
     return np.diag(diag) + np.diag(sub, k=-1) + np.diag(sup, k=1)
 
 
-def population_vector(p: np.ndarray, *, clip: bool = True) -> np.ndarray:
-    """Validate (and optionally clip) a photon-number distribution."""
+def population_vector(p: np.ndarray) -> np.ndarray:
+    """Validate a photon-number distribution and clip its roundoff negatives."""
     p = np.asarray(p, dtype=float).copy()
     if abs(p.sum() - 1.0) > 1e-9:
         raise DomainError(f"populations must sum to 1 within 1e-9, defect {abs(p.sum()-1.0):.3e}")
     low = float(p.min())
     if low < -NEGATIVE_CLIP:
         raise PositivityError(f"population {low:.3e} below the roundoff clip {-NEGATIVE_CLIP:.0e}")
-    if clip:
-        p[(p < 0.0)] = 0.0
+    p[p < 0.0] = 0.0
     return p
 
 

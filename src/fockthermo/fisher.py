@@ -1,8 +1,8 @@
 """Temperature-sensitivity measures of the evolved probe.
 
 The state derivative is taken end to end: the full evolution is run at
-shifted bath temperatures and differenced centrally (optionally with one
-Richardson step), so a single code path covers every probe class. From
+shifted bath temperatures and differenced centrally with one Richardson
+step, so a single code path covers every probe class. From
 (rho, d rho/dT) two figures of merit follow:
 
 * number-basis classical Fisher information sum_m (dp_m)^2 / p_m, and
@@ -26,7 +26,7 @@ import numpy as np
 from .bath import BathParams, rates
 from .dynamics import evolve, population_vector
 from .errors import DomainError, SingularSupportError
-from .fockspace import EIGENVALUE_FLOOR, LEAKAGE_BUDGET, DensityMatrix
+from .fockspace import EIGENVALUE_FLOOR, DensityMatrix
 from .probes import ProbeSpec, default_dim, make_state
 
 # Populations below this are excluded from classical Fisher sums: they add
@@ -37,26 +37,14 @@ P_FLOOR = 1e-14
 # information divergence rather than roundoff.
 SINGULAR_DP = 1e-12
 
+# Central-difference step for d/dT: H_REL * T, but at least H_ABS_FLOOR.
+H_REL = 1e-4
+H_ABS_FLOOR = 1e-7
+
 
 class FisherMethod(str, Enum):
     CFI_NUMBER = "cfi"
     QFI_SLD = "qfi"
-
-
-@dataclass(frozen=True)
-class DerivativeConfig:
-    """Central-difference step control for d/dT."""
-
-    h_rel: float = 1e-4
-    richardson: bool = True
-    h_abs_floor: float = 1e-7
-
-    def __post_init__(self) -> None:
-        if not (self.h_rel > 0.0) or not (self.h_abs_floor > 0.0):
-            raise DomainError("h_rel and h_abs_floor must both be > 0")
-
-
-DEFAULT_DIFF = DerivativeConfig()
 
 
 @dataclass(frozen=True)
@@ -76,13 +64,11 @@ def d_dT_state(
     t: float,
     *,
     dim: int | None = None,
-    leakage_budget: float = LEAKAGE_BUDGET,
-    diff: DerivativeConfig = DEFAULT_DIFF,
 ) -> TemperatureDerivative:
     """Evolved state rho(t; T) and its central-difference d rho/dT.
 
     The probe itself is temperature independent; only the bath rates move.
-    With Richardson enabled the h and h/2 estimates combine as
+    The h and h/2 estimates combine by one Richardson step as
     (4 D_{h/2} - D_h) / 3.
     """
     if t < 0.0:
@@ -90,26 +76,22 @@ def d_dT_state(
     dim = default_dim(probe) if dim is None else dim
     rho0 = make_state(probe, dim)
 
-    h = max(diff.h_rel * bath.T, diff.h_abs_floor)
+    h = max(H_REL * bath.T, H_ABS_FLOOR)
     while bath.T - h <= 0.0:
         h /= 2.0
         if bath.T + h == bath.T:
             raise DomainError(f"derivative step underflowed at T={bath.T!r}")
 
     def run(T_shifted: float) -> DensityMatrix:
-        return evolve(
-            rho0, rates(bath.with_temperature(T_shifted)), t, leakage_budget=leakage_budget
-        )
+        return evolve(rho0, rates(bath.with_temperature(T_shifted)), t)
 
     center = run(bath.T)
     plus, minus = run(bath.T + h), run(bath.T - h)
-    deriv = (plus.mat - minus.mat) / (2.0 * h)
-    states = [center, plus, minus]
-    if diff.richardson:
-        plus2, minus2 = run(bath.T + h / 2.0), run(bath.T - h / 2.0)
-        half = (plus2.mat - minus2.mat) / h
-        deriv = (4.0 * half - deriv) / 3.0
-        states += [plus2, minus2]
+    plus2, minus2 = run(bath.T + h / 2.0), run(bath.T - h / 2.0)
+    full = (plus.mat - minus.mat) / (2.0 * h)
+    half = (plus2.mat - minus2.mat) / h
+    deriv = (4.0 * half - full) / 3.0
+    states = [center, plus, minus, plus2, minus2]
     deriv = 0.5 * (deriv + deriv.conj().T)
     leakage = max(s.top_level_population for s in states)
     return TemperatureDerivative(rho=center, drho=deriv, h_used=h, leakage=leakage, dim=dim)
@@ -131,27 +113,13 @@ def cfi_number_basis(p: np.ndarray, dp: np.ndarray, *, p_floor: float = P_FLOOR)
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
-def qfi_sld(
-    rho: DensityMatrix | np.ndarray,
-    drho: np.ndarray,
-    *,
-    lam_floor: float = EIGENVALUE_FLOOR,
-) -> float:
-    """Quantum Fisher information from the symmetric logarithmic derivative."""
-    value, _ = qfi_sld_detailed(rho, drho, lam_floor=lam_floor)
-    return value
+def qfi_sld_detailed(rho: DensityMatrix | np.ndarray, drho: np.ndarray) -> tuple[float, int]:
+    """Quantum Fisher information from the symmetric logarithmic derivative,
+    plus the number of eigenpairs dropped by the spectral floor.
 
-
-def qfi_sld_detailed(
-    rho: DensityMatrix | np.ndarray,
-    drho: np.ndarray,
-    *,
-    lam_floor: float = EIGENVALUE_FLOOR,
-) -> tuple[float, int]:
-    """QFI plus the number of eigenpairs dropped by the spectral floor.
-
-    Eigenvalues with |lambda| < the floor are treated as exact zeros, and
-    pairs with lambda_i + lambda_j <= lam_floor are excluded from the sum.
+    Eigenvalues with |lambda| < EIGENVALUE_FLOOR are treated as exact zeros,
+    and pairs with lambda_i + lambda_j <= EIGENVALUE_FLOOR are excluded from
+    the sum.
     """
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
@@ -166,7 +134,7 @@ def qfi_sld_detailed(
     lam = np.where(lam < 0.0, 0.0, lam)
     m = vecs.conj().T @ drho @ vecs
     denom = lam[:, None] + lam[None, :]
-    keep = denom > lam_floor
+    keep = denom > EIGENVALUE_FLOOR
     value = 2.0 * float(np.sum(np.abs(m[keep]) ** 2 / denom[keep]))
     dropped = int(keep.size - int(keep.sum()))
     return value, dropped
@@ -246,13 +214,10 @@ def qfi_point(
     method: FisherMethod,
     *,
     dim: int | None = None,
-    leakage_budget: float = LEAKAGE_BUDGET,
-    diff: DerivativeConfig = DEFAULT_DIFF,
 ) -> QfiRecord:
     """Single Fisher-information evaluation at time t."""
     method = FisherMethod(method)
-    deriv = d_dT_state(probe, bath, t, dim=dim, leakage_budget=leakage_budget, diff=diff)
-    return fisher_record(deriv, method, probe, bath, t)
+    return fisher_record(d_dT_state(probe, bath, t, dim=dim), method, probe, bath, t)
 
 
 def qfi_curve(
@@ -262,8 +227,6 @@ def qfi_curve(
     method: FisherMethod,
     *,
     dim: int | None = None,
-    leakage_budget: float = LEAKAGE_BUDGET,
-    diff: DerivativeConfig = DEFAULT_DIFF,
 ) -> list[QfiRecord]:
     """Fisher information along an ascending time grid."""
     t_grid = list(t_grid)
@@ -271,7 +234,4 @@ def qfi_curve(
         raise DomainError("t_grid must be nonempty")
     if any(t < 0.0 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise DomainError("t_grid must be strictly ascending and nonnegative")
-    return [
-        qfi_point(probe, bath, t, method, dim=dim, leakage_budget=leakage_budget, diff=diff)
-        for t in t_grid
-    ]
+    return [qfi_point(probe, bath, t, method, dim=dim) for t in t_grid]

@@ -89,17 +89,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class TolProfile:
-    hermiticity: float = 1e-12
-    trace: float = 1e-9
-    min_eigenvalue: float = -1e-9
-    leakage: float = LEAKAGE_BUDGET
-
-
-DEFAULT_TOLS = TolProfile()
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     hermiticity_defect: float
     trace_defect: float
@@ -125,8 +114,10 @@ class ValidationReport:
         return " ".join(parts)
 
 
-def validate_density(rho: DensityMatrix | np.ndarray, tols: TolProfile = DEFAULT_TOLS) -> ValidationReport:
-    """Report-only check of the density-matrix invariants."""
+def validate_density(rho: DensityMatrix | np.ndarray) -> ValidationReport:
+    """Report-only check of the density-matrix invariants: Hermiticity within
+    1e-12, trace within 1e-9, smallest eigenvalue >= -1e-9 and top-level
+    population within the leakage budget."""
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
     trace_defect = float(abs(mat.trace() - 1.0))
@@ -138,8 +129,8 @@ def validate_density(rho: DensityMatrix | np.ndarray, tols: TolProfile = DEFAULT
         trace_defect=trace_defect,
         min_eigenvalue=min_eig,
         top_level_population=top,
-        hermitian_ok=herm_defect <= tols.hermiticity,
-        trace_ok=trace_defect <= tols.trace,
-        positive_ok=min_eig >= tols.min_eigenvalue,
-        leakage_ok=top <= tols.leakage,
+        hermitian_ok=herm_defect <= 1e-12,
+        trace_ok=trace_defect <= 1e-9,
+        positive_ok=min_eig >= -1e-9,
+        leakage_ok=top <= LEAKAGE_BUDGET,
     )

@@ -251,19 +251,18 @@ def make_state(spec: ProbeSpec, dim: int) -> DensityMatrix:
     return DensityMatrix(np.outer(c, c.conj()))
 
 
-def default_dim(spec: ProbeSpec, minimum: int = 40, max_dim: int | None = None) -> int:
+def default_dim(spec: ProbeSpec) -> int:
     """Truncation adequate for the probe: max(40, 8*max(n, nbar)+20),
     grown further until the discarded tail is negligible.
 
     Squeezed (and high-nbar thermal) states have slowly decaying tails, so
     the closed-form floor alone can under-truncate them; growth stops once
     tail * dim <= 1e-9, which caps the renormalization shift of the mean
-    photon number below 1e-9 as well. Growth never exceeds ``max_dim``
-    (default: :func:`dim_ceiling`).
+    photon number below 1e-9 as well. Growth never exceeds
+    :func:`dim_ceiling`.
     """
-    if max_dim is None:
-        max_dim = dim_ceiling()
-    base = max(minimum, int(math.ceil(8 * max(spec.mean_photon, 0.0) + 20)))
+    max_dim = dim_ceiling()
+    base = max(40, int(math.ceil(8 * max(spec.mean_photon, 0.0) + 20)))
     if spec.kind is ProbeKind.FOCK:
         if spec.n + 2 > max_dim:
             raise TruncationError(

@@ -42,7 +42,6 @@ from .fisher import (
     delta_t_min,
     fisher_record,
 )
-from .fockspace import LEAKAGE_BUDGET
 from .probes import ProbeKind, ProbeSpec, energy_match
 
 CSV_HEADER = "axis,axis_value,probe,method,qfi,delta_t_min,valid_short_time,leakage,h_used,dim"
@@ -86,7 +85,6 @@ class SweepSpec:
     bath: BathParams = BathParams()
     t: float = 0.5
     dim: int | None = None
-    leakage_budget: float = LEAKAGE_BUDGET
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", SweepAxis(self.axis))
@@ -234,7 +232,6 @@ class _Task:
     probe: ProbeSpec
     rows: tuple[tuple[int, SweepMethod], ...]
     dim: int | None
-    leakage_budget: float
 
 
 def _instantiate_probe(entry: ProbeSpec | ProbeKind, n: float) -> ProbeSpec:
@@ -279,7 +276,6 @@ def _plan(spec: SweepSpec) -> list[_Task]:
                     probe=probe,
                     rows=tuple(enumerate(methods, start=n_rows)),
                     dim=spec.dim,
-                    leakage_budget=spec.leakage_budget,
                 )
             )
             n_rows += len(methods)
@@ -290,10 +286,7 @@ def _evaluate_task(task: _Task) -> list[tuple[int, SweepRow]]:
     deriv: TemperatureDerivative | FockThermoError | None = None
     if any(method in _FISHER for _, method in task.rows):
         try:
-            deriv = d_dT_state(
-                task.probe, task.bath, task.t,
-                dim=task.dim, leakage_budget=task.leakage_budget,
-            )
+            deriv = d_dT_state(task.probe, task.bath, task.t, dim=task.dim)
         except FockThermoError as exc:
             deriv = exc  # reported on every Fisher row of the task
     return [(idx, _evaluate_row(task, method, deriv)) for idx, method in task.rows]

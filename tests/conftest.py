@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from fockthermo import BathParams, rates
+from fockthermo.selfcheck import run_selfcheck
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +17,12 @@ def fig_bath() -> BathParams:
 @pytest.fixture(scope="session")
 def fig_rates(fig_bath):
     return rates(fig_bath)
+
+
+@pytest.fixture(scope="session")
+def selfcheck_run():
+    """The one run of the ``validate`` registry that every test reporting on
+    it shares: (results, seconds taken)."""
+    started = time.monotonic()
+    results = run_selfcheck()
+    return results, time.monotonic() - started

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 from oracle import apply, propagator
 
-from fockthermo.bath import BathParams, rates, thermal_occupation
+from fockthermo.bath import BathParams, rates
 from fockthermo.bounds import bound_fock_linear
-from fockthermo.dynamics import evolve, mean_photon_analytic, short_time_populations
+from fockthermo.dynamics import evolve, short_time_populations
 from fockthermo.fisher import FisherMethod, qfi_curve, qfi_point
-from fockthermo.probes import ProbeSpec, default_dim, energy_match, make_state
+from fockthermo.probes import ProbeSpec, energy_match, make_state
 from fockthermo.sweep import (
     SweepAxis,
     SweepMethod,
@@ -223,60 +223,16 @@ def test_criterion_6_temperature_unimodal():
 # Criterion 7: physics invariant suite at stated tolerances
 # --------------------------------------------------------------------------
 
-def test_criterion_7_invariant_suite():
-    started = time.monotonic()
-    failures = []
-
-    # trace preservation (1e-9) and positivity (-1e-9)
-    for spec in (ProbeSpec.fock(1), ProbeSpec.coherent(1.0), ProbeSpec.squeezed(ASINH_1)):
-        out = evolve(make_state(spec, default_dim(spec)), RATES, 0.5)
-        if abs(out.mat.trace().real - 1.0) > 1e-9:
-            failures.append(f"trace drift for {spec.canonical()}")
-        if float(np.linalg.eigvalsh(out.mat).min()) < -1e-9:
-            failures.append(f"negative eigenvalue for {spec.canonical()}")
-
-    # thermal stationarity (1e-8)
-    nT = thermal_occupation(BATH.omega, BATH.T)
-    rho_th = make_state(ProbeSpec.thermal(nT), 40)
-    drift = np.max(np.abs(evolve(rho_th, RATES, 1.0).mat - rho_th.mat))
-    if drift > 1e-8:
-        failures.append(f"stationarity drift {drift:.2e}")
-
-    # first-moment relaxation (1e-7)
-    for spec in (ProbeSpec.fock(1), ProbeSpec.coherent(1.0), ProbeSpec.squeezed(ASINH_1),
-                 ProbeSpec.thermal(0.5)):
-        rho = make_state(spec, default_dim(spec))
-        got = evolve(rho, RATES, 0.5).mean_photon()
-        want = mean_photon_analytic(rho.mean_photon(), RATES, 0.5)
-        if abs(got - want) > 1e-7:
-            failures.append(f"first moment off by {abs(got - want):.2e} for {spec.canonical()}")
-
-    # detailed balance (1e-12)
-    for x in np.logspace(-2, 2, 17):
-        r = rates(BathParams(T=1.0 / x))
-        if abs(r.gamma_plus / r.gamma_minus - np.exp(-x)) / np.exp(-x) > 1e-12:
-            failures.append(f"detailed balance at omega/T={x:g}")
-
-    # diagonality preservation (1e-12)
-    for spec in (ProbeSpec.fock(2), ProbeSpec.thermal(0.5)):
-        out = evolve(make_state(spec, 40), RATES, 0.5)
-        if out.max_offdiagonal() > 1e-12:
-            failures.append(f"coherences grew for {spec.canonical()}")
-
-    # truncation convergence: 1e-6 relative between dim 40 and dim 60
-    for probe in (ProbeSpec.fock(2), ProbeSpec.coherent(1.0)):
-        v40 = qfi_point(probe, BATH, 0.5, FisherMethod.QFI_SLD, dim=40).value
-        v60 = qfi_point(probe, BATH, 0.5, FisherMethod.QFI_SLD, dim=60).value
-        rel = abs(v60 - v40) / v60
-        if rel > 1e-6:
-            failures.append(f"truncation drift {rel:.2e} for {probe.canonical()}")
-
-    elapsed = time.monotonic() - started
+def test_criterion_7_invariant_suite(selfcheck_run):
+    # the registry behind ``validate``, from the run the per-check tests share
+    results, elapsed = selfcheck_run
+    failures = [f"{r.group}.{r.name}: {r.detail}" for r in results if not r.passed]
     ok = not failures and elapsed <= 120.0
     report(
         "7 (physics invariant suite)",
         ok,
-        f"{elapsed:.1f} s (budget 120 s); " + ("; ".join(failures) or "all invariants hold"),
+        f"{len(results)} registered checks in {elapsed:.1f} s (budget 120 s); "
+        + ("; ".join(failures) or "all invariants hold"),
     )
     assert not failures, failures
     assert elapsed <= 120.0

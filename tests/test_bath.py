@@ -12,7 +12,6 @@ from fockthermo.bath import (
     RateModel,
     Rates,
     base_rate,
-    occupation_underflows,
     rates,
     thermal_occupation,
     thermal_occupation_dT,
@@ -39,8 +38,6 @@ class TestOccupation:
 
     def test_underflow_is_flagged_not_raised(self):
         assert thermal_occupation(1.0, 1.0 / 800.0) == 0.0
-        assert occupation_underflows(1.0, 1.0 / 800.0)
-        assert not occupation_underflows(1.0, 0.5)
 
     @pytest.mark.parametrize("omega,T", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_domain_errors(self, omega, T):

@@ -20,8 +20,6 @@ from fockthermo.bounds import (
     short_time_valid,
 )
 from fockthermo.errors import DomainError
-from fockthermo.fisher import FisherMethod, qfi_point
-from fockthermo.probes import ProbeSpec
 
 # Frozen from high-precision evaluation at omega=1, T=0.5, Gamma0=0.1, t=0.01.
 FOCK_LINEAR_REF = 0.007152434380288741
@@ -131,14 +129,6 @@ class TestClosedForms:
         assert bound_fock_quadratic(n, bath, t).value >= 0.0
         assert bound_squeezed(float(n), bath, t).value >= 0.0
         assert bound_coherent(float(n), bath, t).value >= 0.0
-
-
-class TestAgainstSimulator:
-    def test_cfi_ratio_converges_to_one(self, fig_bath, fig_rates):
-        for g0t, tol in ((1e-4, 0.05), (1e-5, 0.01)):
-            t = g0t / fig_rates.gamma0
-            cfi = qfi_point(ProbeSpec.fock(1), fig_bath, t, FisherMethod.CFI_NUMBER).value
-            assert cfi / bound_fock_linear(1, fig_bath, t).value == pytest.approx(1.0, abs=tol)
 
 
 class TestEnqfi:

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockthermo import cli
+from fockthermo import cli, selfcheck
 from fockthermo.cli import RunConfig, main, parse_args, parse_config_text
-from fockthermo.errors import ConfigError
+from fockthermo.errors import ConfigError, DomainError
 from fockthermo.selfcheck import registered_checks
 from fockthermo.sweep import CSV_HEADER, SweepAxis, SweepMethod
 
@@ -186,6 +186,25 @@ class TestCommands:
     def test_bounds_unrepresentable_value_is_a_numerical_failure(self, argv, capsys):
         assert main(["bounds", *argv, "--axis-values", "1"]) == 2
         assert "numerical failure: DomainError" in capsys.readouterr().err
+
+    def test_unrepresentable_purcell_rate_is_a_numerical_failure(self, capsys):
+        assert main(["qfi", "--g", "1e200", "--rate-model", "purcell"]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: DomainError: Purcell rate")
+
+    def test_sweep_marks_only_unrepresentable_purcell_rows(self, tmp_path, capsys):
+        out_csv = tmp_path / "g.csv"
+        code = main([
+            "sweep", "--axis", "coupling_g", "--axis-values", "0.05,1e200",
+            "--probes", "fock:1", "--method", "qfi,bound_fock_linear",
+            "--workers", "1", "--out", str(out_csv),
+        ])
+        assert code == 2  # failed rows, not an aborted sweep
+        rows = json.loads(out_csv.with_suffix(".json").read_text())["rows"]
+        assert [(r["axis_value"], r["method"]) for r in rows] == [
+            (0.05, "qfi"), (0.05, "bound_fock_linear"), (1e200, "qfi"), (1e200, "bound_fock_linear"),
+        ]
+        assert [r["error"] is None for r in rows] == [True, True, False, False]
+        assert all(r["error"].startswith("DomainError") for r in rows[2:])
 
     def test_sweep_out_shadowed_by_json_mirror_rejected(self, tmp_path, capsys, monkeypatch):
         def no_points(*args, **kwargs):
@@ -394,9 +413,33 @@ def test_fuzz_to_text_round_trip(cfg):
 
 
 class TestValidateCommand:
-    def test_validate_passes_on_clean_build(self, capsys):
+    def test_validate_passes_on_clean_build(self, selfcheck_run, monkeypatch, capsys):
+        results, _ = selfcheck_run
+        monkeypatch.setattr(cli, "run_selfcheck", lambda: results)
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         for group in {group for group, _ in registered_checks()}:
             assert f"PASS {group}" in out
         assert "FAIL" not in out
+
+    def test_failing_checks_exit_3(self, monkeypatch, capsys):
+        def fails():
+            return False, "forced failure"
+
+        def raises():
+            raise DomainError("forced error")
+
+        checks = {(group, name): fn for group, name, fn in selfcheck._REGISTRY}
+        monkeypatch.setattr(selfcheck, "_REGISTRY", [
+            ("fockspace", "adjoint_identity", checks["fockspace", "adjoint_identity"]),
+            ("bath", "detailed_balance", fails),
+            ("sweep", "fit_exactness", raises),
+        ])
+        assert main(["validate"]) == 3
+        captured = capsys.readouterr()
+        assert "PASS fockspace (1/1)" in captured.out
+        assert "FAIL bath (0/1)" in captured.out
+        assert "[FAIL] detailed_balance: forced failure" in captured.out
+        assert "FAIL sweep (0/1)" in captured.out
+        assert "[FAIL] fit_exactness: DomainError: forced error" in captured.out
+        assert "Traceback" not in captured.out + captured.err

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fockthermo.errors import InvalidDimensionError
 from fockthermo.fockspace import (
     DensityMatrix,
-    TolProfile,
     annihilation,
     creation,
     number_operator,
@@ -77,9 +76,9 @@ class TestDensityMatrix:
         assert report.hermitian_ok
         assert report.trace_ok and report.positive_ok
         # a two-level state parks half its weight on the top level, which the
-        # leakage monitor rightly flags; relax that budget to see it pass
+        # leakage monitor rightly flags
         assert not report.leakage_ok
-        assert validate_density(DensityMatrix(mat), TolProfile(leakage=1.0)).passed
+        assert not report.passed
 
     def test_trace_defect_reported(self):
         rho = DensityMatrix(np.diag([0.499, 0.5]).astype(complex))
@@ -96,7 +95,7 @@ class TestDensityMatrix:
 
     def test_leakage_flagged_against_profile(self):
         mat = np.diag([0.9, 0.0, 0.1]).astype(complex)
-        report = validate_density(DensityMatrix(mat), TolProfile(leakage=1e-2))
+        report = validate_density(DensityMatrix(mat))
         assert not report.leakage_ok
         assert report.top_level_population == pytest.approx(0.1)
 

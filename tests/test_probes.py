@@ -79,12 +79,6 @@ class TestMakeState:
         rho = make_state(ProbeSpec.squeezed(0.7), 50)
         assert np.all(rho.populations[1::2] == 0.0)
 
-    def test_thermal_geometric_ratio(self):
-        nbar = 0.5
-        p = make_state(ProbeSpec.thermal(nbar), 40).populations
-        ratio = nbar / (nbar + 1.0)
-        np.testing.assert_allclose(p[1:25] / p[:24], ratio, rtol=1e-12)
-
     @pytest.mark.parametrize(
         "spec",
         [ProbeSpec.fock(3), ProbeSpec.coherent(1.0 + 0.5j), ProbeSpec.squeezed(0.8),
