@@ -16,7 +16,7 @@ from fockthermo.dynamics import (
     short_time_populations,
 )
 from fockthermo.errors import DomainError, InvalidDimensionError, PositivityError, TruncationError
-from fockthermo.probes import ProbeKind, ProbeSpec, make_state
+from fockthermo.probes import ProbeKind, ProbeSpec, default_dim, make_state
 
 GAMMA_PLUS = 0.015651764274966565
 GAMMA_MINUS = 0.11565176427496657
@@ -125,6 +125,17 @@ class TestEvolve:
         rho = make_state(ProbeSpec.coherent(1.0), 40)
         out = evolve(rho, fig_rates, 1.0)
         assert abs(out.mat.trace().real - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ProbeSpec.fock(1), ProbeSpec.coherent(1.0), ProbeSpec.squeezed(0.881373587019543),
+         ProbeSpec.thermal(0.5)],
+    )
+    def test_first_moment_law_all_probe_classes(self, fig_rates, spec):
+        rho = make_state(spec, default_dim(spec))
+        out = evolve(rho, fig_rates, 0.5)
+        expected = mean_photon_analytic(rho.mean_photon(), fig_rates, 0.5)
+        assert abs(out.mean_photon() - expected) < 1e-7
 
     def test_leakage_budget_aborts(self, fig_rates):
         rho = make_state(ProbeSpec.fock(8), 10)

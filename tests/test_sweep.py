@@ -24,6 +24,17 @@ from fockthermo.sweep import (
 
 
 class TestFitScalingExponent:
+    def test_exact_linear_law(self):
+        ts = np.logspace(-3, -1, 7)
+        fit = fit_scaling_exponent(ts, 3.0 * ts)
+        assert fit.slope == pytest.approx(1.0, abs=1e-9)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_quadratic_law(self):
+        ts = np.logspace(-3, -1, 7)
+        fit = fit_scaling_exponent(ts, 0.25 * ts**2)
+        assert fit.slope == pytest.approx(2.0, abs=1e-9)
+
     def test_nonpositive_values_excluded(self):
         ts = np.array([0.001, 0.01, 0.1, 1.0, 10.0])
         vals = np.array([0.0, 0.01, 0.1, 1.0, 10.0])
