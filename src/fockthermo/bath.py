@@ -59,7 +59,10 @@ def thermal_occupation_dT(omega: float, T: float) -> float:
     temperature extremes.
     """
     n = thermal_occupation(omega, T)
-    return (omega / T**2) * n * (n + 1.0)
+    try:
+        return (omega / T**2) * n * (n + 1.0)
+    except OverflowError:  # T**2 is beyond double range for T >~ 1.34e154
+        return (omega / T) * (n / T) * (n + 1.0)
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,10 @@ class Rates:
     gamma0: float
 
     def __post_init__(self) -> None:
-        if self.gamma_plus < 0.0 or not self.gamma_minus > self.gamma_plus:
+        # gamma_plus + gamma0 rounds to gamma_plus once nbar exceeds 2^53
+        if self.gamma_plus < 0.0 or not self.gamma_minus >= self.gamma_plus:
             raise DomainError(
-                f"rates must satisfy gamma_minus > gamma_plus >= 0, "
+                f"rates must satisfy gamma_minus >= gamma_plus >= 0, "
                 f"got ({self.gamma_plus!r}, {self.gamma_minus!r})"
             )
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -110,15 +111,25 @@ def bound_fock_quadratic(n: int, bath: BathParams, t: float) -> BoundResult:
     valid = short_time_valid(bath, t, n)
     if r.gamma_plus == 0.0:
         return BoundResult(0.0, BoundKind.FOCK_QUADRATIC, valid, underflow=True)
-    nT = r.nbar
+    gp, gm = r.gamma_plus, r.gamma_minus
     d_rate = r.gamma0 * thermal_occupation_dT(bath.omega, bath.T)
-    term = n * (d_rate / r.gamma_plus) ** 2 + (n + 1.0) * (d_rate / r.gamma_minus) ** 2
-    return BoundResult(t**2 * term * r.gamma_plus * r.gamma_minus, BoundKind.FOCK_QUADRATIC, valid)
+    term = n * (d_rate / gp) ** 2 + (n + 1.0) * (d_rate / gm) ** 2
+    if min(term, t**2 * term) < sys.float_info.min:
+        # a subnormal factor would round the value away (T >~ 1e150, or
+        # tiny t); regrouped, no factor underflows unless the value does
+        value = (t * d_rate) ** 2 * (n * (gm / gp) + (n + 1.0) * (gp / gm))
+    else:
+        value = t**2 * term * gp * gm
+    return BoundResult(value, BoundKind.FOCK_QUADRATIC, valid)
 
 
 def _dlog_occupation(bath: BathParams) -> float:
     # dT ln nbar = (omega/T^2)(nbar + 1): stable even when nbar underflows
-    return (bath.omega / bath.T**2) * (thermal_occupation(bath.omega, bath.T) + 1.0)
+    n1 = thermal_occupation(bath.omega, bath.T) + 1.0
+    try:
+        return (bath.omega / bath.T**2) * n1
+    except OverflowError:  # T**2 is beyond double range for T >~ 1.34e154
+        return (bath.omega / bath.T) * (n1 / bath.T)
 
 
 @_representable

@@ -59,6 +59,15 @@ class TestOccupationDerivative:
     def test_low_temperature_suppressed(self):
         assert thermal_occupation_dT(1.0, 0.01) < 1e-30
 
+    def test_product_form_bits_kept_wherever_it_is_finite(self):
+        for T in np.geomspace(1e-3, 1e150, 2000):
+            T = float(T)
+            n = thermal_occupation(1.0, T)
+            assert thermal_occupation_dT(1.0, T) == (1.0 / T**2) * n * (n + 1.0)
+
+    def test_finite_beyond_the_overflow_of_T_squared(self):
+        assert thermal_occupation_dT(1.0, 1e160) == pytest.approx(1.0, rel=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(logT=st.floats(min_value=-1.0, max_value=1.5))
     def test_finite_difference_grid(self, logT):

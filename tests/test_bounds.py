@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from fockthermo.bath import BathParams, rates, thermal_occupation, thermal_occup
 from fockthermo.bounds import (
     SCALING_TABLE_HEADER,
     BoundKind,
+    _dlog_occupation,
     bound_coherent,
     bound_fock_linear,
     bound_fock_quadratic,
@@ -116,6 +118,28 @@ class TestClosedForms:
     def test_unrepresentable_value_is_a_domain_error(self, bound, bath, t):
         with pytest.raises(DomainError, match="not representable"):
             bound(1, BathParams(**bath), t)
+
+    def test_dlog_occupation_bits_kept_wherever_T_squared_is_finite(self):
+        for T in np.geomspace(1e-3, 1e150, 2000):
+            bath = BathParams(T=float(T))
+            old = (1.0 / bath.T**2) * (thermal_occupation(1.0, bath.T) + 1.0)
+            assert _dlog_occupation(bath) == old
+
+    def test_fock_quadratic_bits_kept_where_no_factor_underflows(self):
+        for T in np.geomspace(1e-2, 1e100, 400):
+            bath = BathParams(T=float(T))
+            r = rates(bath)
+            d_rate = r.gamma0 * thermal_occupation_dT(1.0, bath.T)
+            term = (d_rate / r.gamma_plus) ** 2 + 2.0 * (d_rate / r.gamma_minus) ** 2
+            for t in (1e-6, 0.01, 1.0):
+                old = t**2 * term * r.gamma_plus * r.gamma_minus
+                assert bound_fock_quadratic(1, bath, t).value == old
+
+    def test_bounds_beyond_the_overflow_of_T_squared(self):
+        hot = BathParams(T=1e160)
+        # dT nbar -> 1/omega and Gamma- / Gamma+ -> 1: t^2 Gamma0^2 (2n + 1)
+        assert bound_fock_quadratic(1, hot, 0.01).value == pytest.approx(3e-6, rel=1e-12)
+        assert _dlog_occupation(hot) == pytest.approx(1e-160, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(

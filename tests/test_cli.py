@@ -4,7 +4,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,15 @@ from fockthermo.cli import RunConfig, main, parse_args, parse_config_text
 from fockthermo.errors import ConfigError, DomainError
 from fockthermo.selfcheck import registered_checks
 from fockthermo.sweep import CSV_HEADER, SweepAxis, SweepMethod
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so that stderr is what a user sees."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "fockthermo.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestParsing:
@@ -190,6 +203,20 @@ class TestCommands:
     def test_unrepresentable_purcell_rate_is_a_numerical_failure(self, capsys):
         assert main(["qfi", "--g", "1e200", "--rate-model", "purcell"]) == 2
         assert capsys.readouterr().err.startswith("numerical failure: DomainError: Purcell rate")
+
+    def test_non_finite_propagator_output_is_refused_by_name(self):
+        proc = run_cli("qfi", "--g", "1e15", "--rate-model", "purcell")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            "numerical failure: DomainError: the dense population exponential is not "
+            "finite at Gamma0*t=2.000e+31"
+        )
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_bounds_beyond_the_overflow_of_T_squared(self, capsys):
+        assert main(["bounds", "--T", "1e160", "--t", "0.01", "--axis-values", "1"]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert float(row[3]) == pytest.approx(3e-6, rel=1e-8)  # fock_quadratic
 
     def test_sweep_marks_only_unrepresentable_purcell_rows(self, tmp_path, capsys):
         out_csv = tmp_path / "g.csv"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
@@ -8,12 +10,15 @@ from oracle import apply, lindblad_rhs, propagator
 
 from fockthermo.bath import BathParams, rates, thermal_occupation
 from fockthermo.dynamics import (
+    BandStack,
     band_generator,
+    dense_action,
     evolve,
     mean_photon_analytic,
     population_vector,
     propagate_populations,
     short_time_populations,
+    taylor_action,
 )
 from fockthermo.errors import DomainError, InvalidDimensionError, PositivityError, TruncationError
 from fockthermo.probes import ProbeKind, ProbeSpec, default_dim, make_state
@@ -146,6 +151,59 @@ class TestEvolve:
         rho = make_state(ProbeSpec.squeezed(0.6), 50)
         out = evolve(rho, fig_rates, 0.5)
         assert float(np.linalg.eigvalsh(out.mat).min()) > -1e-9
+
+
+def coherence_stack(rho, r) -> tuple[BandStack, np.ndarray]:
+    """The stack of the bands k >= 1 present in rho, and its initial vector."""
+    rows, cols = np.nonzero(np.triu(rho.mat, 1))
+    stack = BandStack.build(rho.dim, np.unique(cols - rows), r)
+    return stack, rho.mat[stack.m, stack.m + stack.k]
+
+
+class TestCoherenceKernels:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        T=st.floats(0.05, 5.0),
+        t=st.floats(0.0, 3.0),
+        squeezed=st.booleans(),
+        size=st.floats(0.05, 1.0),
+        phase=st.floats(0.0, 2 * np.pi),
+        dim=st.integers(8, 20),
+    )
+    def test_each_kernel_matches_liouvillian_oracle(self, T, t, squeezed, size, phase, dim):
+        spec = (ProbeSpec.squeezed(0.5 * size) if squeezed
+                else ProbeSpec.coherent(1.2 * size * np.exp(1j * phase)))
+        r = rates(BathParams(T=T))
+        try:
+            rho = make_state(spec, dim)
+        except (InvalidDimensionError, TruncationError):
+            reject()  # the drawn dim cannot hold the drawn probe
+        stack, v0 = coherence_stack(rho, r)
+        want = apply(propagator(dim, r, t), rho)[stack.m, stack.m + stack.k]
+        for kernel in (taylor_action, dense_action):
+            assert np.max(np.abs(kernel(stack, v0, t) - want)) <= 1e-12
+
+    def test_cost_rule_sides(self):
+        r = rates(BathParams(T=0.5))
+        wide = ProbeSpec.squeezed(math.asinh(math.sqrt(3.0)))
+        assert default_dim(wide) == 168
+        assert coherence_stack(make_state(wide, 168), r)[0].uses_taylor_action(0.5)
+        narrow = ProbeSpec.squeezed(math.asinh(1.0))
+        stack, _ = coherence_stack(make_state(narrow, default_dim(narrow)), r)
+        assert not stack.uses_taylor_action(500.0)
+
+    def test_action_ignores_the_global_random_state(self):
+        spec = ProbeSpec.squeezed(math.asinh(1.0))
+        rho = make_state(spec, default_dim(spec))
+        r = rates(BathParams(T=0.5))
+        t = 4.0
+        stack, _ = coherence_stack(rho, r)
+        assert stack.uses_taylor_action(t) and not stack.uses_taylor_action(1.2 * t)
+        outs = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            outs.append(evolve(rho, r, t).mat)
+        assert np.array_equal(outs[0], outs[1])
 
 
 class TestShortTimePopulations:

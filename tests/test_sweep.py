@@ -3,6 +3,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,14 +330,38 @@ class TestOutputs:
     def test_determinism_across_worker_counts(self, fig_bath):
         spec = SweepSpec(
             axis=SweepAxis.TIME, axis_values=(0.02, 0.05, 0.1, 0.2),
-            probes=(ProbeSpec.fock(1), ProbeSpec.coherent(1.0)),
+            probes=(ProbeSpec.fock(1), ProbeSpec.coherent(1.0), ProbeSpec.squeezed(0.5)),
             methods=(SweepMethod.CFI, SweepMethod.QFI, SweepMethod.BOUND_FOCK_LINEAR,
                      SweepMethod.BOUND_COHERENT),
             bath=fig_bath,
         )
-        serial = run_sweep(spec, workers=1).csv_body()
+        def outputs(workers):
+            result = run_sweep(spec, workers=workers)
+            return result.csv_body(), json.dumps([row.as_json_dict() for row in result.rows])
+
+        serial = outputs(1)
         for workers in (2, 3, 4):
-            assert run_sweep(spec, workers=workers).csv_body() == serial
+            assert outputs(workers) == serial
+
+    def test_excitation_sweep_leaves_scipy_sparse_unimported(self):
+        # importing scipy.sparse alone adds ~4 MiB of resident memory
+        code = textwrap.dedent("""
+            import sys
+            from fockthermo.probes import ProbeKind
+            from fockthermo.sweep import SweepAxis, SweepMethod, SweepSpec, run_sweep
+            spec = SweepSpec(
+                axis=SweepAxis.EXCITATION_N, axis_values=(1, 2),
+                probes=(ProbeKind.FOCK, ProbeKind.SQUEEZED, ProbeKind.COHERENT),
+                methods=(SweepMethod.QFI,), t=0.5,
+            )
+            assert not any(row.error for row in run_sweep(spec, workers=1).rows)
+            print(sorted(name for name in sys.modules if name.startswith("scipy.sparse")))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_end_to_end_slopes_from_sweep(self, fig_bath):
         ts = tuple(np.logspace(-2, -1, 5))
