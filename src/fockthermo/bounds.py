@@ -13,6 +13,9 @@ the reference oracle; the quadratic forms are evaluated verbatim and
 compared against numerics in reports. Note the two Gaussian expressions
 carry no base-rate factor, unlike every other dissipative quantity here;
 they are reported as written.
+
+:func:`scaling_table` sets the four side by side at matched mean energy
+nbar = n; its CSV header is the field order of :class:`ScalingRow`.
 """
 
 from __future__ import annotations
@@ -155,15 +158,10 @@ def enqfi(bound: BoundResult, nbar: float) -> EnqfiResult:
     return EnqfiResult(value=bound.value / nbar, kind=bound.kind, nbar=nbar)
 
 
-SCALING_TABLE_HEADER = (
-    "n,nbar,fock_linear,fock_quadratic,squeezed,coherent,"
-    "enqfi_fock_linear,enqfi_squeezed,enqfi_coherent,"
-    "cfi_fock,qfi_fock,valid_short_time"
-)
-
-
 @dataclass(frozen=True)
 class ScalingRow:
+    """One row of the scaling table; the field order is the CSV header."""
+
     n: int
     nbar: float
     fock_linear: float
@@ -216,34 +214,3 @@ def scaling_table(
             )
         )
     return out
-
-
-def _fmt(x: float | None) -> str:
-    if x is None:
-        return ""
-    return format(x, ".9g")
-
-
-def scaling_table_csv(table: Sequence[ScalingRow]) -> str:
-    """Fixed-schema CSV body for a scaling table."""
-    lines = [SCALING_TABLE_HEADER]
-    for row in table:
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    _fmt(row.nbar),
-                    _fmt(row.fock_linear),
-                    _fmt(row.fock_quadratic),
-                    _fmt(row.squeezed),
-                    _fmt(row.coherent),
-                    _fmt(row.enqfi_fock_linear),
-                    _fmt(row.enqfi_squeezed),
-                    _fmt(row.enqfi_coherent),
-                    _fmt(row.cfi_fock),
-                    _fmt(row.qfi_fock),
-                    "true" if row.valid_short_time else "false",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"

@@ -23,16 +23,13 @@ from typing import Callable
 
 from . import __version__
 from .bath import BathParams, RateModel
-from .bounds import scaling_table, scaling_table_csv
+from .bounds import ScalingRow, scaling_table
 from .errors import ConfigError, FockThermoError
 from .fisher import FisherMethod, d_dT_state, fisher_record
 from .probes import DIM_MAX_ENV, ProbeKind, ProbeSpec, dim_ceiling
 from .selfcheck import run_selfcheck
 from .sweep import SweepAxis, SweepMethod, SweepSpec, _atomic_write, run_sweep
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
+from .tables import csv_text, fmt
 
 
 # Text parsers shared by a flag and its config-file key; a ValueError names
@@ -202,30 +199,34 @@ def _build_config(updates: dict) -> RunConfig:
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers!r}")
     for name in cfg.method:
-        _parse_method(name)
+        _match(SweepMethod, "method", name)
     if cfg.axis is not None:
-        _parse_axis(cfg.axis)
+        _match(SweepAxis, "axis", cfg.axis, _AXIS_ALIASES)
     return cfg
 
 
-def _parse_method(name: str) -> SweepMethod:
-    normalized = name.strip().lower().replace("-", "_")
-    try:
-        return SweepMethod(normalized)
-    except ValueError:
-        valid = ", ".join(m.value for m in SweepMethod)
-        raise ConfigError(f"unknown method {name!r} (expected one of: {valid})") from None
+_AXIS_ALIASES = {"n": "excitation_n", "temp": "temperature"}
 
 
-def _parse_axis(name: str) -> SweepAxis:
+def _match(enum, what: str, name: str, aliases: dict[str, str] | None = None):
+    """The member of ``enum`` that ``name`` names, case and '-'/'_' blind."""
     normalized = name.strip().lower().replace("-", "_")
-    aliases = {"n": "excitation_n", "temp": "temperature", "time": "time"}
-    normalized = aliases.get(normalized, normalized)
     try:
-        return SweepAxis(normalized)
+        return enum((aliases or {}).get(normalized, normalized))
     except ValueError:
-        valid = ", ".join(a.value for a in SweepAxis)
-        raise ConfigError(f"unknown axis {name!r} (expected one of: {valid})") from None
+        valid = ", ".join(m.value for m in enum)
+        raise ConfigError(f"unknown {what} {name!r} (expected one of: {valid})") from None
+
+
+def _fisher_methods(names: tuple[str, ...], command: str) -> list[FisherMethod]:
+    """The --method names of a command that computes only 'cfi' and 'qfi'."""
+    methods = []
+    for name in names:
+        method = _match(SweepMethod, "method", name)
+        if method not in (SweepMethod.CFI, SweepMethod.QFI):
+            raise ConfigError(f"{command} command computes 'cfi' or 'qfi', not {name!r}")
+        methods.append(FisherMethod(method.value))
+    return methods
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,24 +277,19 @@ def cmd_qfi(cfg: RunConfig) -> int:
     """single-point Fisher information"""
     bath = cfg.bath()
     probe = cfg.probe_spec()
-    methods = []
-    for name in cfg.method or ("qfi",):
-        method = _parse_method(name)
-        if method not in (SweepMethod.CFI, SweepMethod.QFI):
-            raise ConfigError(f"qfi command computes 'cfi' or 'qfi', not {name!r}")
-        methods.append(FisherMethod(method.value))
+    methods = _fisher_methods(cfg.method or ("qfi",), "qfi")
     deriv = d_dT_state(probe, bath, cfg.t, dim=cfg.resolved_dim())
     for method in methods:
         record = fisher_record(deriv, method, probe, bath, cfg.t)
         diag = record.diagnostics
         print(
             f"method={record.method} probe={probe.canonical()} "
-            f"omega={_fmt(bath.omega)} T={_fmt(bath.T)} gamma={_fmt(bath.gamma)} "
-            f"g={_fmt(bath.g)} rate_model={bath.rate_model.value} t={_fmt(cfg.t)}"
+            f"omega={fmt(bath.omega)} T={fmt(bath.T)} gamma={fmt(bath.gamma)} "
+            f"g={fmt(bath.g)} rate_model={bath.rate_model.value} t={fmt(cfg.t)}"
         )
         print(
-            f"  qfi={_fmt(record.value)} delta_t_min={_fmt(record.delta_t_min)} "
-            f"h_used={_fmt(diag['h_used'])} leakage={_fmt(diag['leakage'])} "
+            f"  qfi={fmt(record.value)} delta_t_min={fmt(record.delta_t_min)} "
+            f"h_used={fmt(diag['h_used'])} leakage={fmt(diag['leakage'])} "
             f"dropped_pairs={diag['dropped_pairs']} dim={diag['dim']}"
         )
     return 0
@@ -308,37 +304,24 @@ def cmd_bounds(cfg: RunConfig) -> int:
         n_list = [int(v) for v in cfg.axis_values]
     else:
         n_list = [0, 1, 2, 3, 4, 5]
-    include_numerics = any(
-        _parse_method(m) in (SweepMethod.CFI, SweepMethod.QFI) for m in cfg.method
-    )
+    include_numerics = bool(_fisher_methods(cfg.method, "bounds"))
     table = scaling_table(bath, n_list, cfg.t, include_numerics=include_numerics,
                           dim=cfg.resolved_dim())
-    csv_text = scaling_table_csv(table)
-    print(csv_text, end="")
+    text = csv_text(ScalingRow, table)
+    print(text, end="")
     if cfg.out:
-        _atomic_write(Path(cfg.out), csv_text)
+        _atomic_write(Path(cfg.out), text)
         print(f"# wrote {cfg.out}", file=sys.stderr)
     return 0
 
 
 def _sweep_probes(cfg: RunConfig) -> tuple:
-    entries = cfg.probes if cfg.probes else (cfg.probe,)
-    out = []
-    for entry in entries:
-        if ":" in entry:
-            try:
-                out.append(ProbeSpec.parse(entry))
-            except FockThermoError as exc:
-                raise ConfigError(str(exc)) from None
-        else:
-            try:
-                out.append(ProbeKind(entry.strip().lower()))
-            except ValueError:
-                valid = ", ".join(k.value for k in ProbeKind)
-                raise ConfigError(
-                    f"unknown probe kind {entry!r} (expected one of: {valid})"
-                ) from None
-    return tuple(out)
+    """Probe specs, or bare kinds for the excitation axis; cmd_sweep reports a
+    malformed spec as a usage error."""
+    return tuple(
+        ProbeSpec.parse(entry) if ":" in entry else _match(ProbeKind, "probe kind", entry)
+        for entry in cfg.probes or (cfg.probe,)
+    )
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -347,7 +330,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep requires --axis")
     if not cfg.axis_values:
         raise ConfigError("sweep requires --axis-values")
-    axis = _parse_axis(cfg.axis)
+    axis = _match(SweepAxis, "axis", cfg.axis, _AXIS_ALIASES)
     out_csv = Path(cfg.out or "sweep.csv")
     out_json = out_csv.with_suffix(".json")
     if out_json == out_csv:
@@ -358,7 +341,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             axis=axis,
             axis_values=cfg.axis_values,
             probes=_sweep_probes(cfg),
-            methods=tuple(_parse_method(m) for m in cfg.method or ("qfi",)),
+            methods=tuple(_match(SweepMethod, "method", m) for m in cfg.method or ("qfi",)),
             bath=cfg.bath(),
             t=cfg.t,
             dim=cfg.resolved_dim(),

@@ -202,11 +202,13 @@ def evolve(
 ) -> DensityMatrix:
     """Propagate rho0 for a time t with the exact exponential of its bands.
 
-    Band 0 goes through :func:`propagate_populations`, so a number-diagonal
-    state costs one population exponential. The coherence bands k >= 1
-    present in rho0 are stacked into one :class:`BandStack` and propagated
-    together by :func:`taylor_action`, or by :func:`dense_action` where
-    ||t G||_1 is too large for the action (``BandStack.uses_taylor_action``).
+    Band 0, the populations, goes through :func:`dense_action`, so a
+    number-diagonal state costs one population exponential; a population
+    below -NEGATIVE_CLIP raises :class:`PositivityError`, and smaller
+    negatives are clipped to zero. The coherence bands k >= 1 present in rho0
+    are stacked into one :class:`BandStack` and propagated together by
+    :func:`taylor_action`, or by :func:`dense_action` where ||t G||_1 is too
+    large for the action (``BandStack.uses_taylor_action``).
     The lower triangle is the conjugate of the upper one, so the result is
     Hermitian by construction. Trace is preserved within 1e-9, and the
     top-level population at t is checked against the leakage budget; a
@@ -217,7 +219,14 @@ def evolve(
         raise DomainError(f"t must be >= 0, got {t!r}")
     if t == 0.0:
         return rho0
-    p = propagate_populations(population_vector(rho0.populations), rates, t)
+    band0 = BandStack.build(rho0.dim, np.zeros(1, dtype=int), rates)
+    with np.errstate(all="ignore"):
+        p = dense_action(band0, population_vector(rho0.populations), t)
+    _check_finite(p, "dense population exponential", rates, t)
+    low = float(p.min())
+    if low < -NEGATIVE_CLIP:
+        raise PositivityError(f"population {low:.3e} from the exponential propagator")
+    p[p < 0.0] = 0.0
     if p[-1] > leakage_budget:
         raise TruncationError(
             f"top-level population {p[-1]:.3e} exceeded the leakage budget "
@@ -242,23 +251,6 @@ def evolve(
     if trace_defect > 1e-9:
         raise PositivityError(f"trace drifted by {trace_defect:.3e} during evolution")
     return DensityMatrix(mat)
-
-
-def propagate_populations(p0: np.ndarray, rates: Rates, t: float) -> np.ndarray:
-    """Exact action of exp(W t) on a population vector, with roundoff clipping."""
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
-    p0 = np.asarray(p0, dtype=float)
-    if t == 0.0:
-        return p0.copy()
-    with np.errstate(all="ignore"):
-        p = expm(band_generator(p0.size, 0, rates) * t) @ p0
-    _check_finite(p, "dense population exponential", rates, t)
-    low = float(p.min())
-    if low < -NEGATIVE_CLIP:
-        raise PositivityError(f"population {low:.3e} from the exponential propagator")
-    p[p < 0.0] = 0.0
-    return p
 
 
 def mean_photon_analytic(n0: float, rates: Rates, t: float) -> float:

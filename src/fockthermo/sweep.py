@@ -4,9 +4,11 @@ rate, or time, evaluated point by point with deterministic aggregation.
 Every point is a pure computation, so results are identical for any worker
 count. The rows of one (axis value, probe) pair form a task, whose Fisher
 rows reduce one shared temperature derivative; tasks are split round-robin
-across a process pool and their rows reassembled by index. CSV bodies carry
-a fixed column schema and are written atomically (temp file + rename); a
-JSON mirror adds a metadata block.
+across a process pool and their rows reassembled by index. A bound method
+gets rows only for the probe class its closed form was derived for. The CSV
+header is the field order of :class:`SweepRow`; files are written
+atomically (temp file + rename), and a JSON mirror adds each row's error
+and a metadata block.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .fisher import (
     fisher_record,
 )
 from .probes import ProbeKind, ProbeSpec, energy_match
-
-CSV_HEADER = "axis,axis_value,probe,method,qfi,delta_t_min,valid_short_time,leakage,h_used,dim"
+from .tables import columns, csv_text
 
 
 class SweepAxis(str, Enum):
@@ -64,12 +65,13 @@ class SweepMethod(str, Enum):
     BOUND_COHERENT = "bound_coherent"
 
 
-# A bound method only applies to the probe class it was derived for.
-_BOUND_FOR_KIND = {
-    ProbeKind.FOCK: {SweepMethod.BOUND_FOCK_LINEAR, SweepMethod.BOUND_FOCK_QUADRATIC},
-    ProbeKind.SQUEEZED: {SweepMethod.BOUND_SQUEEZED},
-    ProbeKind.COHERENT: {SweepMethod.BOUND_COHERENT},
-    ProbeKind.THERMAL: set(),
+# Each bound method: the probe class it was derived for, which alone gets
+# its rows, and its closed form in the probe's mean photon number.
+_BOUNDS = {
+    SweepMethod.BOUND_FOCK_LINEAR: (ProbeKind.FOCK, bound_fock_linear),
+    SweepMethod.BOUND_FOCK_QUADRATIC: (ProbeKind.FOCK, bound_fock_quadratic),
+    SweepMethod.BOUND_SQUEEZED: (ProbeKind.SQUEEZED, bound_squeezed),
+    SweepMethod.BOUND_COHERENT: (ProbeKind.COHERENT, bound_coherent),
 }
 
 # The methods that reduce the temperature derivative of the evolved probe.
@@ -137,13 +139,7 @@ class SweepSpec:
                 p.canonical() if isinstance(p, ProbeSpec) else p.value for p in self.probes
             ],
             "methods": [m.value for m in self.methods],
-            "bath": {
-                "omega": self.bath.omega,
-                "T": self.bath.T,
-                "gamma": self.bath.gamma,
-                "g": self.bath.g,
-                "rate_model": self.bath.rate_model.value,
-            },
+            "bath": {**dataclasses.asdict(self.bath), "rate_model": self.bath.rate_model.value},
             "t": self.t,
             "dim": self.dim,
         }
@@ -151,6 +147,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep row; the field order is the CSV header."""
+
     axis: str
     axis_value: float
     probe: str
@@ -163,29 +161,15 @@ class SweepRow:
     dim: int
     error: str | None = None
 
-    def csv_line(self) -> str:
-        f = lambda x: format(x, ".9g")
-        return ",".join(
-            [
-                self.axis,
-                f(self.axis_value),
-                self.probe,
-                self.method,
-                f(self.qfi),
-                f(self.delta_t_min),
-                "true" if self.valid_short_time else "false",
-                f(self.leakage),
-                f(self.h_used),
-                str(self.dim),
-            ]
-        )
-
     def as_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for key in ("qfi", "delta_t_min", "leakage", "h_used"):
-            if isinstance(d[key], float) and not math.isfinite(d[key]):
-                d[key] = None
-        return d
+        """Every field, with non-finite floats as None (JSON null)."""
+        return {
+            name: None if isinstance(value, float) and not math.isfinite(value) else value
+            for name, value in dataclasses.asdict(self).items()
+        }
+
+
+CSV_HEADER = ",".join(columns(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -194,7 +178,7 @@ class SweepResult:
     metadata: dict
 
     def csv_body(self) -> str:
-        return "\n".join([CSV_HEADER] + [row.csv_line() for row in self.rows]) + "\n"
+        return csv_text(SweepRow, self.rows)
 
     def write_csv(self, path: str | Path) -> None:
         _atomic_write(Path(path), self.csv_body())
@@ -263,7 +247,7 @@ def _plan(spec: SweepSpec) -> list[_Task]:
         for entry in spec.probes:
             probe = _instantiate_probe(entry, value)
             methods = [
-                m for m in spec.methods if m in _FISHER or m in _BOUND_FOR_KIND[probe.kind]
+                m for m in spec.methods if m in _FISHER or _BOUNDS[m][0] is probe.kind
             ]
             if not methods:
                 continue
@@ -315,14 +299,7 @@ def _evaluate_row(
                 h_used=record.diagnostics["h_used"],
                 dim=record.diagnostics["dim"],
             )
-        if method is SweepMethod.BOUND_FOCK_LINEAR:
-            bound = bound_fock_linear(task.probe.n, task.bath, task.t)
-        elif method is SweepMethod.BOUND_FOCK_QUADRATIC:
-            bound = bound_fock_quadratic(task.probe.n, task.bath, task.t)
-        elif method is SweepMethod.BOUND_SQUEEZED:
-            bound = bound_squeezed(task.probe.mean_photon, task.bath, task.t)
-        else:
-            bound = bound_coherent(task.probe.mean_photon, task.bath, task.t)
+        bound = _BOUNDS[method][1](task.probe.mean_photon, task.bath, task.t)
         return SweepRow(
             **base,
             qfi=bound.value,

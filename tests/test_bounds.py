@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from fockthermo.bath import BathParams, rates, thermal_occupation, thermal_occupation_dT
 from fockthermo.bounds import (
-    SCALING_TABLE_HEADER,
     BoundKind,
+    ScalingRow,
     _dlog_occupation,
     bound_coherent,
     bound_fock_linear,
@@ -18,10 +18,10 @@ from fockthermo.bounds import (
     bound_squeezed,
     enqfi,
     scaling_table,
-    scaling_table_csv,
     short_time_valid,
 )
 from fockthermo.errors import DomainError
+from fockthermo.tables import csv_text
 
 # Frozen from high-precision evaluation at omega=1, T=0.5, Gamma0=0.1, t=0.01.
 FOCK_LINEAR_REF = 0.007152434380288741
@@ -197,9 +197,13 @@ class TestScalingTable:
         assert all(b > a for a, b in zip(qfis, qfis[1:]))
 
     def test_csv_schema(self, fig_bath):
-        text = scaling_table_csv(scaling_table(fig_bath, [1], 0.01))
+        text = csv_text(ScalingRow, scaling_table(fig_bath, [1], 0.01))
         lines = text.strip().split("\n")
-        assert lines[0] == SCALING_TABLE_HEADER
+        # the README's schema, literally: the header is ScalingRow's field order
+        assert lines[0] == (
+            "n,nbar,fock_linear,fock_quadratic,squeezed,coherent,"
+            "enqfi_fock_linear,enqfi_squeezed,enqfi_coherent,cfi_fock,qfi_fock,valid_short_time"
+        )
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "1"
         # numerics columns empty when not requested

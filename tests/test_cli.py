@@ -18,7 +18,7 @@ from fockthermo import cli, selfcheck
 from fockthermo.cli import RunConfig, main, parse_args, parse_config_text
 from fockthermo.errors import ConfigError, DomainError
 from fockthermo.selfcheck import registered_checks
-from fockthermo.sweep import CSV_HEADER, SweepAxis, SweepMethod
+from fockthermo.sweep import SweepAxis, SweepMethod
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -104,6 +104,21 @@ class TestCommands:
         assert main(["qfi", "--method", "bound_squeezed"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", [m.value for m in SweepMethod if m.value.startswith("bound_")])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_bounds_rejects_bound_methods(self, name, via, tmp_path, capsys):
+        # the table always holds every closed form; --method only adds cfi/qfi
+        argv = ["bounds", "--t", "0.01", "--axis-values", "1"]
+        if via == "flag":
+            argv += ["--method", name]
+        else:
+            (tmp_path / "run.cfg").write_text(f"[run]\nmethod = {name}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bounds command computes 'cfi' or 'qfi', not {name!r}" in captured.err
+
     def test_bounds_table(self, capsys):
         assert main(["bounds", "--t", "0.01", "--axis-values", "0,1,2"]) == 0
         out = capsys.readouterr().out.strip().split("\n")
@@ -127,7 +142,9 @@ class TestCommands:
         ])
         assert code == 0
         lines = out_csv.read_text().strip().split("\n")
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == (
+            "axis,axis_value,probe,method,qfi,delta_t_min,valid_short_time,leakage,h_used,dim"
+        )
         assert len(lines) == 9
         payload = json.loads(out_csv.with_suffix(".json").read_text())
         assert payload["metadata"]["spec"]["axis"] == "time"
@@ -358,15 +375,15 @@ _FUZZ_KEYS = (*(f.name for f in dataclasses.fields(RunConfig)), "h_rel", "richar
 
 
 @st.composite
-def _cli_inputs(draw, commands=("qfi", "bounds", "sweep", "validate"), skip=()):
+def _cli_inputs(draw, commands=("qfi", "bounds", "sweep", "validate")):
     command = draw(st.sampled_from(commands))
-    flags = [f for f in _FLAG_VALUES if f != "--config" and f.lstrip("-") not in skip]
+    flags = [f for f in _FLAG_VALUES if f != "--config"]
     argv = [command]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=6)):
         argv += [flag, draw(st.sampled_from(_FUZZ_VALUES))]
     entries = draw(st.lists(
         st.tuples(st.sampled_from(_FUZZ_SECTIONS),
-                  st.sampled_from([k for k in _FUZZ_KEYS if k not in skip]),
+                  st.sampled_from(_FUZZ_KEYS),
                   st.sampled_from(_FUZZ_VALUES)),
         max_size=4,
     ))
@@ -404,9 +421,14 @@ def test_fuzz_parse_args_returns_config_or_config_error(inputs, fuzz_dir):
 
 
 @settings(max_examples=100, deadline=None)
-@given(inputs=_cli_inputs(commands=("bounds",), skip=("method",)))
-def test_fuzz_bounds_exits_with_a_contract_code(inputs, fuzz_dir):
+@given(
+    inputs=_cli_inputs(commands=("bounds",)),
+    methods=st.lists(st.sampled_from([m.value for m in SweepMethod]), max_size=3),
+)
+def test_fuzz_bounds_exits_with_a_contract_code(inputs, methods, fuzz_dir):
     argv = _with_config(*inputs, fuzz_dir)
+    if methods and "--method" not in argv:  # reach every method name, not only the pool's
+        argv += ["--method", ",".join(methods)]
     if "--out" in argv:  # keep every written table inside the temp dir
         at = argv.index("--out") + 1
         argv[at] = str(fuzz_dir / argv[at]) if argv[at] else ""
@@ -415,6 +437,8 @@ def test_fuzz_bounds_exits_with_a_contract_code(inputs, fuzz_dir):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if code == 0:  # bounds computes only cfi and qfi; any other method is refused
+        assert set(parse_args(argv)[1].method) <= {"cfi", "qfi"}
 
 
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)

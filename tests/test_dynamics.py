@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from oracle import apply, lindblad_rhs, propagator
 
 from fockthermo.bath import BathParams, rates, thermal_occupation
@@ -16,7 +17,6 @@ from fockthermo.dynamics import (
     evolve,
     mean_photon_analytic,
     population_vector,
-    propagate_populations,
     short_time_populations,
     taylor_action,
 )
@@ -261,11 +261,16 @@ class TestPopulations:
         np.testing.assert_allclose(W.sum(axis=0), 0.0, atol=1e-16)
 
     def test_propagator_preserves_total_probability(self, fig_rates):
-        p0 = np.zeros(20)
-        p0[3] = 1.0
-        p = propagate_populations(p0, fig_rates, 2.0)
+        p = evolve(make_state(ProbeSpec.parse("fock:3"), 20), fig_rates, 2.0).populations
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(p >= 0.0)
+
+    @pytest.mark.parametrize("dim", [40, 180])
+    def test_populations_are_one_dense_exponential(self, fig_rates, dim):
+        p0 = np.zeros(dim)
+        p0[1] = 1.0
+        p = evolve(make_state(ProbeSpec.fock(1), dim), fig_rates, 0.5).populations
+        np.testing.assert_array_equal(p, expm(band_generator(dim, 0, fig_rates) * 0.5) @ p0)
 
     def test_population_vector_validation(self):
         with pytest.raises(DomainError):

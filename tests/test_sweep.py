@@ -26,6 +26,7 @@ from fockthermo.sweep import (
     fit_scaling_exponent,
     run_sweep,
 )
+from fockthermo.tables import cell
 
 
 class TestFitScalingExponent:
@@ -294,9 +295,22 @@ class TestOutputs:
         out = tmp_path / "sweep.csv"
         result.write_csv(out)
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == CSV_HEADER
+        # the README's schema, literally: the header is SweepRow's field order
+        assert lines[0] == CSV_HEADER == (
+            "axis,axis_value,probe,method,qfi,delta_t_min,valid_short_time,leakage,h_used,dim"
+        )
         assert len(lines) == 3
         assert not list(tmp_path.glob(".sweep.csv.*"))  # no temp litter
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(None, ""), (True, "true"), (False, "false"), (1234567890, "1234567890"),
+         (0.1, "0.1"), (1e-300, "1e-300"), (math.nan, "nan"), (math.inf, "inf"),
+         (-0.0, "-0"), ("fock:1", "fock:1")],
+    )
+    def test_csv_cell_format(self, value, text):
+        # ints print whole, floats with 9 significant digits, None as an empty cell
+        assert cell(value) == text
 
     def test_json_mirror(self, fig_bath, tmp_path):
         spec = SweepSpec(
