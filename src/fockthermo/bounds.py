@@ -181,11 +181,13 @@ def scaling_table(
     n_list: Sequence[int],
     t: float,
     *,
-    include_numerics: bool = False,
+    methods: Sequence[FisherMethod] = (),
     dim: int | None = None,
 ) -> list[ScalingRow]:
-    """All four closed forms at matched mean energy nbar = n per row,
-    optionally next to simulated Fisher information of the Fock probe."""
+    """All four closed forms at matched mean energy nbar = n per row, next to
+    the simulated Fisher information of the Fock probe for each of
+    ``methods`` (``cfi_fock``, ``qfi_fock``; None where not requested)."""
+    methods = [FisherMethod(m) for m in methods]
     out = []
     for n in n_list:
         n = int(n)
@@ -197,19 +199,19 @@ def scaling_table(
             e_lin, e_sq, e_coh = (enqfi(b, float(n)).value for b in (lin, sq, coh))
         else:
             e_lin = e_sq = e_coh = math.nan
-        cfi_val = qfi_val = None
-        if include_numerics:
+        numerics = {}
+        if methods:
             probe = ProbeSpec.fock(n)
-            deriv = d_dT_state(probe, bath, t, dim=dim)
-            cfi_val = fisher_record(deriv, FisherMethod.CFI_NUMBER, probe, bath, t).value
-            qfi_val = fisher_record(deriv, FisherMethod.QFI_SLD, probe, bath, t).value
+            deriv = d_dT_state(probe, bath, t, dim=dim, methods=methods)
+            numerics = {m: fisher_record(deriv, m, probe, bath, t).value for m in methods}
         out.append(
             ScalingRow(
                 n=n, nbar=float(n),
                 fock_linear=lin.value, fock_quadratic=quad.value,
                 squeezed=sq.value, coherent=coh.value,
                 enqfi_fock_linear=e_lin, enqfi_squeezed=e_sq, enqfi_coherent=e_coh,
-                cfi_fock=cfi_val, qfi_fock=qfi_val,
+                cfi_fock=numerics.get(FisherMethod.CFI_NUMBER),
+                qfi_fock=numerics.get(FisherMethod.QFI_SLD),
                 valid_short_time=lin.valid_short_time,
             )
         )

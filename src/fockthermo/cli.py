@@ -278,7 +278,7 @@ def cmd_qfi(cfg: RunConfig) -> int:
     bath = cfg.bath()
     probe = cfg.probe_spec()
     methods = _fisher_methods(cfg.method or ("qfi",), "qfi")
-    deriv = d_dT_state(probe, bath, cfg.t, dim=cfg.resolved_dim())
+    deriv = d_dT_state(probe, bath, cfg.t, dim=cfg.resolved_dim(), methods=methods)
     for method in methods:
         record = fisher_record(deriv, method, probe, bath, cfg.t)
         diag = record.diagnostics
@@ -304,9 +304,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
         n_list = [int(v) for v in cfg.axis_values]
     else:
         n_list = [0, 1, 2, 3, 4, 5]
-    include_numerics = bool(_fisher_methods(cfg.method, "bounds"))
-    table = scaling_table(bath, n_list, cfg.t, include_numerics=include_numerics,
-                          dim=cfg.resolved_dim())
+    methods = _fisher_methods(cfg.method, "bounds")
+    table = scaling_table(bath, n_list, cfg.t, methods=methods, dim=cfg.resolved_dim())
     text = csv_text(ScalingRow, table)
     print(text, end="")
     if cfg.out:

@@ -1,14 +1,18 @@
 """Temperature-sensitivity measures of the evolved probe.
 
-The state derivative is taken end to end: the full evolution is run at
+The state derivative is taken end to end: the evolution is run at
 shifted bath temperatures and differenced centrally with one Richardson
-step, so a single code path covers every probe class. From
+step, so a single code path covers every probe class. The photon-number
+populations evolve on their own, so where the result cannot depend on the
+coherences (a number-diagonal probe, or the CFI alone) only the
+populations are propagated and differenced, as length-d vectors. From
 (rho, d rho/dT) two figures of merit follow:
 
 * number-basis classical Fisher information sum_m (dp_m)^2 / p_m, and
 * the full quantum Fisher information
   2 sum_{ij} |<i| d rho |j>|^2 / (lambda_i + lambda_j)
-  over the eigendecomposition of rho.
+  over the eigendecomposition of rho, which for populations alone is the
+  number basis itself.
 
 For number-diagonal states the two coincide; for states with coherences
 the quantum value can only be larger.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,13 +53,50 @@ class FisherMethod(str, Enum):
 
 @dataclass(frozen=True)
 class TemperatureDerivative:
-    """Evolved state, its temperature derivative, and evaluation diagnostics."""
+    """Evolved state, its temperature derivative, and evaluation diagnostics.
 
-    rho: DensityMatrix
-    drho: np.ndarray
+    ``state`` is the evolved :class:`DensityMatrix` and ``dstate`` its d x d
+    derivative, or both are the photon-number populations as length-d
+    vectors (p and dp/dT). The vectors are the whole state of a
+    number-diagonal probe; otherwise (``coherences_dropped``) the coherences
+    were never propagated, and only the CFI can be reduced.
+    """
+
+    state: DensityMatrix | np.ndarray
+    dstate: np.ndarray
     h_used: float
     leakage: float
     dim: int
+    coherences_dropped: bool = False
+
+    @property
+    def populations(self) -> tuple[np.ndarray, np.ndarray]:
+        """The photon-number distribution p and dp/dT."""
+        if isinstance(self.state, DensityMatrix):
+            return self.state.populations, self.dstate.diagonal().real
+        return self.state, self.dstate
+
+    def _require_whole_state(self) -> None:
+        if self.coherences_dropped:
+            raise DomainError(
+                "the coherences of this probe were not propagated; only the CFI can be reduced"
+            )
+
+    @property
+    def rho(self) -> DensityMatrix:
+        """The evolved state as a density matrix, built on demand from populations."""
+        if isinstance(self.state, DensityMatrix):
+            return self.state
+        self._require_whole_state()
+        return DensityMatrix(np.diag(self.state))
+
+    @property
+    def drho(self) -> np.ndarray:
+        """d rho/dT as a d x d matrix, built on demand from populations."""
+        if isinstance(self.state, DensityMatrix):
+            return self.dstate
+        self._require_whole_state()
+        return np.diag(self.dstate)
 
 
 def d_dT_state(
@@ -64,17 +105,23 @@ def d_dT_state(
     t: float,
     *,
     dim: int | None = None,
+    methods: Iterable[FisherMethod] = tuple(FisherMethod),
 ) -> TemperatureDerivative:
-    """Evolved state rho(t; T) and its central-difference d rho/dT.
+    """Evolved state rho(t; T) and its central-difference d rho/dT, to be
+    reduced to the Fisher ``methods``.
 
     The probe itself is temperature independent; only the bath rates move.
     The h and h/2 estimates combine by one Richardson step as
-    (4 D_{h/2} - D_h) / 3.
+    (4 D_{h/2} - D_h) / 3. When the probe is number diagonal, or ``methods``
+    is the CFI alone, only the populations are propagated and differenced.
     """
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t!r}")
     dim = default_dim(probe) if dim is None else dim
     rho0 = make_state(probe, dim)
+    cfi_only = {FisherMethod(m) for m in methods} == {FisherMethod.CFI_NUMBER}
+    vectors = probe.is_number_diagonal or cfi_only
+    start = rho0.populations if vectors else rho0
 
     h = max(H_REL * bath.T, H_ABS_FLOOR)
     while bath.T - h <= 0.0:
@@ -82,19 +129,27 @@ def d_dT_state(
         if bath.T + h == bath.T:
             raise DomainError(f"derivative step underflowed at T={bath.T!r}")
 
-    def run(T_shifted: float) -> DensityMatrix:
-        return evolve(rho0, rates(bath.with_temperature(T_shifted)), t)
-
-    center = run(bath.T)
-    plus, minus = run(bath.T + h), run(bath.T - h)
-    plus2, minus2 = run(bath.T + h / 2.0), run(bath.T - h / 2.0)
-    full = (plus.mat - minus.mat) / (2.0 * h)
-    half = (plus2.mat - minus2.mat) / h
-    deriv = (4.0 * half - full) / 3.0
-    states = [center, plus, minus, plus2, minus2]
-    deriv = 0.5 * (deriv + deriv.conj().T)
-    leakage = max(s.top_level_population for s in states)
-    return TemperatureDerivative(rho=center, drho=deriv, h_used=h, leakage=leakage, dim=dim)
+    states = [
+        evolve(start, rates(bath.with_temperature(T_shifted)), t)
+        for T_shifted in (bath.T, bath.T + h, bath.T - h, bath.T + h / 2.0, bath.T - h / 2.0)
+    ]
+    plus, minus, plus2, minus2 = (s if vectors else s.mat for s in states[1:])
+    # numpy divides a complex array by a real scalar as a product with the
+    # reciprocal; the explicit products give real vectors the same bits
+    full = (plus - minus) * (1.0 / (2.0 * h))
+    half = (plus2 - minus2) * (1.0 / h)
+    deriv = (4.0 * half - full) * (1.0 / 3.0)
+    if not vectors:
+        deriv = 0.5 * (deriv + deriv.conj().T)
+    leakage = max(float(s[-1]) if vectors else s.top_level_population for s in states)
+    return TemperatureDerivative(
+        state=states[0],
+        dstate=deriv,
+        h_used=h,
+        leakage=leakage,
+        dim=dim,
+        coherences_dropped=vectors and not probe.is_number_diagonal,
+    )
 
 
 def cfi_number_basis(p: np.ndarray, dp: np.ndarray, *, p_floor: float = P_FLOOR) -> float:
@@ -119,23 +174,36 @@ def qfi_sld_detailed(rho: DensityMatrix | np.ndarray, drho: np.ndarray) -> tuple
 
     Eigenvalues with |lambda| < EIGENVALUE_FLOOR are treated as exact zeros,
     and pairs with lambda_i + lambda_j <= EIGENVALUE_FLOOR are excluded from
-    the sum.
+    the sum. Given the populations p and dp/dT of a number-diagonal state as
+    vectors, the number basis is the eigenbasis: p are the eigenvalues, the
+    derivative is diagonal in it, and no eigendecomposition is made.
     """
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    drho = np.asarray(drho, dtype=complex)
-    if float(np.max(np.abs(mat - mat.conj().T))) > 1e-10:
-        raise DomainError("qfi_sld: state is not Hermitian")
-    if float(np.max(np.abs(drho - drho.conj().T))) > 1e-10:
-        raise DomainError("qfi_sld: state derivative is not Hermitian")
-    lam, vecs = np.linalg.eigh(mat)
+    populations = not isinstance(rho, DensityMatrix) and np.ndim(rho) == 1
+    if populations:
+        lam = np.asarray(rho, dtype=float)
+        drho = np.asarray(drho, dtype=float)
+        if drho.shape != lam.shape:
+            raise DomainError(f"p and dp must have equal length, got {lam.shape} vs {drho.shape}")
+    else:
+        mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+        drho = np.asarray(drho, dtype=complex)
+        if float(np.max(np.abs(mat - mat.conj().T))) > 1e-10:
+            raise DomainError("qfi_sld: state is not Hermitian")
+        if float(np.max(np.abs(drho - drho.conj().T))) > 1e-10:
+            raise DomainError("qfi_sld: state derivative is not Hermitian")
+        lam, vecs = np.linalg.eigh(mat)
     lam = np.where(np.abs(lam) < EIGENVALUE_FLOOR, 0.0, lam)
     # roundoff negatives clamp to zero so no denominator can sit near zero
     # with the wrong sign; genuine positivity violations are caught upstream
     lam = np.where(lam < 0.0, 0.0, lam)
-    m = vecs.conj().T @ drho @ vecs
     denom = lam[:, None] + lam[None, :]
     keep = denom > EIGENVALUE_FLOOR
-    value = 2.0 * float(np.sum(np.abs(m[keep]) ** 2 / denom[keep]))
+    if populations:  # only the diagonal pairs carry weight
+        on = keep.diagonal()
+        value = 2.0 * float(np.sum(drho[on] ** 2 / denom.diagonal()[on]))
+    else:
+        m = vecs.conj().T @ drho @ vecs
+        value = 2.0 * float(np.sum(np.abs(m[keep]) ** 2 / denom[keep]))
     dropped = int(keep.size - int(keep.sum()))
     return value, dropped
 
@@ -183,15 +251,16 @@ def fisher_record(
     Fisher information of ``method``.
 
     Every method reduces the same derivative, so a caller wanting several
-    evaluates :func:`d_dT_state` once.
+    evaluates :func:`d_dT_state` once, for all of them.
     """
     method = FisherMethod(method)
     dropped = 0
     if method is FisherMethod.CFI_NUMBER:
-        p = population_vector(deriv.rho.populations)
-        value = cfi_number_basis(p, deriv.drho.diagonal().real)
+        p, dp = deriv.populations
+        value = cfi_number_basis(population_vector(p), dp)
     else:
-        value, dropped = qfi_sld_detailed(deriv.rho, deriv.drho)
+        deriv._require_whole_state()
+        value, dropped = qfi_sld_detailed(deriv.state, deriv.dstate)
     return QfiRecord(
         value=value,
         method=method.value,
@@ -217,7 +286,8 @@ def qfi_point(
 ) -> QfiRecord:
     """Single Fisher-information evaluation at time t."""
     method = FisherMethod(method)
-    return fisher_record(d_dT_state(probe, bath, t, dim=dim), method, probe, bath, t)
+    deriv = d_dT_state(probe, bath, t, dim=dim, methods=(method,))
+    return fisher_record(deriv, method, probe, bath, t)
 
 
 def qfi_curve(

@@ -94,6 +94,8 @@ class SweepSpec:
         object.__setattr__(self, "methods", tuple(SweepMethod(m) for m in self.methods))
         if not self.axis_values:
             raise DomainError("axis_values must be nonempty")
+        if not all(math.isfinite(v) for v in self.axis_values):
+            raise DomainError(f"axis_values must be finite, got {self.axis_values!r}")
         if any(b <= a for a, b in zip(self.axis_values, self.axis_values[1:])):
             raise DomainError("axis_values must be strictly ascending")
         if not self.probes or not self.methods:
@@ -268,9 +270,10 @@ def _plan(spec: SweepSpec) -> list[_Task]:
 
 def _evaluate_task(task: _Task) -> list[tuple[int, SweepRow]]:
     deriv: TemperatureDerivative | FockThermoError | None = None
-    if any(method in _FISHER for _, method in task.rows):
+    fisher = [_FISHER[method] for _, method in task.rows if method in _FISHER]
+    if fisher:
         try:
-            deriv = d_dT_state(task.probe, task.bath, task.t, dim=task.dim)
+            deriv = d_dT_state(task.probe, task.bath, task.t, dim=task.dim, methods=fisher)
         except FockThermoError as exc:
             deriv = exc  # reported on every Fisher row of the task
     return [(idx, _evaluate_row(task, method, deriv)) for idx, method in task.rows]

@@ -21,6 +21,7 @@ from fockthermo.bounds import (
     short_time_valid,
 )
 from fockthermo.errors import DomainError
+from fockthermo.fisher import FisherMethod
 from fockthermo.tables import csv_text
 
 # Frozen from high-precision evaluation at omega=1, T=0.5, Gamma0=0.1, t=0.01.
@@ -190,7 +191,7 @@ class TestScalingTable:
         assert math.isnan(n0.enqfi_fock_linear)
 
     def test_numeric_columns_increase_with_n(self, fig_bath):
-        table = scaling_table(fig_bath, [1, 2, 3], 0.5, include_numerics=True)
+        table = scaling_table(fig_bath, [1, 2, 3], 0.5, methods=tuple(FisherMethod))
         cfis = [row.cfi_fock for row in table]
         qfis = [row.qfi_fock for row in table]
         assert all(b > a for a, b in zip(cfis, cfis[1:]))

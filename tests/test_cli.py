@@ -127,11 +127,18 @@ class TestCommands:
         assert out[1].split(",")[9] == ""  # simulated columns only on request
 
     def test_bounds_table_with_numerics(self, capsys):
-        assert main(["bounds", "--t", "0.01", "--axis-values", "1", "--method", "cfi"]) == 0
-        out = capsys.readouterr().out.strip().split("\n")
-        cfi_col = out[1].split(",")[9]
-        assert cfi_col != ""
-        assert float(cfi_col) == pytest.approx(0.007152434380288741, rel=0.05)
+        # each simulated column is filled exactly when its method was asked for
+        for methods in ("cfi", "qfi", "cfi,qfi", "qfi,cfi"):
+            argv = ["bounds", "--t", "0.01", "--axis-values", "1", "--method", methods]
+            assert main(argv) == 0
+            out = capsys.readouterr().out.strip().split("\n")
+            cells = dict(zip(("cfi", "qfi"), out[1].split(",")[9:11]))
+            for method, cell in cells.items():
+                if method in methods.split(","):
+                    # Fock probes: CFI = QFI
+                    assert float(cell) == pytest.approx(0.007152434380288741, rel=0.05)
+                else:
+                    assert cell == "", (methods, method)
 
     def test_sweep_end_to_end(self, tmp_path, capsys):
         out_csv = tmp_path / "fig.csv"

@@ -271,6 +271,22 @@ class TestPopulations:
         p0[1] = 1.0
         p = evolve(make_state(ProbeSpec.fock(1), dim), fig_rates, 0.5).populations
         np.testing.assert_array_equal(p, expm(band_generator(dim, 0, fig_rates) * 0.5) @ p0)
+        np.testing.assert_array_equal(evolve(p0, fig_rates, 0.5), p)
+
+    @pytest.mark.parametrize("spec", ["fock:3", "thermal:0.5", "coherent:1.0", "squeezed:0.6"])
+    def test_population_vector_evolves_alone(self, fig_rates, spec):
+        # band 0 never mixes with the coherences: the vector path returns the
+        # populations of the density-matrix path bit for bit, and fails alike
+        rho = make_state(ProbeSpec.parse(spec), 40)
+        p = evolve(rho.populations, fig_rates, 0.7)
+        assert p.shape == (40,)
+        np.testing.assert_array_equal(p, evolve(rho, fig_rates, 0.7).populations)
+        # every top-level population exceeds a negative budget
+        with pytest.raises(TruncationError) as vector_error:
+            evolve(rho.populations, fig_rates, 0.7, leakage_budget=-1.0)
+        with pytest.raises(TruncationError) as matrix_error:
+            evolve(rho, fig_rates, 0.7, leakage_budget=-1.0)
+        assert str(vector_error.value) == str(matrix_error.value)
 
     def test_population_vector_validation(self):
         with pytest.raises(DomainError):

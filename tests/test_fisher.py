@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fockthermo.bath import thermal_occupation_dT
+from fockthermo.bath import BathParams, thermal_occupation_dT
 from fockthermo.bounds import bound_fock_linear
 from fockthermo.errors import DomainError, SingularSupportError
 from fockthermo.fisher import (
@@ -14,11 +16,12 @@ from fockthermo.fisher import (
     cfi_number_basis,
     d_dT_state,
     delta_t_min,
+    fisher_record,
     qfi_curve,
     qfi_point,
     qfi_sld_detailed,
 )
-from fockthermo.probes import ProbeSpec
+from fockthermo.probes import ProbeSpec, default_dim
 from fockthermo.sweep import fit_scaling_exponent
 
 
@@ -59,6 +62,27 @@ class TestStateDerivative:
     def test_leakage_diagnostic_present(self, fig_bath):
         deriv = d_dT_state(ProbeSpec.fock(1), fig_bath, 0.1)
         assert 0.0 <= deriv.leakage < 1e-8
+
+    @pytest.mark.parametrize("spec", ["coherent:1.0", "coherent:0.5+0.5j", "squeezed:0.6"])
+    @pytest.mark.parametrize("t", [1e-3, 0.5])
+    def test_cfi_from_populations_alone_is_bitwise_the_full_one(self, fig_bath, spec, t):
+        probe = ProbeSpec.parse(spec)
+        full = d_dT_state(probe, fig_bath, t)
+        alone = d_dT_state(probe, fig_bath, t, methods=[FisherMethod.CFI_NUMBER])
+        assert full.state.dim == alone.state.size
+        for a, b in zip(alone.populations, full.populations):
+            np.testing.assert_array_equal(a, b)
+        assert alone.leakage == full.leakage
+
+        def cfi(deriv):
+            return fisher_record(deriv, FisherMethod.CFI_NUMBER, probe, fig_bath, t).value
+
+        assert cfi(alone) == cfi(full)
+        # the coherences were never propagated, so nothing else can be read
+        with pytest.raises(DomainError, match="only the CFI"):
+            fisher_record(alone, FisherMethod.QFI_SLD, probe, fig_bath, t)
+        with pytest.raises(DomainError, match="only the CFI"):
+            alone.rho
 
 
 class TestCfi:
@@ -119,6 +143,26 @@ class TestQfiSld:
         predicted = t * d_gamma**2 / fig_rates.gamma_plus
         deriv = d_dT_state(ProbeSpec.coherent(1.0), fig_bath, t)
         assert qfi_sld_detailed(deriv.rho, deriv.drho)[0] == pytest.approx(predicted, rel=0.01)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st.floats(0.02, 1.0),
+        t=st.floats(1e-3, 2.0),
+        thermal=st.booleans(),
+        size=st.floats(0.0, 1.0),
+        extra=st.integers(0, 20),
+    )
+    def test_populations_match_the_eigh_path(self, T, t, thermal, size, extra):
+        # the number basis is the eigenbasis of a number-diagonal state: the
+        # vector sum agrees with the eigendecomposition of the dense pair
+        probe = ProbeSpec.thermal(2.0 * size) if thermal else ProbeSpec.fock(round(6 * size))
+        deriv = d_dT_state(probe, BathParams(T=T), t, dim=default_dim(probe) + extra)
+        p, dp = deriv.populations
+        assert p.shape == dp.shape == (deriv.dim,)
+        value, dropped = qfi_sld_detailed(p, dp)
+        want, want_dropped = qfi_sld_detailed(np.diag(p), np.diag(dp))
+        assert dropped == want_dropped
+        assert value == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_rejects_non_hermitian(self, fig_bath):
         deriv = d_dT_state(ProbeSpec.fock(1), fig_bath, 0.1)

@@ -82,6 +82,15 @@ class TestSpecValidation:
                 bath=fig_bath,
             )
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_axis_values_finite(self, fig_bath, bad):
+        # an infinite axis value used to reach the JSON writer as a bare ValueError
+        with pytest.raises(DomainError, match="finite"):
+            SweepSpec(
+                axis=SweepAxis.TIME, axis_values=(0.01, bad), probes=(ProbeSpec.fock(1),),
+                methods=(SweepMethod.BOUND_FOCK_LINEAR,), bath=fig_bath,
+            )
+
     def test_temperature_positive(self, fig_bath):
         with pytest.raises(DomainError):
             SweepSpec(

@@ -1,13 +1,20 @@
 """The benchmark's tracer wraps program names by string; a refactor that
-renames or deletes one silently zeroes that layer's metrics. Every site
-must resolve, apart from the two that the benchmark still has to retire."""
+renames or deletes one, or routes a stage around it, silently zeroes that
+layer's metrics. Every site must resolve, apart from the two that the
+benchmark still has to retire, and a Fisher point must call through the
+sites of the stages it runs."""
 
 from __future__ import annotations
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from fockthermo import fisher
+from fockthermo.fisher import FisherMethod
+from fockthermo.probes import ProbeSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +43,34 @@ def test_stale_sites_are_still_listed_and_still_gone():
     assert STALE <= {(owner, attr) for owner, attr, _ in _SITES}
     for owner, attr in STALE:
         assert getattr(_TRACER._owner(owner), attr, None) is None
+
+
+@pytest.mark.parametrize(
+    "spec, method, expected",
+    [
+        ("fock:1", FisherMethod.QFI_SLD, {"fisher.qfi_sld": 1, "fisher.cfi": 0}),
+        ("coherent:1.0", FisherMethod.CFI_NUMBER, {"fisher.qfi_sld": 0, "fisher.cfi": 1}),
+    ],
+)
+def test_a_point_calls_through_the_sites_of_its_stages(monkeypatch, fig_bath, spec, method, expected):
+    # count the calls through each traced name, as the tracer would see them
+    calls: Counter = Counter()
+    for owner, attr, name in _LIVE:
+        target = _TRACER._owner(owner)
+
+        def counted(*args, _fn=getattr(target, attr), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(target, attr, counted)
+    fisher.qfi_point(ProbeSpec.parse(spec), fig_bath, 0.5, method)
+    stages = {
+        "fisher.qfi_point": 1,
+        "fisher.d_dT_state": 1,
+        "probes.default_dim": 1,
+        "probes.make_state": 1,
+        "dynamics.evolve": 5,
+        "dynamics.expm": 5,
+        **expected,
+    }
+    assert {name: calls[name] for name in stages} == stages
