@@ -31,7 +31,7 @@ from .fisher import (
     qfi_curve,
     qfi_point,
 )
-from .fockspace import DensityMatrix, annihilation, creation, number_operator, validate_density
+from .fockspace import DensityMatrix, validate_density
 from .probes import EnergyMatch, ProbeKind, ProbeSpec, default_dim, energy_match, make_state
 from .sweep import SweepAxis, SweepMethod, SweepSpec, fit_scaling_exponent, run_sweep
 
@@ -64,9 +64,6 @@ __all__ = [
     "qfi_curve",
     "qfi_point",
     "DensityMatrix",
-    "annihilation",
-    "creation",
-    "number_operator",
     "validate_density",
     "EnergyMatch",
     "ProbeKind",

@@ -42,12 +42,14 @@ def thermal_occupation(omega: float, T: float) -> float:
     """Mean thermal photon number 1/(exp(omega/T) - 1).
 
     Uses expm1 so the classical limit T >> omega does not suffer
-    cancellation; returns exactly 0.0 once omega/T > 700.
+    cancellation; 0.0 once omega/T > 700, DomainError once omega/T is 0.
     """
     _check_mode(omega, T)
     x = omega / T
     if x > UNDERFLOW_EXPONENT:
         return 0.0
+    if x == 0.0:
+        raise DomainError(f"omega/T underflows to 0 at omega={omega!r}, T={T!r}")
     return 1.0 / math.expm1(x)
 
 

@@ -61,26 +61,19 @@ TAYLOR_TOL = 2.0**-53
 ACTION_COST = 40.0
 
 
-def band_generator(dim: int, k: int, rates: Rates) -> np.ndarray:
-    """Tridiagonal generator G of coherence band k: d/dt v = G v for
-    v[m] = rho[m, m+k], m = 0 .. dim-k-1.
-
-    With u[m] = m+1 (the diagonal of a a^dag) and u[dim-1] = 0, because the
-    top level carries no upward channel:
+@dataclass(frozen=True)
+class BandStack:
+    """The generators of the bands ``ks`` stacked into one block-diagonal
+    tridiagonal matrix G. Block i evolves band k = ks[i]: d/dt v = G v for
+    v[m] = rho[m, m+k], m = 0 .. dim-k-1. With u[m] = m+1 (the diagonal of
+    a a^dag) and u[dim-1] = 0, because the top level carries no upward
+    channel:
 
     * G[m, m]   = -Gamma- (m + k/2) - Gamma+ (u[m] + u[m+k]) / 2;
     * G[m, m-1] = Gamma+ sqrt(m (m+k)),          absorption from rho[m-1, m-1+k];
     * G[m, m+1] = Gamma- sqrt((m+1) (m+k+1)),    emission from rho[m+1, m+1+k].
 
     Band 0 is the population generator, whose columns sum exactly to zero.
-    """
-    return BandStack.build(dim, np.array([k]), rates).dense_block(0)
-
-
-@dataclass(frozen=True)
-class BandStack:
-    """The generators of the bands ``ks`` stacked into one block-diagonal
-    tridiagonal matrix G; block i is :func:`band_generator` (dim, ks[i]).
 
     Entry j of a stacked vector is rho[m[j], m[j] + k[j]]. ``sub[j]`` is
     G[j, j-1] and ``sup[j]`` is G[j, j+1]; both are zero where they would

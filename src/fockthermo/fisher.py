@@ -139,8 +139,6 @@ def d_dT_state(
     full = (plus - minus) * (1.0 / (2.0 * h))
     half = (plus2 - minus2) * (1.0 / h)
     deriv = (4.0 * half - full) * (1.0 / 3.0)
-    if not vectors:
-        deriv = 0.5 * (deriv + deriv.conj().T)
     leakage = max(float(s[-1]) if vectors else s.top_level_population for s in states)
     return TemperatureDerivative(
         state=states[0],

@@ -1,9 +1,9 @@
 """Dense linear algebra on a truncated single-mode Fock space.
 
-All operators are dim x dim complex matrices over the number basis
-|0>, ..., |dim-1>. States are density matrices validated against
-Hermiticity, unit trace, positivity, and a top-level leakage budget
-that guards against silent truncation error.
+States are dim x dim complex density matrices over the number basis
+|0>, ..., |dim-1>, validated against Hermiticity, unit trace, positivity
+and a top-level leakage budget against silent truncation error. The
+package forms no ladder operator; the test-side oracle builds its own.
 """
 
 from __future__ import annotations
@@ -27,23 +27,6 @@ def check_dim(dim: int) -> int:
     if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 2:
         raise InvalidDimensionError(f"Fock dimension must be an integer >= 2, got {dim!r}")
     return int(dim)
-
-
-def annihilation(dim: int) -> np.ndarray:
-    """Annihilation operator: entry (m-1, m) = sqrt(m)."""
-    check_dim(dim)
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
-
-
-def creation(dim: int) -> np.ndarray:
-    """Creation operator, the conjugate transpose of :func:`annihilation`."""
-    return annihilation(dim).conj().T
-
-
-def number_operator(dim: int) -> np.ndarray:
-    """Photon-number operator diag(0, 1, ..., dim-1)."""
-    check_dim(dim)
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 @dataclass(frozen=True)

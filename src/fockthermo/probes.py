@@ -215,6 +215,22 @@ def _check_truncation(tail: float, top: float, what: str, dim: int) -> None:
         )
 
 
+def _truncated(spec: ProbeSpec, dim: int) -> tuple[np.ndarray, float]:
+    """The amplitudes (coherent, squeezed) or populations (thermal) of the
+    probe on dim levels, renormalized, and the tail mass they leave out."""
+    if spec.kind is ProbeKind.THERMAL:
+        values = thermal_populations(spec.nbar, dim)
+        mass = scale = float(values.sum())
+    else:
+        if spec.kind is ProbeKind.COHERENT:
+            values = coherent_amplitudes(spec.alpha, dim)
+        else:
+            values = squeezed_amplitudes(spec.r, dim)
+        mass = float(np.vdot(values, values).real)
+        scale = math.sqrt(mass)
+    return values / scale, max(0.0, 1.0 - mass)
+
+
 def make_state(spec: ProbeSpec, dim: int) -> DensityMatrix:
     """Density matrix of the probe on a dim-level space.
 
@@ -230,25 +246,16 @@ def make_state(spec: ProbeSpec, dim: int) -> DensityMatrix:
         mat[spec.n, spec.n] = 1.0
         return DensityMatrix(mat)
 
+    values, tail = _truncated(spec, dim)
     if spec.kind is ProbeKind.THERMAL:
-        p = thermal_populations(spec.nbar, dim)
-        tail = max(0.0, 1.0 - float(p.sum()))
-        p = p / p.sum()
-        _check_truncation(tail, float(p[-1]), f"thermal nbar={spec.nbar}", dim)
-        return DensityMatrix(np.diag(p).astype(complex))
-
+        _check_truncation(tail, float(values[-1]), f"thermal nbar={spec.nbar}", dim)
+        return DensityMatrix(np.diag(values).astype(complex))
     if spec.kind is ProbeKind.COHERENT:
-        c = coherent_amplitudes(spec.alpha, dim)
         what = f"coherent |alpha|={abs(spec.alpha)}"
     else:
-        c = squeezed_amplitudes(spec.r, dim)
         what = f"squeezed r={spec.r}"
-    norm_sq = float(np.vdot(c, c).real)
-    tail = max(0.0, 1.0 - norm_sq)
-    c = c / math.sqrt(norm_sq)
-    top = float(abs(c[-1]) ** 2)
-    _check_truncation(tail, top, what, dim)
-    return DensityMatrix(np.outer(c, c.conj()))
+    _check_truncation(tail, float(abs(values[-1]) ** 2), what, dim)
+    return DensityMatrix(np.outer(values, values.conj()))
 
 
 def default_dim(spec: ProbeSpec) -> int:
@@ -271,15 +278,7 @@ def default_dim(spec: ProbeSpec) -> int:
         return min(max(base, spec.n + 2), max_dim)
     dim = min(base, max_dim)
     while dim <= max_dim:
-        if spec.kind is ProbeKind.COHERENT:
-            c = coherent_amplitudes(spec.alpha, dim)
-            tail = max(0.0, 1.0 - float(np.vdot(c, c).real))
-        elif spec.kind is ProbeKind.SQUEEZED:
-            c = squeezed_amplitudes(spec.r, dim)
-            tail = max(0.0, 1.0 - float(np.vdot(c, c).real))
-        else:
-            tail = max(0.0, 1.0 - float(thermal_populations(spec.nbar, dim).sum()))
-        if tail * dim <= 1e-9:
+        if _truncated(spec, dim)[1] * dim <= 1e-9:
             return dim
         dim += 4
     raise TruncationError(

@@ -19,7 +19,7 @@ from .bounds import bound_coherent, bound_fock_linear, bound_fock_quadratic, bou
 from .dynamics import evolve, mean_photon_analytic, short_time_populations
 from .errors import FockThermoError
 from .fisher import FisherMethod, cfi_number_basis, d_dT_state, qfi_point, qfi_sld_detailed
-from .fockspace import annihilation, creation, validate_density
+from .fockspace import validate_density
 from .probes import ProbeKind, ProbeSpec, default_dim, energy_match, make_state
 from .sweep import SweepAxis, SweepMethod, SweepSpec, fit_scaling_exponent, run_sweep
 
@@ -50,25 +50,6 @@ def _register(group: str, name: str):
 # --------------------------------------------------------------------------
 # fockspace
 # --------------------------------------------------------------------------
-
-@_register("fockspace", "adjoint_identity")
-def _check_adjoint() -> tuple[bool, str]:
-    worst = max(
-        float(np.max(np.abs(creation(d) - annihilation(d).conj().T))) for d in (2, 3, 17, 40)
-    )
-    return worst == 0.0, f"max |a_dag - a^T*| = {worst:.1e}"
-
-
-@_register("fockspace", "commutator_block")
-def _check_commutator() -> tuple[bool, str]:
-    worst = 0.0
-    for d in (2, 5, 23, 40):
-        a = annihilation(d)
-        comm = a @ a.conj().T - a.conj().T @ a
-        block = comm[: d - 1, : d - 1] - np.eye(d - 1)
-        worst = max(worst, float(np.max(np.abs(block))))
-    return worst < 1e-13, f"max block defect {worst:.1e} (corner excluded)"
-
 
 @_register("fockspace", "state_spectra")
 def _check_spectra() -> tuple[bool, str]:

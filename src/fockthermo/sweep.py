@@ -282,47 +282,34 @@ def _evaluate_task(task: _Task) -> list[tuple[int, SweepRow]]:
 def _evaluate_row(
     task: _Task, method: SweepMethod, deriv: TemperatureDerivative | FockThermoError | None
 ) -> SweepRow:
-    base = dict(
-        axis=task.axis.value,
-        axis_value=task.axis_value,
-        probe=task.probe.canonical(),
-        method=method.value,
-    )
     try:
         if method in _FISHER:
             if isinstance(deriv, FockThermoError):
                 raise deriv
             record = fisher_record(deriv, _FISHER[method], task.probe, task.bath, task.t)
-            return SweepRow(
-                **base,
-                qfi=record.value,
-                delta_t_min=record.delta_t_min,
-                valid_short_time=short_time_valid(task.bath, task.t, task.probe.mean_photon),
-                leakage=record.diagnostics["leakage"],
-                h_used=record.diagnostics["h_used"],
-                dim=record.diagnostics["dim"],
-            )
-        bound = _BOUNDS[method][1](task.probe.mean_photon, task.bath, task.t)
-        return SweepRow(
-            **base,
-            qfi=bound.value,
-            delta_t_min=delta_t_min(bound.value),
-            valid_short_time=bound.valid_short_time,
-            leakage=0.0,
-            h_used=0.0,
-            dim=0,
-        )
+            value = record.value
+            valid = short_time_valid(task.bath, task.t, task.probe.mean_photon)
+            leakage, h_used, dim = deriv.leakage, deriv.h_used, deriv.dim
+        else:
+            bound = _BOUNDS[method][1](task.probe.mean_photon, task.bath, task.t)
+            value, valid, leakage, h_used, dim = bound.value, bound.valid_short_time, 0.0, 0.0, 0
+        floor, error = delta_t_min(value), None
     except FockThermoError as exc:
-        return SweepRow(
-            **base,
-            qfi=math.nan,
-            delta_t_min=math.nan,
-            valid_short_time=False,
-            leakage=math.nan,
-            h_used=math.nan,
-            dim=0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        value = floor = leakage = h_used = math.nan
+        valid, dim, error = False, 0, f"{type(exc).__name__}: {exc}"
+    return SweepRow(
+        axis=task.axis.value,
+        axis_value=task.axis_value,
+        probe=task.probe.canonical(),
+        method=method.value,
+        qfi=value,
+        delta_t_min=floor,
+        valid_short_time=valid,
+        leakage=leakage,
+        h_used=h_used,
+        dim=dim,
+        error=error,
+    )
 
 
 def _evaluate_slice(batch: list[_Task]) -> list[tuple[int, SweepRow]]:

@@ -1,8 +1,9 @@
 """Independent reference dynamics for the tests.
 
-Both functions build the dissipator from the dense ladder operators of
-:mod:`fockthermo.fockspace`, never from the band generators the package
-propagates with, so agreement between the two is a real check.
+The oracle builds its own dense ladder operators and forms the dissipator
+from them, never from the band generators the package propagates with, so
+agreement between the two is a real check. It imports nothing from
+:mod:`fockthermo.dynamics`; ``test_dynamics.py`` asserts that.
 """
 
 from __future__ import annotations
@@ -11,7 +12,24 @@ import numpy as np
 from scipy.linalg import expm
 
 from fockthermo.bath import Rates
-from fockthermo.fockspace import DensityMatrix, annihilation
+from fockthermo.fockspace import DensityMatrix, check_dim
+
+
+def annihilation(dim: int) -> np.ndarray:
+    """Annihilation operator: entry (m-1, m) = sqrt(m)."""
+    check_dim(dim)
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
+
+
+def creation(dim: int) -> np.ndarray:
+    """Creation operator, the conjugate transpose of :func:`annihilation`."""
+    return annihilation(dim).conj().T
+
+
+def number_operator(dim: int) -> np.ndarray:
+    """Photon-number operator diag(0, 1, ..., dim-1)."""
+    check_dim(dim)
+    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 def lindblad_rhs(rho: DensityMatrix | np.ndarray, rates: Rates) -> np.ndarray:

@@ -39,6 +39,13 @@ class TestOccupation:
     def test_underflow_is_flagged_not_raised(self):
         assert thermal_occupation(1.0, 1.0 / 800.0) == 0.0
 
+    def test_underflowing_ratio_is_a_domain_error(self):
+        # omega/T rounds to 0: the occupation has no finite value
+        with pytest.raises(DomainError, match="underflows"):
+            thermal_occupation(1e-309, 1e20)
+        with pytest.raises(DomainError, match="underflows"):
+            thermal_occupation_dT(1e-309, 1e20)
+
     @pytest.mark.parametrize("omega,T", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_domain_errors(self, omega, T):
         with pytest.raises(DomainError):

@@ -224,6 +224,10 @@ class TestCommands:
         assert main(["bounds", *argv, "--axis-values", "1"]) == 2
         assert "numerical failure: DomainError" in capsys.readouterr().err
 
+    def test_underflowing_omega_over_T_is_a_numerical_failure(self, capsys):
+        assert main(["qfi", "--omega", "1e-309", "--T", "1e20"]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: DomainError: omega/T")
+
     def test_unrepresentable_purcell_rate_is_a_numerical_failure(self, capsys):
         assert main(["qfi", "--g", "1e200", "--rate-model", "purcell"]) == 2
         assert capsys.readouterr().err.startswith("numerical failure: DomainError: Purcell rate")
@@ -379,6 +383,14 @@ _FUZZ_VALUES = (
 )
 _FUZZ_SECTIONS = ("bath", "run", "sweep", "output", "derivative", "lab", "DEFAULT")
 _FUZZ_KEYS = (*(f.name for f in dataclasses.fields(RunConfig)), "h_rel", "richardson", "humidity")
+# Numbers of either sign with magnitudes log-uniform over the whole double
+# range, subnormals included, which the fixed pool above cannot reach.
+_wide_number = st.builds(
+    lambda sign, exponent: repr(sign * 10.0**exponent),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-320.0, 308.0),
+)
+_fuzz_value = st.sampled_from(_FUZZ_VALUES) | _wide_number
 
 
 @st.composite
@@ -387,11 +399,11 @@ def _cli_inputs(draw, commands=("qfi", "bounds", "sweep", "validate")):
     flags = [f for f in _FLAG_VALUES if f != "--config"]
     argv = [command]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=6)):
-        argv += [flag, draw(st.sampled_from(_FUZZ_VALUES))]
+        argv += [flag, draw(_fuzz_value)]
     entries = draw(st.lists(
         st.tuples(st.sampled_from(_FUZZ_SECTIONS),
                   st.sampled_from(_FUZZ_KEYS),
-                  st.sampled_from(_FUZZ_VALUES)),
+                  _fuzz_value),
         max_size=4,
     ))
     sections: dict[str, list[str]] = {}
@@ -430,12 +442,16 @@ def test_fuzz_parse_args_returns_config_or_config_error(inputs, fuzz_dir):
 @settings(max_examples=100, deadline=None)
 @given(
     inputs=_cli_inputs(commands=("bounds",)),
-    methods=st.lists(st.sampled_from([m.value for m in SweepMethod]), max_size=3),
+    methods=st.lists(st.sampled_from([m.value for m in SweepMethod]), max_size=3)
+    | st.sampled_from([["cfi"], ["qfi"], ["cfi", "qfi"]]),
+    one_value=st.booleans(),
 )
-def test_fuzz_bounds_exits_with_a_contract_code(inputs, methods, fuzz_dir):
+def test_fuzz_bounds_exits_with_a_contract_code(inputs, methods, one_value, fuzz_dir):
     argv = _with_config(*inputs, fuzz_dir)
     if methods and "--method" not in argv:  # reach every method name, not only the pool's
         argv += ["--method", ",".join(methods)]
+    if one_value and "--axis-values" not in argv:  # reach the closed forms at n = 1
+        argv += ["--axis-values", "1"]
     if "--out" in argv:  # keep every written table inside the temp dir
         at = argv.index("--out") + 1
         argv[at] = str(fuzz_dir / argv[at]) if argv[at] else ""
@@ -489,7 +505,7 @@ class TestValidateCommand:
 
         checks = {(group, name): fn for group, name, fn in selfcheck._REGISTRY}
         monkeypatch.setattr(selfcheck, "_REGISTRY", [
-            ("fockspace", "adjoint_identity", checks["fockspace", "adjoint_identity"]),
+            ("fockspace", "state_spectra", checks["fockspace", "state_spectra"]),
             ("bath", "detailed_balance", fails),
             ("sweep", "fit_exactness", raises),
         ])

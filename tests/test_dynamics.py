@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from oracle import apply, lindblad_rhs, propagator
 from fockthermo.bath import BathParams, rates, thermal_occupation
 from fockthermo.dynamics import (
     BandStack,
-    band_generator,
     dense_action,
     evolve,
     mean_photon_analytic,
@@ -25,6 +26,25 @@ from fockthermo.probes import ProbeKind, ProbeSpec, default_dim, make_state
 
 GAMMA_PLUS = 0.015651764274966565
 GAMMA_MINUS = 0.11565176427496657
+
+
+def band_generator(dim: int, k: int, rates) -> np.ndarray:
+    """The dense tridiagonal generator of coherence band k."""
+    return BandStack.build(dim, np.array([k]), rates).dense_block(0)
+
+
+def test_oracle_imports_nothing_from_dynamics():
+    # the oracle checks the band propagator only while it shares none of its code
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        dynamics = [n for n in names if n.split(".")[:2] == ["fockthermo", "dynamics"]]
+        assert not dynamics, ast.dump(node)
 
 
 class TestLindbladRhs:

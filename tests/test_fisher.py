@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from fockthermo.bath import BathParams, thermal_occupation_dT
+from fockthermo.bath import BathParams, RateModel, rates, thermal_occupation_dT
 from fockthermo.bounds import bound_fock_linear
-from fockthermo.errors import DomainError, SingularSupportError
+from fockthermo.errors import DomainError, SingularSupportError, TruncationError
 from fockthermo.fisher import (
     FisherMethod,
     QfiRecord,
@@ -21,8 +21,20 @@ from fockthermo.fisher import (
     qfi_point,
     qfi_sld_detailed,
 )
+from fockthermo.fockspace import EIGENVALUE_FLOOR
 from fockthermo.probes import ProbeSpec, default_dim
 from fockthermo.sweep import fit_scaling_exponent
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def fd_roundoff(mean: float, h: float) -> float:
+    """Bound on the roundoff of a central difference of <n> with step h:
+    each evolved population carries an error of order eps, and the
+    difference divides it by h."""
+    return 10.0 * np.finfo(float).eps * mean / h
 
 
 class TestStateDerivative:
@@ -62,6 +74,30 @@ class TestStateDerivative:
     def test_leakage_diagnostic_present(self, fig_bath):
         deriv = d_dT_state(ProbeSpec.fock(1), fig_bath, 0.1)
         assert 0.0 <= deriv.leakage < 1e-8
+
+    @pytest.mark.parametrize("model", list(RateModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "spec",
+        ["fock:1", "fock:4", "thermal:0.5", "coherent:1.0", "coherent:0.5+0.5j", "squeezed:0.6"],
+    )
+    def test_first_moment_law(self, spec, model):
+        # d<n>/dt = -Gamma0 <n> + Gamma+ for every state, and Gamma0 does not
+        # depend on T under either rate model, so sum_m m dp_m/dT is
+        # nbar'(T) (1 - exp(-Gamma0 t)) whatever the probe
+        probe, cfi = ProbeSpec.parse(spec), [FisherMethod.CFI_NUMBER]
+        for T in (0.05, 0.5, 5.0):
+            bath = BathParams(T=T, rate_model=model)
+            for t in (1e-3, 0.5, 5.0):
+                if (T, t) == (5.0, 5.0):  # the thermalised state outgrows the automatic dim
+                    with pytest.raises(TruncationError):
+                        d_dT_state(probe, bath, t, methods=cfi)
+                    continue
+                deriv = d_dT_state(probe, bath, t, methods=cfi)
+                p, dp = deriv.populations
+                m = np.arange(deriv.dim)
+                law = thermal_occupation_dT(bath.omega, T) * -math.expm1(-rates(bath).gamma0 * t)
+                tol = 1e-5 * abs(law) + fd_roundoff(float(m @ p), deriv.h_used)
+                assert abs(float(m @ dp) - law) <= tol, (T, t, float(m @ dp), law, tol)
 
     @pytest.mark.parametrize("spec", ["coherent:1.0", "coherent:0.5+0.5j", "squeezed:0.6"])
     @pytest.mark.parametrize("t", [1e-3, 0.5])
@@ -132,6 +168,27 @@ class TestQfiSld:
         assert q >= c - 1e-9
         # coherences carry extra temperature information here
         assert q > 100 * c
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        squeezed=st.booleans(),
+        x=st.floats(-1.2, 1.2),
+        y=st.floats(-1.2, 1.2),
+        T=log_uniform(0.05, 5.0),
+        t=log_uniform(1e-3, 10.0),
+        model=st.sampled_from(RateModel),
+    )
+    def test_qfi_bounds_the_cfi_on_its_support(self, squeezed, x, y, T, t, model):
+        # the CFI is taken over the levels the QFI keeps: with its own, lower
+        # floor it would also count levels the QFI drops
+        probe = ProbeSpec.squeezed(x) if squeezed else ProbeSpec.coherent(complex(x, y))
+        try:
+            deriv = d_dT_state(probe, BathParams(T=T, rate_model=model), t)
+        except TruncationError:
+            reject()
+        p, dp = deriv.populations
+        cfi = cfi_number_basis(p, dp, p_floor=EIGENVALUE_FLOOR)
+        assert qfi_sld_detailed(deriv.rho, deriv.drho)[0] >= cfi * (1.0 - 1e-9)
 
     def test_coherent_linear_coefficient_matches_channel_theory(self, fig_bath, fig_rates):
         # For a pure coherent probe the only state component appearing at

