@@ -98,10 +98,11 @@ class Rates:
     gamma0: float
 
     def __post_init__(self) -> None:
-        # gamma_plus + gamma0 rounds to gamma_plus once nbar exceeds 2^53
-        if self.gamma_plus < 0.0 or not self.gamma_minus >= self.gamma_plus:
+        # gamma_plus + gamma0 rounds to gamma_plus once nbar exceeds 2^53, and
+        # a subnormal omega/T makes nbar, and both rates, infinite
+        if self.gamma_plus < 0.0 or not math.inf > self.gamma_minus >= self.gamma_plus:
             raise DomainError(
-                f"rates must satisfy gamma_minus >= gamma_plus >= 0, "
+                f"rates must be finite and satisfy gamma_minus >= gamma_plus >= 0, "
                 f"got ({self.gamma_plus!r}, {self.gamma_minus!r})"
             )
 

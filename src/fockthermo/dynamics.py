@@ -7,16 +7,15 @@ The generator is the purely dissipative master equation
 
 which is phase covariant: it maps the coherence band k = j - i of rho
 (the entries rho[m, m+k]) onto itself. Each band therefore evolves under
-its own (dim-k) x (dim-k) tridiagonal generator. Band 0 is the
-birth-death generator of the photon-number populations and is applied
-as one dense matrix exponential; since it never mixes with the
-coherences, :func:`evolve` also propagates the populations alone, as a
-vector, for callers that need nothing else. The bands k >= 1 present in the state
-are stacked into one block-diagonal tridiagonal generator and propagated
-together by the exact Taylor action of Al-Mohy & Higham; where ||t G||_1
-is so large that the action would need more work than the dense
-exponential of each band, a closed-form cost rule switches to the dense
-exponentials.
+its own (dim-k) x (dim-k) tridiagonal generator, and :func:`evolve`
+propagates a :class:`~fockthermo.fockspace.BandState` band by band.
+Band 0 is the birth-death generator of the photon-number populations and
+is applied as one dense matrix exponential. The bands k >= 1 the state
+carries are stacked into one block-diagonal tridiagonal generator and
+propagated together by the exact Taylor action of Al-Mohy & Higham;
+where ||t G||_1 is so large that the action would need more work than
+the dense exponential of each band, a closed-form cost rule switches to
+the dense exponentials.
 
 On the truncated space the top Fock level has no upward channel (the
 matrix element to the discarded level |dim> does not exist), so the
@@ -34,7 +33,7 @@ from scipy.linalg import expm
 
 from .bath import Rates
 from .errors import DomainError, PositivityError, TruncationError
-from .fockspace import LEAKAGE_BUDGET, DensityMatrix
+from .fockspace import LEAKAGE_BUDGET, BandState, band_entries
 
 # Populations inside this band of zero are roundoff and are clipped;
 # anything more negative aborts the run.
@@ -75,33 +74,27 @@ class BandStack:
 
     Band 0 is the population generator, whose columns sum exactly to zero.
 
-    Entry j of a stacked vector is rho[m[j], m[j] + k[j]]. ``sub[j]`` is
-    G[j, j-1] and ``sup[j]`` is G[j, j+1]; both are zero where they would
-    couple two blocks.
+    A stacked vector is laid out as the coherences of a BandState
+    (``band_entries``). ``sub[j]`` is G[j, j-1] and ``sup[j]`` is
+    G[j, j+1]; both are zero where they would couple two blocks.
     """
 
     starts: np.ndarray  # block i holds the entries starts[i] .. starts[i+1]-1
-    m: np.ndarray
-    k: np.ndarray
     diag: np.ndarray
     sub: np.ndarray
     sup: np.ndarray
 
     @classmethod
     def build(cls, dim: int, ks: np.ndarray, rates: Rates) -> "BandStack":
-        lengths = dim - ks
-        starts = np.concatenate(([0], np.cumsum(lengths)))
-        k = np.repeat(ks, lengths)
-        m = np.arange(float(starts[-1])) - np.repeat(starts[:-1], lengths)
-        rows = m.astype(int)
+        starts, m, k = band_entries(dim, ks)
         u = np.arange(1.0, dim + 1.0)
         u[-1] = 0.0
         gp, gm = rates.gamma_plus, rates.gamma_minus
-        diag = -(gm * (m + k / 2)) - gp * ((u[rows] + u[rows + k]) / 2)
+        diag = -(gm * (m + k / 2)) - gp * ((u[m] + u[m + k]) / 2)
         sub = gp * np.sqrt(m * (m + k))  # zero on each block's first row, m = 0
         sup = gm * np.sqrt((m + 1) * (m + k + 1))
         sup[starts[1:] - 1] = 0.0  # each block's last row
-        return cls(starts=starts, m=rows, k=k, diag=diag, sub=sub, sup=sup)
+        return cls(starts=starts, diag=diag, sub=sub, sup=sup)
 
     def dense_block(self, i: int) -> np.ndarray:
         b = slice(self.starts[i], self.starts[i + 1])
@@ -189,27 +182,21 @@ def _check_finite(values: np.ndarray, propagator: str, rates: Rates, t: float) -
 
 
 def evolve(
-    rho0: DensityMatrix | np.ndarray,
+    state: BandState,
     rates: Rates,
     t: float,
     *,
     leakage_budget: float = LEAKAGE_BUDGET,
-) -> DensityMatrix | np.ndarray:
-    """Propagate rho0 for a time t with the exact exponential of its bands.
-
-    rho0 is a :class:`DensityMatrix`, or the photon-number populations alone
-    as a length-dim vector, which is then propagated and returned as one:
-    band 0 never mixes with the coherences, so a number-diagonal state, or a
-    caller that reads only the populations, needs nothing else.
+) -> BandState:
+    """Propagate a state for a time t with the exact exponential of its bands.
 
     Band 0, the populations, goes through :func:`dense_action`; a population
     below -NEGATIVE_CLIP raises :class:`PositivityError`, and smaller
-    negatives are clipped to zero. The coherence bands k >= 1 present in rho0
-    are stacked into one :class:`BandStack` and propagated together by
-    :func:`taylor_action`, or by :func:`dense_action` where ||t G||_1 is too
-    large for the action (``BandStack.uses_taylor_action``).
-    The lower triangle is the conjugate of the upper one, so the result is
-    Hermitian by construction. Trace is preserved within 1e-9, and the
+    negatives are clipped to zero. The coherence bands k >= 1 the state
+    carries are stacked into one :class:`BandStack` and propagated together
+    by :func:`taylor_action`, or by :func:`dense_action` where ||t G||_1 is
+    too large for the action (``BandStack.uses_taylor_action``). The evolved
+    state carries the same bands. Trace is preserved within 1e-9, and the
     top-level population at t is checked against the leakage budget; a
     violation raises :class:`TruncationError` with a raise-dim diagnostic.
     A propagator output that is not finite raises :class:`DomainError`.
@@ -217,12 +204,9 @@ def evolve(
     if not (t >= 0.0) or not math.isfinite(t):
         raise DomainError(f"t must be >= 0, got {t!r}")
     if t == 0.0:
-        return rho0
-    matrix = isinstance(rho0, DensityMatrix)
-    p0 = population_vector(rho0.populations if matrix else rho0)
-    if p0.ndim != 1:
-        raise DomainError(f"populations must be a vector, got shape {p0.shape}")
-    band0 = BandStack.build(p0.size, np.zeros(1, dtype=int), rates)
+        return state
+    p0 = population_vector(state.populations)
+    band0 = BandStack.build(state.dim, np.zeros(1, dtype=int), rates)
     with np.errstate(all="ignore"):
         p = dense_action(band0, p0, t)
     _check_finite(p, "dense population exponential", rates, t)
@@ -238,24 +222,17 @@ def evolve(
     trace_defect = abs(p.sum() - 1.0)
     if trace_defect > 1e-9:
         raise PositivityError(f"trace drifted by {trace_defect:.3e} during evolution")
-    if not matrix:
-        return p
-    mat = np.diag(p).astype(complex)
-    rows, cols = np.nonzero(np.triu(rho0.mat, 1))
-    ks = np.unique(cols - rows)
-    if ks.size:
-        stack = BandStack.build(rho0.dim, ks, rates)
-        v0 = rho0.mat[stack.m, stack.m + stack.k]
+    v = state.coherences
+    if state.bands.size:
+        stack = BandStack.build(state.dim, state.bands, rates)
         if stack.uses_taylor_action(t):
             kernel, name = taylor_action, "Taylor action on the coherence bands"
         else:
             kernel, name = dense_action, "dense exponential of the coherence bands"
         with np.errstate(all="ignore"):
-            v = kernel(stack, v0, t)
+            v = kernel(stack, v, t)
         _check_finite(v, name, rates, t)
-        mat[stack.m, stack.m + stack.k] = v
-        mat[stack.m + stack.k, stack.m] = v.conj()
-    return DensityMatrix(mat)
+    return BandState(p, state.bands, v)
 
 
 def mean_photon_analytic(n0: float, rates: Rates, t: float) -> float:

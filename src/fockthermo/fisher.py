@@ -2,17 +2,18 @@
 
 The state derivative is taken end to end: the evolution is run at
 shifted bath temperatures and differenced centrally with one Richardson
-step, so a single code path covers every probe class. The photon-number
-populations evolve on their own, so where the result cannot depend on the
-coherences (a number-diagonal probe, or the CFI alone) only the
-populations are propagated and differenced, as length-d vectors. From
+step, so a single code path covers every probe class. The state is the
+:class:`~fockthermo.fockspace.BandState` of the coherence bands the probe
+carries, and its derivative is the difference of those stacked vectors;
+where the result cannot depend on the coherences (the CFI alone) band 0,
+the photon-number populations, is propagated and differenced alone. From
 (rho, d rho/dT) two figures of merit follow:
 
 * number-basis classical Fisher information sum_m (dp_m)^2 / p_m, and
 * the full quantum Fisher information
   2 sum_{ij} |<i| d rho |j>|^2 / (lambda_i + lambda_j)
-  over the eigendecomposition of rho, which for populations alone is the
-  number basis itself.
+  over the eigendecomposition of rho, which for a state without
+  coherences is the number basis itself.
 
 For number-diagonal states the two coincide; for states with coherences
 the quantum value can only be larger.
@@ -28,9 +29,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bath import BathParams, rates
-from .dynamics import evolve, population_vector
+from .dynamics import evolve
 from .errors import DomainError, SingularSupportError
-from .fockspace import EIGENVALUE_FLOOR, DensityMatrix
+from .fockspace import EIGENVALUE_FLOOR, BandState, DensityMatrix
 from .probes import ProbeSpec, default_dim, make_state
 
 # Populations below this are excluded from classical Fisher sums: they add
@@ -53,28 +54,26 @@ class FisherMethod(str, Enum):
 
 @dataclass(frozen=True)
 class TemperatureDerivative:
-    """Evolved state, its temperature derivative, and evaluation diagnostics.
-
-    ``state`` is the evolved :class:`DensityMatrix` and ``dstate`` its d x d
-    derivative, or both are the photon-number populations as length-d
-    vectors (p and dp/dT). The vectors are the whole state of a
-    number-diagonal probe; otherwise (``coherences_dropped``) the coherences
-    were never propagated, and only the CFI can be reduced.
+    """The evolved :class:`BandState`, its temperature derivative ``dstate``,
+    and evaluation diagnostics. When ``coherences_dropped``, both hold band 0
+    alone: the probe's coherences were never propagated, and only the CFI can
+    be reduced.
     """
 
-    state: DensityMatrix | np.ndarray
-    dstate: np.ndarray
+    state: BandState
+    dstate: BandState
     h_used: float
     leakage: float
-    dim: int
     coherences_dropped: bool = False
+
+    @property
+    def dim(self) -> int:
+        return self.state.dim
 
     @property
     def populations(self) -> tuple[np.ndarray, np.ndarray]:
         """The photon-number distribution p and dp/dT."""
-        if isinstance(self.state, DensityMatrix):
-            return self.state.populations, self.dstate.diagonal().real
-        return self.state, self.dstate
+        return self.state.populations, self.dstate.populations
 
     def _require_whole_state(self) -> None:
         if self.coherences_dropped:
@@ -84,19 +83,15 @@ class TemperatureDerivative:
 
     @property
     def rho(self) -> DensityMatrix:
-        """The evolved state as a density matrix, built on demand from populations."""
-        if isinstance(self.state, DensityMatrix):
-            return self.state
+        """The evolved state as a density matrix."""
         self._require_whole_state()
-        return DensityMatrix(np.diag(self.state))
+        return DensityMatrix(self.state.matrix())
 
     @property
     def drho(self) -> np.ndarray:
-        """d rho/dT as a d x d matrix, built on demand from populations."""
-        if isinstance(self.state, DensityMatrix):
-            return self.dstate
+        """d rho/dT as a d x d matrix."""
         self._require_whole_state()
-        return np.diag(self.dstate)
+        return self.dstate.matrix()
 
 
 def d_dT_state(
@@ -112,16 +107,17 @@ def d_dT_state(
 
     The probe itself is temperature independent; only the bath rates move.
     The h and h/2 estimates combine by one Richardson step as
-    (4 D_{h/2} - D_h) / 3. When the probe is number diagonal, or ``methods``
-    is the CFI alone, only the populations are propagated and differenced.
+    (4 D_{h/2} - D_h) / 3, on the populations and on the stacked coherence
+    bands alike. When ``methods`` is the CFI alone, only the populations are
+    propagated and differenced.
     """
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t!r}")
     dim = default_dim(probe) if dim is None else dim
-    rho0 = make_state(probe, dim)
+    state = make_state(probe, dim)
     cfi_only = {FisherMethod(m) for m in methods} == {FisherMethod.CFI_NUMBER}
-    vectors = probe.is_number_diagonal or cfi_only
-    start = rho0.populations if vectors else rho0
+    dropped = cfi_only and state.bands.size > 0
+    state = BandState(state.populations) if dropped else state
 
     h = max(H_REL * bath.T, H_ABS_FLOOR)
     while bath.T - h <= 0.0:
@@ -130,23 +126,25 @@ def d_dT_state(
             raise DomainError(f"derivative step underflowed at T={bath.T!r}")
 
     states = [
-        evolve(start, rates(bath.with_temperature(T_shifted)), t)
+        evolve(state, rates(bath.with_temperature(T_shifted)), t)
         for T_shifted in (bath.T, bath.T + h, bath.T - h, bath.T + h / 2.0, bath.T - h / 2.0)
     ]
-    plus, minus, plus2, minus2 = (s if vectors else s.mat for s in states[1:])
-    # numpy divides a complex array by a real scalar as a product with the
-    # reciprocal; the explicit products give real vectors the same bits
-    full = (plus - minus) * (1.0 / (2.0 * h))
-    half = (plus2 - minus2) * (1.0 / h)
-    deriv = (4.0 * half - full) * (1.0 / 3.0)
-    leakage = max(float(s[-1]) if vectors else s.top_level_population for s in states)
+
+    def difference(plus, minus, plus2, minus2):
+        # numpy divides a complex array by a real scalar as a product with the
+        # reciprocal; the explicit products give the populations the same bits
+        full = (plus - minus) * (1.0 / (2.0 * h))
+        half = (plus2 - minus2) * (1.0 / h)
+        return (4.0 * half - full) * (1.0 / 3.0)
+
+    dp = difference(*(s.populations for s in states[1:]))
+    dv = difference(*(s.coherences for s in states[1:]))
     return TemperatureDerivative(
         state=states[0],
-        dstate=deriv,
+        dstate=BandState(dp, state.bands, dv),
         h_used=h,
-        leakage=leakage,
-        dim=dim,
-        coherences_dropped=vectors and not probe.is_number_diagonal,
+        leakage=max(float(s.populations[-1]) for s in states),
+        coherences_dropped=dropped,
     )
 
 
@@ -166,42 +164,30 @@ def cfi_number_basis(p: np.ndarray, dp: np.ndarray, *, p_floor: float = P_FLOOR)
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
-def qfi_sld_detailed(rho: DensityMatrix | np.ndarray, drho: np.ndarray) -> tuple[float, int]:
+def qfi_sld_detailed(state: BandState, dstate: BandState) -> tuple[float, int]:
     """Quantum Fisher information from the symmetric logarithmic derivative,
     plus the number of eigenpairs dropped by the spectral floor.
 
     Eigenvalues with |lambda| < EIGENVALUE_FLOOR are treated as exact zeros,
     and pairs with lambda_i + lambda_j <= EIGENVALUE_FLOOR are excluded from
-    the sum. Given the populations p and dp/dT of a number-diagonal state as
-    vectors, the number basis is the eigenbasis: p are the eigenvalues, the
-    derivative is diagonal in it, and no eigendecomposition is made.
+    the sum. A state without coherence bands is diagonal in the number basis,
+    so its populations are the eigenvalues and no matrix is assembled.
     """
-    populations = not isinstance(rho, DensityMatrix) and np.ndim(rho) == 1
-    if populations:
-        lam = np.asarray(rho, dtype=float)
-        drho = np.asarray(drho, dtype=float)
-        if drho.shape != lam.shape:
-            raise DomainError(f"p and dp must have equal length, got {lam.shape} vs {drho.shape}")
-    else:
-        mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-        drho = np.asarray(drho, dtype=complex)
-        if float(np.max(np.abs(mat - mat.conj().T))) > 1e-10:
-            raise DomainError("qfi_sld: state is not Hermitian")
-        if float(np.max(np.abs(drho - drho.conj().T))) > 1e-10:
-            raise DomainError("qfi_sld: state derivative is not Hermitian")
-        lam, vecs = np.linalg.eigh(mat)
-    lam = np.where(np.abs(lam) < EIGENVALUE_FLOOR, 0.0, lam)
-    # roundoff negatives clamp to zero so no denominator can sit near zero
-    # with the wrong sign; genuine positivity violations are caught upstream
-    lam = np.where(lam < 0.0, 0.0, lam)
+    if dstate.dim != state.dim:
+        raise DomainError(f"state and derivative dims differ: {state.dim} vs {dstate.dim}")
+    coherent = state.bands.size > 0
+    lam, vecs = np.linalg.eigh(state.matrix()) if coherent else (state.populations, None)
+    # below the floor, and roundoff negatives, are zeros: no denominator can
+    # sit near zero with the wrong sign (positivity is checked upstream)
+    lam = np.where(lam < EIGENVALUE_FLOOR, 0.0, lam)
     denom = lam[:, None] + lam[None, :]
     keep = denom > EIGENVALUE_FLOOR
-    if populations:  # only the diagonal pairs carry weight
-        on = keep.diagonal()
-        value = 2.0 * float(np.sum(drho[on] ** 2 / denom.diagonal()[on]))
-    else:
-        m = vecs.conj().T @ drho @ vecs
+    if coherent:
+        m = vecs.conj().T @ dstate.matrix() @ vecs
         value = 2.0 * float(np.sum(np.abs(m[keep]) ** 2 / denom[keep]))
+    else:  # only the diagonal pairs carry weight
+        on = keep.diagonal()
+        value = 2.0 * float(np.sum(dstate.populations[on] ** 2 / denom.diagonal()[on]))
     dropped = int(keep.size - int(keep.sum()))
     return value, dropped
 
@@ -254,8 +240,7 @@ def fisher_record(
     method = FisherMethod(method)
     dropped = 0
     if method is FisherMethod.CFI_NUMBER:
-        p, dp = deriv.populations
-        value = cfi_number_basis(population_vector(p), dp)
+        value = cfi_number_basis(*deriv.populations)
     else:
         deriv._require_whole_state()
         value, dropped = qfi_sld_detailed(deriv.state, deriv.dstate)

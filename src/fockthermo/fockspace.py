@@ -1,14 +1,14 @@
-"""Dense linear algebra on a truncated single-mode Fock space.
+"""States on a truncated single-mode Fock space |0>, ..., |dim-1>.
 
-States are dim x dim complex density matrices over the number basis
-|0>, ..., |dim-1>, validated against Hermiticity, unit trace, positivity
-and a top-level leakage budget against silent truncation error. The
-package forms no ladder operator; the test-side oracle builds its own.
+A state is carried as its coherence bands rho[m, m+k] (:class:`BandState`);
+its dim x dim :class:`DensityMatrix` is validated against Hermiticity, unit
+trace, positivity and a top-level leakage budget against silent truncation
+error. The package forms no ladder operator; the test-side oracle builds its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,59 @@ def check_dim(dim: int) -> int:
     if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 2:
         raise InvalidDimensionError(f"Fock dimension must be an integer >= 2, got {dim!r}")
     return int(dim)
+
+
+def band_entries(dim: int, bands: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, m, k) of the bands stacked in order: block i spans entries
+    starts[i] .. starts[i+1]-1, and entry j is rho[m[j], m[j] + k[j]]."""
+    lengths = dim - bands
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    k = np.repeat(bands, lengths)
+    m = np.arange(starts[-1]) - np.repeat(starts[:-1], lengths)
+    return starts, m, k
+
+
+@dataclass(frozen=True)
+class BandState:
+    """Immutable state held as its coherence bands; construction checks shapes.
+
+    ``populations`` is band 0, the real photon-number distribution, and
+    ``coherences`` stacks the entries rho[m, m+k] of the ``bands`` k >= 1 in
+    the order of :func:`band_entries`; a band not listed is zero. The lower
+    triangle is the conjugate of the upper one: Hermitian by construction.
+    """
+
+    populations: np.ndarray
+    bands: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    coherences: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
+
+    def __post_init__(self) -> None:
+        p = np.array(self.populations, dtype=float)
+        bands = np.array(self.bands, dtype=int)
+        v = np.array(self.coherences, dtype=complex)
+        dim = check_dim(p.size)
+        entries = dim * bands.size - int(bands.sum()) if bands.size else 0
+        if (p.ndim != 1 or bands.ndim != 1 or v.shape != (entries,)
+                or bands.size and not 1 <= bands.min() <= bands.max() < dim):
+            raise InvalidDimensionError(f"bands {bands} on {p.shape} levels cannot hold {v.shape}")
+        for name, value in (("populations", p), ("bands", bands), ("coherences", v)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return self.populations.size
+
+    def mean_photon(self) -> float:
+        return float(np.dot(np.arange(self.dim), self.populations))
+
+    def matrix(self) -> np.ndarray:
+        """The dim x dim matrix of the state, assembled from its bands."""
+        mat = np.diag(self.populations).astype(complex)
+        _, m, k = band_entries(self.dim, self.bands)
+        mat[m, m + k] = self.coherences
+        mat[m + k, m] = self.coherences.conj()
+        return mat
 
 
 @dataclass(frozen=True)
@@ -51,24 +104,9 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
 
     @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
     def populations(self) -> np.ndarray:
         """Real diagonal (photon-number populations); a fresh copy."""
         return self.mat.diagonal().real.copy()
-
-    @property
-    def top_level_population(self) -> float:
-        return float(self.mat[-1, -1].real)
-
-    def mean_photon(self) -> float:
-        return float(np.dot(np.arange(self.dim), self.populations))
-
-    def max_offdiagonal(self) -> float:
-        off = self.mat - np.diag(self.mat.diagonal())
-        return float(np.max(np.abs(off)))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InvalidDimensionError, TruncationError
-from .fockspace import DensityMatrix, check_dim
+from .fockspace import BandState, band_entries, check_dim
 
 # A freshly constructed state must keep its renormalized top-level
 # population below this; the discarded tail mass gets a looser hard cap
@@ -231,8 +231,10 @@ def _truncated(spec: ProbeSpec, dim: int) -> tuple[np.ndarray, float]:
     return values / scale, max(0.0, 1.0 - mass)
 
 
-def make_state(spec: ProbeSpec, dim: int) -> DensityMatrix:
-    """Density matrix of the probe on a dim-level space.
+def make_state(spec: ProbeSpec, dim: int) -> BandState:
+    """The probe on a dim-level space, as the coherence bands it carries:
+    none for Fock and thermal probes, the even ones for the squeezed vacuum,
+    all for a coherent state. A pure probe psi has entries psi_m psi*_{m+k}.
 
     Raises :class:`TruncationError` when the truncated tail or the top-level
     population exceeds the construction budget, and
@@ -242,20 +244,19 @@ def make_state(spec: ProbeSpec, dim: int) -> DensityMatrix:
     if spec.kind is ProbeKind.FOCK:
         if spec.n >= dim:
             raise InvalidDimensionError(f"Fock excitation n={spec.n} needs dim > n, got dim={dim}")
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[spec.n, spec.n] = 1.0
-        return DensityMatrix(mat)
+        return BandState((np.arange(dim) == spec.n).astype(float))
 
     values, tail = _truncated(spec, dim)
     if spec.kind is ProbeKind.THERMAL:
         _check_truncation(tail, float(values[-1]), f"thermal nbar={spec.nbar}", dim)
-        return DensityMatrix(np.diag(values).astype(complex))
+        return BandState(values)
     if spec.kind is ProbeKind.COHERENT:
-        what = f"coherent |alpha|={abs(spec.alpha)}"
+        what, bands = f"coherent |alpha|={abs(spec.alpha)}", np.arange(1, dim)
     else:
-        what = f"squeezed r={spec.r}"
+        what, bands = f"squeezed r={spec.r}", np.arange(2, dim, 2)
     _check_truncation(tail, float(abs(values[-1]) ** 2), what, dim)
-    return DensityMatrix(np.outer(values, values.conj()))
+    _, m, k = band_entries(dim, bands)
+    return BandState((values * values.conj()).real, bands, values[m] * values[m + k].conj())
 
 
 def default_dim(spec: ProbeSpec) -> int:

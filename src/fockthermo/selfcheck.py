@@ -56,8 +56,7 @@ def _check_spectra() -> tuple[bool, str]:
     worst_imag, worst_sum = 0.0, 0.0
     for spec in (ProbeSpec.fock(2), ProbeSpec.coherent(1.0), ProbeSpec.squeezed(0.6),
                  ProbeSpec.thermal(0.5)):
-        rho = make_state(spec, default_dim(spec))
-        eig = np.linalg.eigvals(rho.mat)
+        eig = np.linalg.eigvals(make_state(spec, default_dim(spec)).matrix())
         worst_imag = max(worst_imag, float(np.max(np.abs(eig.imag))))
         worst_sum = max(worst_sum, abs(float(eig.real.sum()) - 1.0))
     ok = worst_imag < 1e-10 and worst_sum < 1e-9
@@ -113,7 +112,7 @@ def _check_states_validate() -> tuple[bool, str]:
     bad = []
     for spec in (ProbeSpec.fock(3), ProbeSpec.coherent(1.0), ProbeSpec.squeezed(0.8814),
                  ProbeSpec.thermal(1.0)):
-        report = validate_density(make_state(spec, default_dim(spec)))
+        report = validate_density(make_state(spec, default_dim(spec)).matrix())
         if not report.passed:
             bad.append(f"{spec.canonical()}: {report.summary()}")
     return not bad, "; ".join(bad) or "all probe classes pass"
@@ -132,9 +131,10 @@ def _check_energy_matching() -> tuple[bool, str]:
 
 @_register("probes", "squeezed_odd_levels")
 def _check_squeezed_parity() -> tuple[bool, str]:
-    rho = make_state(ProbeSpec.squeezed(0.8814), 60)
-    odd = float(np.max(rho.populations[1::2]))
-    return odd == 0.0, f"max odd-level population {odd:.1e}"
+    states = [make_state(ProbeSpec.squeezed(r), dim) for r, dim in ((0.7, 50), (0.8814, 60))]
+    odd = max(float(np.max(s.populations[1::2])) for s in states)
+    odd_k = [int(k) for s in states for k in s.bands if k % 2]
+    return odd == 0.0 and not odd_k, f"max odd-level population {odd:.1e}, odd bands {odd_k}"
 
 
 @_register("probes", "thermal_geometric")
@@ -162,24 +162,21 @@ def _evolved_probes() -> list:
 
 @_register("dynamics", "trace_preservation")
 def _check_trace() -> tuple[bool, str]:
-    defect = max(abs(float(out.mat.trace().real) - 1.0) for out in _evolved_probes())
+    defect = max(abs(float(out.matrix().trace().real) - 1.0) for out in _evolved_probes())
     return defect <= 1e-9, f"max |tr - 1| = {defect:.1e}"
 
 
 @_register("dynamics", "positivity")
 def _check_positivity() -> tuple[bool, str]:
-    low = min(float(np.linalg.eigvalsh(out.mat).min()) for out in _evolved_probes())
+    low = min(float(np.linalg.eigvalsh(out.matrix()).min()) for out in _evolved_probes())
     return low >= -1e-9, f"smallest eigenvalue {low:.1e}"
 
 
 @_register("dynamics", "diagonality_preservation")
 def _check_diagonality() -> tuple[bool, str]:
-    worst = 0.0
-    for spec in (ProbeSpec.fock(1), ProbeSpec.fock(2), ProbeSpec.thermal(0.5)):
-        rho = make_state(spec, 40)
-        out = evolve(rho, rates(FIG_BATH), 0.5)
-        worst = max(worst, out.max_offdiagonal())
-    return worst < 1e-12, f"max off-diagonal modulus {worst:.1e}"
+    carried = [evolve(make_state(spec, 40), rates(FIG_BATH), 0.5).bands.size
+               for spec in (ProbeSpec.fock(1), ProbeSpec.fock(2), ProbeSpec.thermal(0.5))]
+    return not any(carried), f"coherence bands carried: {carried}"
 
 
 @_register("dynamics", "thermal_stationarity")
@@ -187,7 +184,7 @@ def _check_stationarity() -> tuple[bool, str]:
     nT = thermal_occupation(FIG_BATH.omega, FIG_BATH.T)
     rho = make_state(ProbeSpec.thermal(nT), 40)
     out = evolve(rho, rates(FIG_BATH), 1.0)
-    drift = float(np.max(np.abs(out.mat - rho.mat)))
+    drift = float(np.max(np.abs(out.populations - rho.populations)))
     return drift < 1e-8, f"sup-norm drift over t=1: {drift:.1e}"
 
 
@@ -234,8 +231,8 @@ def _check_cfi_qfi_equal() -> tuple[bool, str]:
 @_register("fisher", "qfi_at_least_cfi")
 def _check_qfi_dominates() -> tuple[bool, str]:
     deriv = d_dT_state(ProbeSpec.coherent(1.0), FIG_BATH, 0.05)
-    q, _ = qfi_sld_detailed(deriv.rho, deriv.drho)
-    c = cfi_number_basis(deriv.rho.populations, deriv.drho.diagonal().real)
+    q, _ = qfi_sld_detailed(deriv.state, deriv.dstate)
+    c = cfi_number_basis(*deriv.populations)
     return q >= c - 1e-9, f"QFI {q:.6e} vs CFI {c:.6e}"
 
 

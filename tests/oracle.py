@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from fockthermo.bath import Rates
-from fockthermo.fockspace import DensityMatrix, check_dim
+from fockthermo.fockspace import check_dim
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -32,9 +32,8 @@ def number_operator(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
-def lindblad_rhs(rho: DensityMatrix | np.ndarray, rates: Rates) -> np.ndarray:
+def lindblad_rhs(mat: np.ndarray, rates: Rates) -> np.ndarray:
     """Right-hand side Gamma+ D[a^dag] rho + Gamma- D[a] rho by dense products."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     a = annihilation(mat.shape[0])
     ad = a.conj().T
     n_op = ad @ a
@@ -62,5 +61,21 @@ def propagator(dim: int, rates: Rates, t: float) -> np.ndarray:
     return expm(liouvillian(dim, rates) * t)
 
 
-def apply(prop: np.ndarray, rho: DensityMatrix) -> np.ndarray:
-    return (prop @ rho.mat.reshape(-1)).reshape(rho.dim, rho.dim)
+def apply(prop: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    return (prop @ mat.reshape(-1)).reshape(mat.shape)
+
+
+def cfi_linear_coefficient(p0: np.ndarray, rates: Rates, drates: Rates) -> float:
+    """The coefficient of t in the number-basis CFI of the populations p0 as
+    t -> 0, from the generator alone: p(t) = p0 + t G p0 + O(t^2), so every
+    level with p0_m = 0 and (G p0)_m > 0 contributes (dG p0)_m^2 / (G p0)_m.
+
+    G p0 and dG p0 are the diagonals of the oracle's right-hand side at
+    ``rates`` and at ``drates``, the T-derivatives of the rates.
+    """
+    rho0 = np.diag(p0).astype(complex)
+    flow = lindblad_rhs(rho0, rates).diagonal().real
+    dflow = lindblad_rhs(rho0, drates).diagonal().real
+    fed = (p0 == 0.0) & (flow > 0.0)
+    return float(np.sum(dflow[fed] ** 2 / flow[fed]))
+

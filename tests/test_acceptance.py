@@ -254,7 +254,8 @@ def test_criterion_8_oracle_equivalence():
             prop = propagator(24, r, t)
             for spec in probes:
                 rho = make_state(spec, 24)
-                worst = max(worst, float(np.max(np.abs(evolve(rho, r, t).mat - apply(prop, rho)))))
+                gap = evolve(rho, r, t).matrix() - apply(prop, rho.matrix())
+                worst = max(worst, float(np.max(np.abs(gap))))
     ok = worst <= 1e-8
     report("8 (propagator vs Liouvillian oracle)", ok,
            f"worst sup-norm gap {worst:.2e} over 3x3 grid, 4 probe classes")

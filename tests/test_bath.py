@@ -128,6 +128,11 @@ class TestRates:
         with pytest.raises(DomainError):
             Rates(gamma_plus=-0.1, gamma_minus=0.1, gamma0=0.2)
 
+    def test_infinite_rates_refused(self):
+        # omega/T = 1e-310 is subnormal, so nbar and both rates overflow
+        with pytest.raises(DomainError, match="rates must be finite"):
+            rates(BathParams(T=1e10, omega=1e-300))
+
     def test_nbar_round_trip(self, fig_rates):
         assert fig_rates.nbar == pytest.approx(NBAR_REF, rel=1e-14)
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import cfi_linear_coefficient
 
-from fockthermo.bath import BathParams, rates, thermal_occupation, thermal_occupation_dT
+from fockthermo.bath import BathParams, Rates, rates, thermal_occupation, thermal_occupation_dT
 from fockthermo.bounds import (
     BoundKind,
     ScalingRow,
@@ -154,6 +155,20 @@ class TestClosedForms:
         assert bound_fock_quadratic(n, bath, t).value >= 0.0
         assert bound_squeezed(float(n), bath, t).value >= 0.0
         assert bound_coherent(float(n), bath, t).value >= 0.0
+
+
+@pytest.mark.parametrize("T", [0.05, 0.5, 5.0])
+def test_fock_linear_law_is_the_generator_coefficient(T):
+    # Gamma0 does not depend on T, so dGamma+/dT = dGamma-/dT = Gamma0 nbar'
+    bath = BathParams(T=T)
+    r = rates(bath)
+    d_rate = r.gamma0 * thermal_occupation_dT(bath.omega, T)
+    drates = Rates(gamma_plus=d_rate, gamma_minus=d_rate, gamma0=0.0)
+    for n in range(1, 6):
+        p0 = np.zeros(n + 3)
+        p0[n] = 1.0
+        coefficient = cfi_linear_coefficient(p0, r, drates)
+        assert bound_fock_linear(n, bath, 1.0).value == pytest.approx(coefficient, rel=1e-12)
 
 
 class TestEnqfi:

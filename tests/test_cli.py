@@ -241,6 +241,21 @@ class TestCommands:
         )
         assert "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["qfi", "--probe", "fock:1", "--T", "1e10"], id="qfi"),
+            pytest.param(["sweep", "--axis", "temperature", "--axis-values", "1e10",
+                          "--probes", "fock:1", "--workers", "1"], id="sweep"),
+        ],
+    )
+    def test_infinite_rates_are_refused_without_a_warning(self, argv, tmp_path):
+        out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "sweep" else []
+        proc = run_cli(*argv, "--omega", "1e-300", *out)
+        assert proc.returncode == 2
+        assert "DomainError: rates must be finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_bounds_beyond_the_overflow_of_T_squared(self, capsys):
         assert main(["bounds", "--T", "1e160", "--t", "0.01", "--axis-values", "1"]) == 0
         row = capsys.readouterr().out.strip().split("\n")[1].split(",")

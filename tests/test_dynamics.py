@@ -22,6 +22,7 @@ from fockthermo.dynamics import (
     taylor_action,
 )
 from fockthermo.errors import DomainError, InvalidDimensionError, PositivityError, TruncationError
+from fockthermo.fockspace import BandState, band_entries
 from fockthermo.probes import ProbeKind, ProbeSpec, default_dim, make_state
 
 GAMMA_PLUS = 0.015651764274966565
@@ -50,17 +51,17 @@ def test_oracle_imports_nothing_from_dynamics():
 class TestLindbladRhs:
     def test_thermal_state_is_stationary(self, fig_bath, fig_rates):
         nT = thermal_occupation(fig_bath.omega, fig_bath.T)
-        rho = make_state(ProbeSpec.thermal(nT), 40)
+        rho = make_state(ProbeSpec.thermal(nT), 40).matrix()
         rhs = lindblad_rhs(rho, fig_rates)
         assert np.max(np.abs(rhs)) < 1e-10 * fig_rates.gamma0
 
     def test_vacuum_absorption_channel(self, fig_rates):
-        rho = make_state(ProbeSpec.fock(0), 6)
+        rho = make_state(ProbeSpec.fock(0), 6).matrix()
         rhs = lindblad_rhs(rho, fig_rates)
         assert rhs[1, 1].real == pytest.approx(GAMMA_PLUS, rel=1e-12)
 
     def test_fock1_diagonal_flow(self, fig_rates):
-        rho = make_state(ProbeSpec.fock(1), 6)
+        rho = make_state(ProbeSpec.fock(1), 6).matrix()
         diag = lindblad_rhs(rho, fig_rates).diagonal().real
         expected = np.zeros(6)
         expected[0] = GAMMA_MINUS
@@ -69,7 +70,7 @@ class TestLindbladRhs:
         np.testing.assert_allclose(diag, expected, rtol=1e-12, atol=1e-18)
 
     def test_traceless_and_hermitian(self, fig_rates):
-        rho = make_state(ProbeSpec.coherent(1.0 + 0.3j), 40)
+        rho = make_state(ProbeSpec.coherent(1.0 + 0.3j), 40).matrix()
         rhs = lindblad_rhs(rho, fig_rates)
         assert abs(np.trace(rhs)) < 1e-12
         assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-14
@@ -84,11 +85,11 @@ class TestLindbladRhs:
         )
 
     def test_band_generators_match_every_coherence_band(self, fig_rates):
-        rho = make_state(ProbeSpec.coherent(1.2 + 0.3j), 20)
+        rho = make_state(ProbeSpec.coherent(1.2 + 0.3j), 20).matrix()
         rhs = lindblad_rhs(rho, fig_rates)
         for k in range(20):
             np.testing.assert_allclose(
-                band_generator(20, k, fig_rates) @ rho.mat.diagonal(k), rhs.diagonal(k), atol=1e-15
+                band_generator(20, k, fig_rates) @ rho.diagonal(k), rhs.diagonal(k), atol=1e-15
             )
 
 
@@ -96,7 +97,7 @@ class TestEvolve:
     def test_zero_time_returns_state(self, fig_rates):
         rho = make_state(ProbeSpec.fock(2), 10)
         out = evolve(rho, fig_rates, 0.0)
-        np.testing.assert_array_equal(out.mat, rho.mat)
+        np.testing.assert_array_equal(out.matrix(), rho.matrix())
 
     def test_negative_time_rejected(self, fig_rates):
         rho = make_state(ProbeSpec.fock(2), 10)
@@ -137,19 +138,19 @@ class TestEvolve:
         except (InvalidDimensionError, TruncationError):
             reject()  # the drawn dim cannot hold the drawn probe
         got = evolve(rho, r, t, leakage_budget=1.0)  # the oracle has the same truncation
-        want = apply(propagator(dim, r, t), rho)
-        assert np.max(np.abs(got.mat - want)) <= 1e-8
+        want = apply(propagator(dim, r, t), rho.matrix())
+        assert np.max(np.abs(got.matrix() - want)) <= 1e-8
 
     def test_diagonal_states_stay_exactly_diagonal(self, fig_rates):
         for spec in (ProbeSpec.fock(1), ProbeSpec.thermal(0.5)):
-            rho = make_state(spec, 40)
-            out = evolve(rho, fig_rates, 0.5)
-            assert out.max_offdiagonal() == 0.0
+            out = evolve(make_state(spec, 40), fig_rates, 0.5)
+            assert out.bands.size == 0
+            np.testing.assert_array_equal(out.matrix(), np.diag(out.populations))
 
     def test_trace_preserved_for_coherent_probe(self, fig_rates):
         rho = make_state(ProbeSpec.coherent(1.0), 40)
         out = evolve(rho, fig_rates, 1.0)
-        assert abs(out.mat.trace().real - 1.0) < 1e-9
+        assert abs(out.matrix().trace().real - 1.0) < 1e-9
 
     @pytest.mark.parametrize(
         "spec",
@@ -170,14 +171,12 @@ class TestEvolve:
     def test_positivity_throughout(self, fig_rates):
         rho = make_state(ProbeSpec.squeezed(0.6), 50)
         out = evolve(rho, fig_rates, 0.5)
-        assert float(np.linalg.eigvalsh(out.mat).min()) > -1e-9
+        assert float(np.linalg.eigvalsh(out.matrix()).min()) > -1e-9
 
 
-def coherence_stack(rho, r) -> tuple[BandStack, np.ndarray]:
-    """The stack of the bands k >= 1 present in rho, and its initial vector."""
-    rows, cols = np.nonzero(np.triu(rho.mat, 1))
-    stack = BandStack.build(rho.dim, np.unique(cols - rows), r)
-    return stack, rho.mat[stack.m, stack.m + stack.k]
+def coherence_stack(state, r) -> tuple[BandStack, np.ndarray]:
+    """The stack of the bands k >= 1 the state carries, and its initial vector."""
+    return BandStack.build(state.dim, state.bands, r), state.coherences
 
 
 class TestCoherenceKernels:
@@ -199,7 +198,8 @@ class TestCoherenceKernels:
         except (InvalidDimensionError, TruncationError):
             reject()  # the drawn dim cannot hold the drawn probe
         stack, v0 = coherence_stack(rho, r)
-        want = apply(propagator(dim, r, t), rho)[stack.m, stack.m + stack.k]
+        _, m, k = band_entries(dim, rho.bands)
+        want = apply(propagator(dim, r, t), rho.matrix())[m, m + k]
         for kernel in (taylor_action, dense_action):
             assert np.max(np.abs(kernel(stack, v0, t) - want)) <= 1e-12
 
@@ -222,7 +222,7 @@ class TestCoherenceKernels:
         outs = []
         for seed in (1, 2):
             np.random.seed(seed)
-            outs.append(evolve(rho, r, t).mat)
+            outs.append(evolve(rho, r, t).matrix())
         assert np.array_equal(outs[0], outs[1])
 
 
@@ -291,21 +291,21 @@ class TestPopulations:
         p0[1] = 1.0
         p = evolve(make_state(ProbeSpec.fock(1), dim), fig_rates, 0.5).populations
         np.testing.assert_array_equal(p, expm(band_generator(dim, 0, fig_rates) * 0.5) @ p0)
-        np.testing.assert_array_equal(evolve(p0, fig_rates, 0.5), p)
+        np.testing.assert_array_equal(evolve(BandState(p0), fig_rates, 0.5).populations, p)
 
     @pytest.mark.parametrize("spec", ["fock:3", "thermal:0.5", "coherent:1.0", "squeezed:0.6"])
     def test_population_vector_evolves_alone(self, fig_rates, spec):
-        # band 0 never mixes with the coherences: the vector path returns the
-        # populations of the density-matrix path bit for bit, and fails alike
-        rho = make_state(ProbeSpec.parse(spec), 40)
-        p = evolve(rho.populations, fig_rates, 0.7)
-        assert p.shape == (40,)
-        np.testing.assert_array_equal(p, evolve(rho, fig_rates, 0.7).populations)
+        # band 0 never mixes with the coherences: band 0 alone evolves to the
+        # populations of the whole state bit for bit, and fails alike
+        state = make_state(ProbeSpec.parse(spec), 40)
+        alone = evolve(BandState(state.populations), fig_rates, 0.7)
+        assert alone.bands.size == alone.coherences.size == 0
+        np.testing.assert_array_equal(alone.populations, evolve(state, fig_rates, 0.7).populations)
         # every top-level population exceeds a negative budget
         with pytest.raises(TruncationError) as vector_error:
-            evolve(rho.populations, fig_rates, 0.7, leakage_budget=-1.0)
+            evolve(BandState(state.populations), fig_rates, 0.7, leakage_budget=-1.0)
         with pytest.raises(TruncationError) as matrix_error:
-            evolve(rho, fig_rates, 0.7, leakage_budget=-1.0)
+            evolve(state, fig_rates, 0.7, leakage_budget=-1.0)
         assert str(vector_error.value) == str(matrix_error.value)
 
     def test_population_vector_validation(self):

@@ -21,7 +21,7 @@ from fockthermo.fisher import (
     qfi_point,
     qfi_sld_detailed,
 )
-from fockthermo.fockspace import EIGENVALUE_FLOOR
+from fockthermo.fockspace import EIGENVALUE_FLOOR, BandState
 from fockthermo.probes import ProbeSpec, default_dim
 from fockthermo.sweep import fit_scaling_exponent
 
@@ -105,7 +105,8 @@ class TestStateDerivative:
         probe = ProbeSpec.parse(spec)
         full = d_dT_state(probe, fig_bath, t)
         alone = d_dT_state(probe, fig_bath, t, methods=[FisherMethod.CFI_NUMBER])
-        assert full.state.dim == alone.state.size
+        assert full.state.dim == alone.state.dim
+        assert alone.state.bands.size == alone.dstate.bands.size == 0
         for a, b in zip(alone.populations, full.populations):
             np.testing.assert_array_equal(a, b)
         assert alone.leakage == full.leakage
@@ -154,17 +155,17 @@ class TestQfiSld:
     def test_diagonal_family_reduces_to_cfi(self, fig_bath):
         deriv = d_dT_state(ProbeSpec.fock(1), fig_bath, 0.2)
         c = cfi_number_basis(deriv.rho.populations, deriv.drho.diagonal().real)
-        q = qfi_sld_detailed(deriv.rho, deriv.drho)[0]
+        q = qfi_sld_detailed(deriv.state, deriv.dstate)[0]
         assert q == pytest.approx(c, rel=1e-10)
 
     def test_zero_derivative(self, fig_bath):
         deriv = d_dT_state(ProbeSpec.fock(1), fig_bath, 0.1)
-        assert qfi_sld_detailed(deriv.rho, np.zeros_like(deriv.drho))[0] == 0.0
+        assert qfi_sld_detailed(deriv.state, BandState(np.zeros(deriv.dim)))[0] == 0.0
 
     def test_dominates_cfi_for_coherent_probe(self, fig_bath):
         deriv = d_dT_state(ProbeSpec.coherent(1.0), fig_bath, 0.01)
         c = cfi_number_basis(deriv.rho.populations, deriv.drho.diagonal().real)
-        q = qfi_sld_detailed(deriv.rho, deriv.drho)[0]
+        q = qfi_sld_detailed(deriv.state, deriv.dstate)[0]
         assert q >= c - 1e-9
         # coherences carry extra temperature information here
         assert q > 100 * c
@@ -188,7 +189,7 @@ class TestQfiSld:
             reject()
         p, dp = deriv.populations
         cfi = cfi_number_basis(p, dp, p_floor=EIGENVALUE_FLOOR)
-        assert qfi_sld_detailed(deriv.rho, deriv.drho)[0] >= cfi * (1.0 - 1e-9)
+        assert qfi_sld_detailed(deriv.state, deriv.dstate)[0] >= cfi * (1.0 - 1e-9)
 
     def test_coherent_linear_coefficient_matches_channel_theory(self, fig_bath, fig_rates):
         # For a pure coherent probe the only state component appearing at
@@ -199,7 +200,7 @@ class TestQfiSld:
         d_gamma = fig_rates.gamma0 * thermal_occupation_dT(fig_bath.omega, fig_bath.T)
         predicted = t * d_gamma**2 / fig_rates.gamma_plus
         deriv = d_dT_state(ProbeSpec.coherent(1.0), fig_bath, t)
-        assert qfi_sld_detailed(deriv.rho, deriv.drho)[0] == pytest.approx(predicted, rel=0.01)
+        assert qfi_sld_detailed(deriv.state, deriv.dstate)[0] == pytest.approx(predicted, rel=0.01)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -211,24 +212,23 @@ class TestQfiSld:
     )
     def test_populations_match_the_eigh_path(self, T, t, thermal, size, extra):
         # the number basis is the eigenbasis of a number-diagonal state: the
-        # vector sum agrees with the eigendecomposition of the dense pair
+        # vector sum agrees with the eigendecomposition of the dense pair,
+        # which a state carrying an all-zero coherence band goes through
         probe = ProbeSpec.thermal(2.0 * size) if thermal else ProbeSpec.fock(round(6 * size))
         deriv = d_dT_state(probe, BathParams(T=T), t, dim=default_dim(probe) + extra)
         p, dp = deriv.populations
         assert p.shape == dp.shape == (deriv.dim,)
-        value, dropped = qfi_sld_detailed(p, dp)
-        want, want_dropped = qfi_sld_detailed(np.diag(p), np.diag(dp))
+        assert deriv.state.bands.size == 0
+        value, dropped = qfi_sld_detailed(deriv.state, deriv.dstate)
+        zero_band = ([1], np.zeros(deriv.dim - 1))
+        want, want_dropped = qfi_sld_detailed(BandState(p, *zero_band), BandState(dp, *zero_band))
         assert dropped == want_dropped
         assert value == pytest.approx(want, rel=1e-14, abs=0.0)
 
-    def test_rejects_non_hermitian(self, fig_bath):
+    def test_rejects_a_derivative_of_another_dim(self, fig_bath):
         deriv = d_dT_state(ProbeSpec.fock(1), fig_bath, 0.1)
-        bad = deriv.drho.copy()
-        bad[0, 1] += 1e-3
         with pytest.raises(DomainError):
-            qfi_sld_detailed(deriv.rho, bad)
-        with pytest.raises(DomainError):
-            qfi_sld_detailed(bad + np.eye(deriv.dim), deriv.drho)
+            qfi_sld_detailed(deriv.state, BandState(np.zeros(deriv.dim + 1)))
 
 
 class TestQfiPoint:

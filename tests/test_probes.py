@@ -13,6 +13,7 @@ from fockthermo.fockspace import validate_density
 from fockthermo.probes import (
     ProbeKind,
     ProbeSpec,
+    _truncated,
     default_dim,
     energy_match,
     make_state,
@@ -23,9 +24,9 @@ from fockthermo.probes import (
 ASINH_1 = 0.881373587019543
 
 
-def mean_photon_direct(rho) -> float:
+def mean_photon_direct(state) -> float:
     """Independent route: explicit trace against the number operator."""
-    return float(np.trace(rho.mat @ number_operator(rho.dim)).real)
+    return float(np.trace(state.matrix() @ number_operator(state.dim)).real)
 
 
 class TestEnergyMatch:
@@ -61,7 +62,7 @@ class TestMakeState:
         rho = make_state(ProbeSpec.fock(0), 8)
         expected = np.zeros((8, 8), dtype=complex)
         expected[0, 0] = 1.0
-        np.testing.assert_array_equal(rho.mat, expected)
+        np.testing.assert_array_equal(rho.matrix(), expected)
 
     def test_coherent_mean_photon(self):
         rho = make_state(ProbeSpec.coherent(1.0), 40)
@@ -76,22 +77,60 @@ class TestMakeState:
         rho = make_state(spec, default_dim(spec))
         assert mean_photon_direct(rho) == pytest.approx(1.0, abs=1e-9)
 
-    def test_squeezed_odd_levels_exactly_empty(self):
-        rho = make_state(ProbeSpec.squeezed(0.7), 50)
-        assert np.all(rho.populations[1::2] == 0.0)
-
     @pytest.mark.parametrize(
         "spec",
         [ProbeSpec.fock(3), ProbeSpec.coherent(1.0 + 0.5j), ProbeSpec.squeezed(0.8),
          ProbeSpec.thermal(1.0)],
     )
     def test_every_class_passes_validation(self, spec):
-        report = validate_density(make_state(spec, default_dim(spec)))
+        report = validate_density(make_state(spec, default_dim(spec)).matrix())
         assert report.passed, report.summary()
 
     def test_trace_exactly_one_after_renormalization(self):
         rho = make_state(ProbeSpec.coherent(2.0), 60)
-        assert abs(rho.mat.trace().real - 1.0) < 1e-15
+        assert abs(rho.matrix().trace().real - 1.0) < 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(list(ProbeKind)),
+        size=st.floats(0.05, 1.0),
+        phase=st.floats(0.0, 2 * np.pi),
+        sign=st.sampled_from((-1.0, 1.0)),
+        extra=st.integers(0, 40),
+    )
+    def test_bands_assemble_the_probe_matrix(self, kind, size, phase, sign, extra):
+        spec = {
+            ProbeKind.FOCK: ProbeSpec.fock(round(10 * size)),
+            ProbeKind.COHERENT: ProbeSpec.coherent(3.0 * size * np.exp(1j * phase)),
+            ProbeKind.SQUEEZED: ProbeSpec.squeezed(1.2 * sign * size),
+            ProbeKind.THERMAL: ProbeSpec.thermal(3.0 * size),
+        }[kind]
+        dim = default_dim(spec) + extra
+        state = make_state(spec, dim)
+        mat = state.matrix()
+        np.testing.assert_array_equal(mat, mat.conj().T)
+        if kind is ProbeKind.FOCK:
+            want = np.zeros((dim, dim), dtype=complex)
+            want[spec.n, spec.n] = 1.0
+            np.testing.assert_array_equal(mat, want)
+        elif kind is ProbeKind.THERMAL:
+            want = np.diag(_truncated(spec, dim)[0]).astype(complex)
+            np.testing.assert_array_equal(mat, want)
+        else:
+            psi = _truncated(spec, dim)[0]
+            want = np.outer(psi, psi.conj())
+            upper = np.triu_indices(dim, 1)
+            np.testing.assert_array_equal(mat[upper], want[upper])
+            np.testing.assert_array_equal(mat.diagonal(), want.diagonal().real)
+            # numpy's complex product fuses a multiply-add, so the outer
+            # product is Hermitian only to a rounding of each product: its
+            # lower triangle and the imaginary part of its diagonal differ
+            scale = np.outer(np.abs(psi), np.abs(psi))
+            assert np.all(np.abs(mat - want) <= 2 * np.finfo(float).eps * scale)
+        # no amplitude product underflows at these sizes, so every band the
+        # probe carries is nonzero, and no other band is
+        rows, cols = np.nonzero(np.triu(want, 1))
+        np.testing.assert_array_equal(state.bands, np.unique(cols - rows))
 
     def test_fock_above_cutoff_rejected(self):
         with pytest.raises(InvalidDimensionError):

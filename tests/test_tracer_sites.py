@@ -74,3 +74,22 @@ def test_a_point_calls_through_the_sites_of_its_stages(monkeypatch, fig_bath, sp
         **expected,
     }
     assert {name: calls[name] for name in stages} == stages
+
+
+@pytest.mark.parametrize(
+    "spec, method, dim",
+    [("fock:1", FisherMethod.QFI_SLD, 40), ("coherent:1.0", FisherMethod.CFI_NUMBER, 40)],
+)
+def test_evolve_span_reads_the_dim_of_the_point(monkeypatch, fig_bath, spec, method, dim):
+    # the tracer reads the dim off the state that evolve takes first
+    seen = []
+    evolve = fisher.evolve
+
+    def recorded(*args, **kwargs):
+        seen.append(_TRACER.ATTRS["dynamics.evolve"](args, kwargs))
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(fisher, "evolve", recorded)
+    fisher.qfi_point(ProbeSpec.parse(spec), fig_bath, 0.5, method)
+    assert seen == [{"dim": dim}] * 5
+
