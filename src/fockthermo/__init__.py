@@ -31,7 +31,6 @@ from .fisher import (
     qfi_curve,
     qfi_point,
 )
-from .fockspace import DensityMatrix, validate_density
 from .probes import EnergyMatch, ProbeKind, ProbeSpec, default_dim, energy_match, make_state
 from .sweep import SweepAxis, SweepMethod, SweepSpec, fit_scaling_exponent, run_sweep
 
@@ -63,8 +62,6 @@ __all__ = [
     "fisher_record",
     "qfi_curve",
     "qfi_point",
-    "DensityMatrix",
-    "validate_density",
     "EnergyMatch",
     "ProbeKind",
     "ProbeSpec",

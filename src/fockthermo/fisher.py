@@ -31,7 +31,7 @@ import numpy as np
 from .bath import BathParams, rates
 from .dynamics import evolve
 from .errors import DomainError, SingularSupportError
-from .fockspace import EIGENVALUE_FLOOR, BandState, DensityMatrix
+from .fockspace import EIGENVALUE_FLOOR, BandState
 from .probes import ProbeSpec, default_dim, make_state
 
 # Populations below this are excluded from classical Fisher sums: they add
@@ -55,9 +55,10 @@ class FisherMethod(str, Enum):
 @dataclass(frozen=True)
 class TemperatureDerivative:
     """The evolved :class:`BandState`, its temperature derivative ``dstate``,
-    and evaluation diagnostics. When ``coherences_dropped``, both hold band 0
-    alone: the probe's coherences were never propagated, and only the CFI can
-    be reduced.
+    and evaluation diagnostics. ``rho`` is that state and ``drho`` the d x d
+    matrix of its derivative; both refuse when ``coherences_dropped``. Then
+    ``state`` and ``dstate`` hold band 0 alone: the probe's coherences were
+    never propagated, and only the CFI can be reduced.
     """
 
     state: BandState
@@ -82,10 +83,10 @@ class TemperatureDerivative:
             )
 
     @property
-    def rho(self) -> DensityMatrix:
-        """The evolved state as a density matrix."""
+    def rho(self) -> BandState:
+        """The evolved state, every band the probe carries."""
         self._require_whole_state()
-        return DensityMatrix(self.state.matrix())
+        return self.state
 
     @property
     def drho(self) -> np.ndarray:

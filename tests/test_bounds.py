@@ -62,24 +62,6 @@ class TestClosedForms:
         assert bound_squeezed(0.0, fig_bath, 0.01).value == 0.0
         assert bound_coherent(0.0, fig_bath, 0.01).value == 0.0
 
-    def test_linear_law_time_homogeneity(self, fig_bath):
-        assert (
-            bound_fock_linear(2, fig_bath, 0.02).value
-            == 2.0 * bound_fock_linear(2, fig_bath, 0.01).value
-        )
-
-    def test_gaussian_laws_time_homogeneity(self, fig_bath):
-        assert bound_squeezed(1.5, fig_bath, 0.02).value == pytest.approx(
-            4.0 * bound_squeezed(1.5, fig_bath, 0.01).value, rel=1e-14
-        )
-        assert bound_coherent(1.5, fig_bath, 0.02).value == pytest.approx(
-            4.0 * bound_coherent(1.5, fig_bath, 0.01).value, rel=1e-14
-        )
-
-    def test_linear_law_grows_with_n(self, fig_bath):
-        vals = [bound_fock_linear(n, fig_bath, 0.01).value for n in range(11)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
     def test_coherent_below_squeezed(self, fig_bath):
         for nbar in (0.5, 1.0, 3.0):
             coh = bound_coherent(nbar, fig_bath, 0.01).value

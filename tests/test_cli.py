@@ -520,13 +520,13 @@ class TestValidateCommand:
 
         checks = {(group, name): fn for group, name, fn in selfcheck._REGISTRY}
         monkeypatch.setattr(selfcheck, "_REGISTRY", [
-            ("fockspace", "state_spectra", checks["fockspace", "state_spectra"]),
+            ("probes", "states_validate", checks["probes", "states_validate"]),
             ("bath", "detailed_balance", fails),
             ("sweep", "fit_exactness", raises),
         ])
         assert main(["validate"]) == 3
         captured = capsys.readouterr()
-        assert "PASS fockspace (1/1)" in captured.out
+        assert "PASS probes (1/1)" in captured.out
         assert "FAIL bath (0/1)" in captured.out
         assert "[FAIL] detailed_balance: forced failure" in captured.out
         assert "FAIL sweep (0/1)" in captured.out

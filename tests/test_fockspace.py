@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracle import annihilation, creation, number_operator
 
 from fockthermo.errors import InvalidDimensionError
-from fockthermo.fockspace import DensityMatrix, validate_density
+from fockthermo.fockspace import BandState
 
 
 class TestOperators:
@@ -55,65 +55,21 @@ class TestOperators:
         assert comm[dim - 1, dim - 1].real == pytest.approx(-(dim - 1.0))
 
 
-class TestDensityMatrix:
-    def test_vacuum_projector_passes(self):
-        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
-        report = validate_density(rho)
-        assert report.passed
-        assert report.hermiticity_defect == 0.0
-        assert report.trace_defect == 0.0
-        assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
+class TestBandState:
+    def test_arrays_are_immutable(self):
+        state = BandState(np.array([0.5, 0.5]), np.array([1]), np.array([0.5j]))
+        for array in (state.populations, state.bands, state.coherences):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
-    def test_small_coherence_injection_stays_hermitian(self):
-        mat = np.diag([0.5, 0.5]).astype(complex)
-        mat[0, 1] = mat[1, 0] = 1e-6
-        report = validate_density(DensityMatrix(mat))
-        assert report.hermitian_ok
-        assert report.trace_ok and report.positive_ok
-        # a two-level state parks half its weight on the top level, which the
-        # leakage monitor rightly flags
-        assert not report.leakage_ok
-        assert not report.passed
-
-    def test_trace_defect_reported(self):
-        rho = DensityMatrix(np.diag([0.499, 0.5]).astype(complex))
-        report = validate_density(rho)
-        assert report.trace_defect == pytest.approx(1e-3, rel=1e-9)
-        assert not report.trace_ok
-        assert not report.passed
-        assert "trace=FAIL" in report.summary()
-
-    def test_negative_eigenvalue_flagged(self):
-        rho = DensityMatrix(np.diag([1.1, -0.1]).astype(complex))
-        report = validate_density(rho)
-        assert not report.positive_ok
-
-    def test_leakage_flagged_against_profile(self):
-        mat = np.diag([0.9, 0.0, 0.1]).astype(complex)
-        report = validate_density(DensityMatrix(mat))
-        assert not report.leakage_ok
-        assert report.top_level_population == pytest.approx(0.1)
-
-    def test_matrix_is_immutable(self):
-        rho = DensityMatrix(np.eye(2, dtype=complex))
-        with pytest.raises(ValueError):
-            rho.mat[0, 0] = 0.5
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(InvalidDimensionError):
-            DensityMatrix(np.zeros((2, 3), dtype=complex))
-
-    def test_nonfinite_rejected(self):
-        mat = np.eye(2, dtype=complex)
-        mat[0, 0] = np.nan
-        with pytest.raises(InvalidDimensionError):
-            DensityMatrix(mat)
-
-    def test_valid_state_spectrum_is_real_and_normalized(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        mat = m @ m.conj().T
-        mat /= mat.trace()
-        eig = np.linalg.eigvals(DensityMatrix(mat).mat)
-        assert np.max(np.abs(eig.imag)) < 1e-10
-        assert eig.real.sum() == pytest.approx(1.0, abs=1e-9)
+    def test_mismatched_shapes_rejected(self):
+        # a matrix for populations, a band short of entries, a band past the
+        # top level, and an entry too many
+        for populations, bands, coherences in (
+            ([[1.0, 0.0], [0.0, 0.0]], [], []),
+            ([1.0, 0.0], [1], []),
+            ([1.0, 0.0], [2], []),
+            ([1.0, 0.0, 0.0], [1], [0.0, 0.0, 0.0]),
+        ):
+            with pytest.raises(InvalidDimensionError):
+                BandState(np.array(populations), np.array(bands, dtype=int), np.array(coherences))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oracle import number_operator
 
 from fockthermo.errors import DomainError, InvalidDimensionError, TruncationError
-from fockthermo.fockspace import validate_density
 from fockthermo.probes import (
     ProbeKind,
     ProbeSpec,
@@ -76,15 +75,6 @@ class TestMakeState:
         spec = ProbeSpec.squeezed(ASINH_1)
         rho = make_state(spec, default_dim(spec))
         assert mean_photon_direct(rho) == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize(
-        "spec",
-        [ProbeSpec.fock(3), ProbeSpec.coherent(1.0 + 0.5j), ProbeSpec.squeezed(0.8),
-         ProbeSpec.thermal(1.0)],
-    )
-    def test_every_class_passes_validation(self, spec):
-        report = validate_density(make_state(spec, default_dim(spec)).matrix())
-        assert report.passed, report.summary()
 
     def test_trace_exactly_one_after_renormalization(self):
         rho = make_state(ProbeSpec.coherent(2.0), 60)

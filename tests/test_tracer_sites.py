@@ -2,7 +2,8 @@
 renames or deletes one, or routes a stage around it, silently zeroes that
 layer's metrics. Every site must resolve, apart from the two that the
 benchmark still has to retire, and a Fisher point must call through the
-sites of the stages it runs."""
+sites of the stages it runs. The benchmark's correctness cross-check must
+keep running through the library calls it makes."""
 
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from fockthermo import fisher
+from fockthermo.dynamics import population_vector
 from fockthermo.fisher import FisherMethod
+from fockthermo.fockspace import EIGENVALUE_FLOOR
 from fockthermo.probes import ProbeSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -93,3 +96,13 @@ def test_evolve_span_reads_the_dim_of_the_point(monkeypatch, fig_bath, spec, met
     fisher.qfi_point(ProbeSpec.parse(spec), fig_bath, 0.5, method)
     assert seen == [{"dim": dim}] * 5
 
+
+def test_benchmark_cross_check_path(fig_bath):
+    # perfbench/workload.py recomputes the CFI of a number-diagonal point
+    # from the derivative's state and matrix, with the QFI's eigenvalue floor
+    deriv = fisher.d_dT_state(ProbeSpec.fock(1), fig_bath, 0.5)
+    p = population_vector(deriv.rho.populations)
+    dp = deriv.drho.diagonal().real
+    cfi = fisher.cfi_number_basis(p, dp, p_floor=EIGENVALUE_FLOOR)
+    qfi, _ = fisher.qfi_sld_detailed(deriv.state, deriv.dstate)
+    assert cfi == pytest.approx(qfi, rel=1e-8)
