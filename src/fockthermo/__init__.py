@@ -10,14 +10,10 @@ __version__ = "0.4.0"
 
 from .bath import BathParams, RateModel, Rates, rates, thermal_occupation, thermal_occupation_dT
 from .bounds import (
-    BoundKind,
-    BoundResult,
-    EnqfiResult,
     bound_coherent,
     bound_fock_linear,
     bound_fock_quadratic,
     bound_squeezed,
-    enqfi,
     scaling_table,
 )
 from .dynamics import evolve, mean_photon_analytic, short_time_populations
@@ -42,14 +38,10 @@ __all__ = [
     "rates",
     "thermal_occupation",
     "thermal_occupation_dT",
-    "BoundKind",
-    "BoundResult",
-    "EnqfiResult",
     "bound_coherent",
     "bound_fock_linear",
     "bound_fock_quadratic",
     "bound_squeezed",
-    "enqfi",
     "scaling_table",
     "evolve",
     "mean_photon_analytic",

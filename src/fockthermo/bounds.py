@@ -14,6 +14,11 @@ compared against numerics in reports. Note the two Gaussian expressions
 carry no base-rate factor, unlike every other dissipative quantity here;
 they are reported as written.
 
+Each form returns its value as a float, 0.0 where nbar underflows, and a
+negative excitation or t, or a value that is not a finite float >= 0,
+raises DomainError. Whether the first-order picture holds at (bath, t, n)
+is :func:`short_time_valid`, which callers evaluate beside the value.
+
 :func:`scaling_table` sets the four side by side at matched mean energy
 nbar = n; its CSV header is the field order of :class:`ScalingRow`.
 """
@@ -24,7 +29,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .bath import BathParams, base_rate, rates, thermal_occupation, thermal_occupation_dT
@@ -35,95 +39,62 @@ from .probes import ProbeSpec
 SHORT_TIME_LIMIT = 0.1
 
 
-class BoundKind(str, Enum):
-    FOCK_LINEAR = "fock_linear"
-    FOCK_QUADRATIC = "fock_quadratic"
-    SQUEEZED_VACUUM = "squeezed_vacuum"
-    COHERENT = "coherent"
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    value: float
-    kind: BoundKind
-    valid_short_time: bool
-    underflow: bool = False
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError(f"bound value is not representable, got {self.value!r}")
-        if self.value < 0.0:
-            raise DomainError(f"bound value must be >= 0, got {self.value!r}")
-
-
-@dataclass(frozen=True)
-class EnqfiResult:
-    """Fisher information per unit mean photon number."""
-
-    value: float
-    kind: BoundKind
-    nbar: float
-
-
 def short_time_valid(bath: BathParams, t: float, excitation: float) -> bool:
     """First-order leakage stays below 10%: Gamma0 t (2n+1) <= 0.1."""
     return base_rate(bath) * t * (2.0 * excitation + 1.0) <= SHORT_TIME_LIMIT
 
 
-def _representable(bound):
-    """Float overflow, or a divisor underflowing to zero, in a bound's formula
-    raises DomainError rather than escaping as an arithmetic error."""
+def _closed_form(bound):
+    """Every guard of a closed form in one place: a negative excitation or t,
+    float overflow or a divisor underflowing to zero in the formula, and a
+    value that is not finite or is negative each raise DomainError."""
 
     @functools.wraps(bound)
-    def checked(*args, **kwargs) -> BoundResult:
+    def checked(excitation: int | float, bath: BathParams, t: float) -> float:
+        if excitation < 0 or t < 0.0:
+            raise DomainError(f"need excitation >= 0 and t >= 0, got ({excitation!r}, {t!r})")
         try:
-            return bound(*args, **kwargs)
+            value = bound(excitation, bath, t)
         except (OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"{bound.__name__} is not representable here: {exc}") from None
+        if not math.isfinite(value):
+            raise DomainError(f"bound value is not representable, got {value!r}")
+        if value < 0.0:
+            raise DomainError(f"bound value must be >= 0, got {value!r}")
+        return value
 
     return checked
 
 
-def _check_nt(n: int | float, t: float) -> None:
-    if n < 0 or t < 0.0:
-        raise DomainError(f"need excitation >= 0 and t >= 0, got ({n!r}, {t!r})")
-
-
-@_representable
-def bound_fock_linear(n: int, bath: BathParams, t: float) -> BoundResult:
+@_closed_form
+def bound_fock_linear(n: int, bath: BathParams, t: float) -> float:
     """Linear-in-time law from first-order population leakage of |n>."""
-    _check_nt(n, t)
     nT = thermal_occupation(bath.omega, bath.T)
-    valid = short_time_valid(bath, t, n)
     if nT == 0.0:
-        return BoundResult(0.0, BoundKind.FOCK_LINEAR, valid, underflow=True)
+        return 0.0
     dn = thermal_occupation_dT(bath.omega, bath.T)
     bracket = (n + 1.0) / nT + n / (nT + 1.0)
-    return BoundResult(t * base_rate(bath) * dn**2 * bracket, BoundKind.FOCK_LINEAR, valid)
+    return t * base_rate(bath) * dn**2 * bracket
 
 
-@_representable
-def bound_fock_quadratic(n: int, bath: BathParams, t: float) -> BoundResult:
+@_closed_form
+def bound_fock_quadratic(n: int, bath: BathParams, t: float) -> float:
     """Quadratic-in-time form weighted by the log-derivatives of both rates.
 
     Both rate derivatives equal Gamma0 * dT nbar, so the log-derivatives
     reduce to dT nbar / nbar and dT nbar / (nbar + 1).
     """
-    _check_nt(n, t)
     r = rates(bath)
-    valid = short_time_valid(bath, t, n)
     if r.gamma_plus == 0.0:
-        return BoundResult(0.0, BoundKind.FOCK_QUADRATIC, valid, underflow=True)
+        return 0.0
     gp, gm = r.gamma_plus, r.gamma_minus
     d_rate = r.gamma0 * thermal_occupation_dT(bath.omega, bath.T)
     term = n * (d_rate / gp) ** 2 + (n + 1.0) * (d_rate / gm) ** 2
     if min(term, t**2 * term) < sys.float_info.min:
         # a subnormal factor would round the value away (T >~ 1e150, or
         # tiny t); regrouped, no factor underflows unless the value does
-        value = (t * d_rate) ** 2 * (n * (gm / gp) + (n + 1.0) * (gp / gm))
-    else:
-        value = t**2 * term * gp * gm
-    return BoundResult(value, BoundKind.FOCK_QUADRATIC, valid)
+        return (t * d_rate) ** 2 * (n * (gm / gp) + (n + 1.0) * (gp / gm))
+    return t**2 * term * gp * gm
 
 
 def _dlog_occupation(bath: BathParams) -> float:
@@ -135,27 +106,16 @@ def _dlog_occupation(bath: BathParams) -> float:
         return (bath.omega / bath.T) * (n1 / bath.T)
 
 
-@_representable
-def bound_squeezed(nbar: float, bath: BathParams, t: float) -> BoundResult:
+@_closed_form
+def bound_squeezed(nbar: float, bath: BathParams, t: float) -> float:
     """Quadratic Gaussian form 4 nbar (nbar+1) (dT ln nbar_T)^2 t^2."""
-    _check_nt(nbar, t)
-    value = 4.0 * nbar * (nbar + 1.0) * _dlog_occupation(bath) ** 2 * t**2
-    return BoundResult(value, BoundKind.SQUEEZED_VACUUM, short_time_valid(bath, t, nbar))
+    return 4.0 * nbar * (nbar + 1.0) * _dlog_occupation(bath) ** 2 * t**2
 
 
-@_representable
-def bound_coherent(nbar: float, bath: BathParams, t: float) -> BoundResult:
+@_closed_form
+def bound_coherent(nbar: float, bath: BathParams, t: float) -> float:
     """Quadratic Gaussian form nbar (dT ln nbar_T)^2 t^2."""
-    _check_nt(nbar, t)
-    value = nbar * _dlog_occupation(bath) ** 2 * t**2
-    return BoundResult(value, BoundKind.COHERENT, short_time_valid(bath, t, nbar))
-
-
-def enqfi(bound: BoundResult, nbar: float) -> EnqfiResult:
-    """Energy-normalized value bound / nbar; undefined at zero energy."""
-    if not (nbar > 0.0):
-        raise DomainError(f"energy normalization needs nbar > 0, got {nbar!r}")
-    return EnqfiResult(value=bound.value / nbar, kind=bound.kind, nbar=nbar)
+    return nbar * _dlog_occupation(bath) ** 2 * t**2
 
 
 @dataclass(frozen=True)
@@ -195,8 +155,8 @@ def scaling_table(
         quad = bound_fock_quadratic(n, bath, t)
         sq = bound_squeezed(float(n), bath, t)
         coh = bound_coherent(float(n), bath, t)
-        if n > 0:
-            e_lin, e_sq, e_coh = (enqfi(b, float(n)).value for b in (lin, sq, coh))
+        if n > 0:  # the enqfi_* columns: Fisher information per mean photon
+            e_lin, e_sq, e_coh = (value / float(n) for value in (lin, sq, coh))
         else:
             e_lin = e_sq = e_coh = math.nan
         numerics = {}
@@ -207,12 +167,11 @@ def scaling_table(
         out.append(
             ScalingRow(
                 n=n, nbar=float(n),
-                fock_linear=lin.value, fock_quadratic=quad.value,
-                squeezed=sq.value, coherent=coh.value,
+                fock_linear=lin, fock_quadratic=quad, squeezed=sq, coherent=coh,
                 enqfi_fock_linear=e_lin, enqfi_squeezed=e_sq, enqfi_coherent=e_coh,
                 cfi_fock=numerics.get(FisherMethod.CFI_NUMBER),
                 qfi_fock=numerics.get(FisherMethod.QFI_SLD),
-                valid_short_time=lin.valid_short_time,
+                valid_short_time=short_time_valid(bath, t, n),
             )
         )
     return out

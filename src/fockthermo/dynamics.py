@@ -254,14 +254,13 @@ class ShortTimePopulations:
     p_below: float
     p_stay: float
     p_above: float
-    valid: bool
 
 
 def short_time_populations(n: int, rates: Rates, t: float) -> ShortTimePopulations:
     """Linear-response populations p_{n+1} = Gamma+ t (n+1), p_{n-1} = Gamma- t n.
 
-    Clipped to [0, 1]; ``valid`` is False once Gamma0 t (2n+1) > 0.1, where
-    first-order leakage stops being a faithful description.
+    Clipped to [0, 1]. Whether first-order leakage still describes the state
+    at t is ``fockthermo.bounds.short_time_valid``.
     """
     if n < 0 or t < 0.0:
         raise DomainError(f"need n >= 0 and t >= 0, got n={n!r}, t={t!r}")
@@ -269,9 +268,4 @@ def short_time_populations(n: int, rates: Rates, t: float) -> ShortTimePopulatio
     p_below = rates.gamma_minus * t * n
     p_stay = 1.0 - p_above - p_below
     clip = lambda x: min(1.0, max(0.0, x))
-    return ShortTimePopulations(
-        p_below=clip(p_below),
-        p_stay=clip(p_stay),
-        p_above=clip(p_above),
-        valid=rates.gamma0 * t * (2 * n + 1) <= 0.1,
-    )
+    return ShortTimePopulations(p_below=clip(p_below), p_stay=clip(p_stay), p_above=clip(p_above))

@@ -8,6 +8,7 @@ registry once, with one test case per check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -143,14 +144,16 @@ def _check_thermal_geometric() -> tuple[bool, str]:
 # dynamics
 # --------------------------------------------------------------------------
 
-def _evolved_probes() -> list:
+@functools.cache
+def _evolved_probes() -> tuple:
     """Fock, coherent and squeezed probes at their automatic dim after t = 0.5,
-    and two at a fixed dim: coherent after t = 1 and squeezed after t = 0.5."""
+    and two at a fixed dim: coherent after t = 1 and squeezed after t = 0.5.
+    Computed once and shared by the trace and positivity checks."""
     r = rates(FIG_BATH)
     cases = [(spec, default_dim(spec), 0.5)
              for spec in (ProbeSpec.fock(1), ProbeSpec.coherent(1.0), SQUEEZED_ONE)]
     cases += [(ProbeSpec.coherent(1.0), 40, 1.0), (ProbeSpec.squeezed(0.6), 50, 0.5)]
-    return [evolve(make_state(spec, dim), r, t) for spec, dim, t in cases]
+    return tuple(evolve(make_state(spec, dim), r, t) for spec, dim, t in cases)
 
 
 @_register("dynamics", "trace_preservation")
@@ -264,8 +267,8 @@ def _check_cramer_rao() -> tuple[bool, str]:
 @_register("bounds", "time_homogeneity")
 def _check_homogeneity() -> tuple[bool, str]:
     t = 0.01
-    lin = bound_fock_linear(2, FIG_BATH, 2 * t).value / bound_fock_linear(2, FIG_BATH, t).value
-    gauss = [bound(nbar, FIG_BATH, 2 * t).value / bound(nbar, FIG_BATH, t).value
+    lin = bound_fock_linear(2, FIG_BATH, 2 * t) / bound_fock_linear(2, FIG_BATH, t)
+    gauss = [bound(nbar, FIG_BATH, 2 * t) / bound(nbar, FIG_BATH, t)
              for bound in (bound_squeezed, bound_coherent) for nbar in (1.0, 1.5)]
     ok = lin == 2.0 and all(ratio == 4.0 for ratio in gauss)
     return ok, f"scaling under t->2t: {lin}, {', '.join(map(str, gauss))}"
@@ -273,7 +276,7 @@ def _check_homogeneity() -> tuple[bool, str]:
 
 @_register("bounds", "monotone_in_n")
 def _check_monotone() -> tuple[bool, str]:
-    vals = [bound_fock_linear(n, FIG_BATH, 0.01).value for n in range(11)]
+    vals = [bound_fock_linear(n, FIG_BATH, 0.01) for n in range(11)]
     ok = all(b > a for a, b in zip(vals, vals[1:]))
     return ok, f"linear law over n=0..10 spans {vals[0]:.3e}..{vals[-1]:.3e}"
 
@@ -286,10 +289,10 @@ def _check_nonnegative() -> tuple[bool, str]:
         for n in (0, 1, 5, 10):
             low = min(
                 low,
-                bound_fock_linear(n, bath, 0.01).value,
-                bound_fock_quadratic(n, bath, 0.01).value,
-                bound_squeezed(float(n), bath, 0.01).value,
-                bound_coherent(float(n), bath, 0.01).value,
+                bound_fock_linear(n, bath, 0.01),
+                bound_fock_quadratic(n, bath, 0.01),
+                bound_squeezed(float(n), bath, 0.01),
+                bound_coherent(float(n), bath, 0.01),
             )
     return low >= 0.0, f"minimum over grid {low:.3e}"
 
@@ -302,7 +305,7 @@ def _check_short_time_ratio() -> tuple[bool, str]:
     for g0t, tol in ((1e-4, 0.05), (1e-5, 0.01)):
         t = g0t / r.gamma0
         cfi = qfi_point(ProbeSpec.fock(1), FIG_BATH, t, FisherMethod.CFI_NUMBER).value
-        ratio = cfi / bound_fock_linear(1, FIG_BATH, t).value
+        ratio = cfi / bound_fock_linear(1, FIG_BATH, t)
         ok = ok and abs(ratio - 1.0) <= tol
         msgs.append(f"G0t={g0t:g}: ratio {ratio:.6f}")
     return ok, "; ".join(msgs)

@@ -3,8 +3,8 @@ rate, or time, evaluated point by point with deterministic aggregation.
 
 Every point is a pure computation, so results are identical for any worker
 count. The rows of one (axis value, probe) pair form a task, whose Fisher
-rows reduce one shared temperature derivative; tasks are split round-robin
-across a process pool and their rows reassembled by index. A bound method
+rows reduce one shared temperature derivative; a process pool maps the
+tasks, and its map returns their rows in task order. A bound method
 gets rows only for the probe class its closed form was derived for. The CSV
 header is the field order of :class:`SweepRow`; files are written
 atomically (temp file + rename), and a JSON mirror adds each row's error
@@ -208,15 +208,15 @@ def _atomic_write(path: Path, text: str) -> None:
 
 @dataclass(frozen=True)
 class _Task:
-    """One (axis value, probe) pair and its rows: (row index, method) in the
-    order the methods were requested. The Fisher rows share one derivative."""
+    """One (axis value, probe) pair and the methods of its rows, in the order
+    they were requested. The Fisher rows share one derivative."""
 
     axis: SweepAxis
     axis_value: float
     bath: BathParams
     t: float
     probe: ProbeSpec
-    rows: tuple[tuple[int, SweepMethod], ...]
+    methods: tuple[SweepMethod, ...]
     dim: int | None
 
 
@@ -235,7 +235,6 @@ def _instantiate_probe(entry: ProbeSpec | ProbeKind, n: float) -> ProbeSpec:
 
 def _plan(spec: SweepSpec) -> list[_Task]:
     tasks: list[_Task] = []
-    n_rows = 0
     for value in spec.axis_values:
         bath, t = spec.bath, spec.t
         if spec.axis is SweepAxis.TEMPERATURE:
@@ -248,9 +247,9 @@ def _plan(spec: SweepSpec) -> list[_Task]:
             t = value
         for entry in spec.probes:
             probe = _instantiate_probe(entry, value)
-            methods = [
+            methods = tuple(
                 m for m in spec.methods if m in _FISHER or _BOUNDS[m][0] is probe.kind
-            ]
+            )
             if not methods:
                 continue
             tasks.append(
@@ -260,23 +259,22 @@ def _plan(spec: SweepSpec) -> list[_Task]:
                     bath=bath,
                     t=t,
                     probe=probe,
-                    rows=tuple(enumerate(methods, start=n_rows)),
+                    methods=methods,
                     dim=spec.dim,
                 )
             )
-            n_rows += len(methods)
     return tasks
 
 
-def _evaluate_task(task: _Task) -> list[tuple[int, SweepRow]]:
+def _evaluate_task(task: _Task) -> list[SweepRow]:
     deriv: TemperatureDerivative | FockThermoError | None = None
-    fisher = [_FISHER[method] for _, method in task.rows if method in _FISHER]
+    fisher = [_FISHER[method] for method in task.methods if method in _FISHER]
     if fisher:
         try:
             deriv = d_dT_state(task.probe, task.bath, task.t, dim=task.dim, methods=fisher)
         except FockThermoError as exc:
             deriv = exc  # reported on every Fisher row of the task
-    return [(idx, _evaluate_row(task, method, deriv)) for idx, method in task.rows]
+    return [_evaluate_row(task, method, deriv) for method in task.methods]
 
 
 def _evaluate_row(
@@ -286,13 +284,12 @@ def _evaluate_row(
         if method in _FISHER:
             if isinstance(deriv, FockThermoError):
                 raise deriv
-            record = fisher_record(deriv, _FISHER[method], task.probe, task.bath, task.t)
-            value = record.value
-            valid = short_time_valid(task.bath, task.t, task.probe.mean_photon)
+            value = fisher_record(deriv, _FISHER[method], task.probe, task.bath, task.t).value
             leakage, h_used, dim = deriv.leakage, deriv.h_used, deriv.dim
         else:
-            bound = _BOUNDS[method][1](task.probe.mean_photon, task.bath, task.t)
-            value, valid, leakage, h_used, dim = bound.value, bound.valid_short_time, 0.0, 0.0, 0
+            value = _BOUNDS[method][1](task.probe.mean_photon, task.bath, task.t)
+            leakage, h_used, dim = 0.0, 0.0, 0
+        valid = short_time_valid(task.bath, task.t, task.probe.mean_photon)
         floor, error = delta_t_min(value), None
     except FockThermoError as exc:
         value = floor = leakage = h_used = math.nan
@@ -312,10 +309,6 @@ def _evaluate_row(
     )
 
 
-def _evaluate_slice(batch: list[_Task]) -> list[tuple[int, SweepRow]]:
-    return [pair for task in batch for pair in _evaluate_task(task)]
-
-
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate the sweep; output is independent of the worker count.
 
@@ -330,16 +323,15 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers!r}")
     if workers == 1 or len(tasks) == 1:
-        gathered = _evaluate_slice(tasks)
+        per_task = list(map(_evaluate_task, tasks))
     else:
         workers = min(workers, len(tasks))
-        slices = [tasks[i::workers] for i in range(workers)]  # static round-robin
-        gathered = []
+        # about four chunks of consecutive tasks per worker: few pickling round
+        # trips, and no chunk so long that it leaves the other workers idle
+        chunk = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_evaluate_slice, slices):
-                gathered.extend(part)
-    gathered.sort(key=lambda pair: pair[0])
-    rows = tuple(row for _, row in gathered)
+            per_task = list(pool.map(_evaluate_task, tasks, chunksize=chunk))
+    rows = tuple(row for task_rows in per_task for row in task_rows)
 
     failures = [
         {"axis_value": r.axis_value, "probe": r.probe, "method": r.method, "reason": r.error}

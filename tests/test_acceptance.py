@@ -108,7 +108,7 @@ def test_criterion_2_linear_bound_agreement():
         t = g0t / RATES.gamma0
         for n in (0, 1, 2, 3):
             cfi = qfi_point(ProbeSpec.fock(n), BATH, t, FisherMethod.CFI_NUMBER).value
-            ratio = cfi / bound_fock_linear(n, BATH, t).value
+            ratio = cfi / bound_fock_linear(n, BATH, t)
             ok = ok and abs(ratio - 1.0) <= tol
             rows.append(f"n={n}@{g0t:g}:{ratio:.4f}")
     report("2 (linear-law agreement 1%/5%)", ok, " ".join(rows))

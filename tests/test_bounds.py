@@ -10,14 +10,12 @@ from oracle import cfi_linear_coefficient
 
 from fockthermo.bath import BathParams, Rates, rates, thermal_occupation, thermal_occupation_dT
 from fockthermo.bounds import (
-    BoundKind,
     ScalingRow,
     _dlog_occupation,
     bound_coherent,
     bound_fock_linear,
     bound_fock_quadratic,
     bound_squeezed,
-    enqfi,
     scaling_table,
     short_time_valid,
 )
@@ -34,20 +32,20 @@ COHERENT_REF = 0.0021400528927859896
 
 class TestClosedForms:
     def test_zero_time(self, fig_bath):
-        assert bound_fock_linear(1, fig_bath, 0.0).value == 0.0
-        assert bound_fock_quadratic(1, fig_bath, 0.0).value == 0.0
-        assert bound_squeezed(1.0, fig_bath, 0.0).value == 0.0
-        assert bound_coherent(1.0, fig_bath, 0.0).value == 0.0
+        assert bound_fock_linear(1, fig_bath, 0.0) == 0.0
+        assert bound_fock_quadratic(1, fig_bath, 0.0) == 0.0
+        assert bound_squeezed(1.0, fig_bath, 0.0) == 0.0
+        assert bound_coherent(1.0, fig_bath, 0.0) == 0.0
 
     def test_reference_values(self, fig_bath):
-        assert bound_fock_linear(1, fig_bath, 0.01).value == pytest.approx(
+        assert bound_fock_linear(1, fig_bath, 0.01) == pytest.approx(
             FOCK_LINEAR_REF, rel=1e-12
         )
-        assert bound_fock_quadratic(1, fig_bath, 0.01).value == pytest.approx(
+        assert bound_fock_quadratic(1, fig_bath, 0.01) == pytest.approx(
             FOCK_QUADRATIC_REF, rel=1e-12
         )
-        assert bound_squeezed(1.0, fig_bath, 0.01).value == pytest.approx(SQUEEZED_REF, rel=1e-12)
-        assert bound_coherent(1.0, fig_bath, 0.01).value == pytest.approx(COHERENT_REF, rel=1e-12)
+        assert bound_squeezed(1.0, fig_bath, 0.01) == pytest.approx(SQUEEZED_REF, rel=1e-12)
+        assert bound_coherent(1.0, fig_bath, 0.01) == pytest.approx(COHERENT_REF, rel=1e-12)
 
     def test_quadratic_keeps_emission_weight_at_n0(self, fig_bath):
         # at n=0 only the (n+1) emission term survives and stays nonzero
@@ -55,30 +53,28 @@ class TestClosedForms:
         dn = thermal_occupation_dT(fig_bath.omega, fig_bath.T)
         expected = 0.01**2 * (r.gamma0 * dn / r.gamma_minus) ** 2 * r.gamma_plus * r.gamma_minus
         result = bound_fock_quadratic(0, fig_bath, 0.01)
-        assert result.value == pytest.approx(expected, rel=1e-12)
-        assert result.value > 0.0
+        assert result == pytest.approx(expected, rel=1e-12)
+        assert result > 0.0
 
     def test_vacuum_energy_gaussian_bounds_vanish(self, fig_bath):
-        assert bound_squeezed(0.0, fig_bath, 0.01).value == 0.0
-        assert bound_coherent(0.0, fig_bath, 0.01).value == 0.0
+        assert bound_squeezed(0.0, fig_bath, 0.01) == 0.0
+        assert bound_coherent(0.0, fig_bath, 0.01) == 0.0
 
     def test_coherent_below_squeezed(self, fig_bath):
         for nbar in (0.5, 1.0, 3.0):
-            coh = bound_coherent(nbar, fig_bath, 0.01).value
-            sq = bound_squeezed(nbar, fig_bath, 0.01).value
+            coh = bound_coherent(nbar, fig_bath, 0.01)
+            sq = bound_squeezed(nbar, fig_bath, 0.01)
             assert coh <= sq
             assert coh / sq == pytest.approx(1.0 / (4.0 * (nbar + 1.0)), rel=1e-12)
 
     def test_underflow_returns_zero_with_flag(self):
         cold = BathParams(T=1.0 / 800.0)
-        lin = bound_fock_linear(1, cold, 0.01)
-        quad = bound_fock_quadratic(1, cold, 0.01)
-        assert lin.value == 0.0 and lin.underflow
-        assert quad.value == 0.0 and quad.underflow
+        assert bound_fock_linear(1, cold, 0.01) == 0.0
+        assert bound_fock_quadratic(1, cold, 0.01) == 0.0
 
     def test_validity_flag(self, fig_bath):
-        assert bound_fock_linear(1, fig_bath, 0.01).valid_short_time
-        assert not bound_fock_linear(5, fig_bath, 1.0).valid_short_time
+        assert short_time_valid(fig_bath, 0.01, 1)
+        assert not short_time_valid(fig_bath, 1.0, 5)  # 0.1*1*11 = 1.1
         assert short_time_valid(fig_bath, 0.1, 4.0)  # 0.1*0.1*9 = 0.09
         assert not short_time_valid(fig_bath, 0.12, 4.0)
 
@@ -117,12 +113,12 @@ class TestClosedForms:
             term = (d_rate / r.gamma_plus) ** 2 + 2.0 * (d_rate / r.gamma_minus) ** 2
             for t in (1e-6, 0.01, 1.0):
                 old = t**2 * term * r.gamma_plus * r.gamma_minus
-                assert bound_fock_quadratic(1, bath, t).value == old
+                assert bound_fock_quadratic(1, bath, t) == old
 
     def test_bounds_beyond_the_overflow_of_T_squared(self):
         hot = BathParams(T=1e160)
         # dT nbar -> 1/omega and Gamma- / Gamma+ -> 1: t^2 Gamma0^2 (2n + 1)
-        assert bound_fock_quadratic(1, hot, 0.01).value == pytest.approx(3e-6, rel=1e-12)
+        assert bound_fock_quadratic(1, hot, 0.01) == pytest.approx(3e-6, rel=1e-12)
         assert _dlog_occupation(hot) == pytest.approx(1e-160, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -133,10 +129,10 @@ class TestClosedForms:
     def test_nonnegative_on_grid(self, logx, n):
         bath = BathParams(omega=1.0, T=1.0 / 10.0**logx)
         t = 0.01
-        assert bound_fock_linear(n, bath, t).value >= 0.0
-        assert bound_fock_quadratic(n, bath, t).value >= 0.0
-        assert bound_squeezed(float(n), bath, t).value >= 0.0
-        assert bound_coherent(float(n), bath, t).value >= 0.0
+        assert bound_fock_linear(n, bath, t) >= 0.0
+        assert bound_fock_quadratic(n, bath, t) >= 0.0
+        assert bound_squeezed(float(n), bath, t) >= 0.0
+        assert bound_coherent(float(n), bath, t) >= 0.0
 
 
 @pytest.mark.parametrize("T", [0.05, 0.5, 5.0])
@@ -150,32 +146,22 @@ def test_fock_linear_law_is_the_generator_coefficient(T):
         p0 = np.zeros(n + 3)
         p0[n] = 1.0
         coefficient = cfi_linear_coefficient(p0, r, drates)
-        assert bound_fock_linear(n, bath, 1.0).value == pytest.approx(coefficient, rel=1e-12)
-
-
-class TestEnqfi:
-    def test_fock_definition(self, fig_bath):
-        lin = bound_fock_linear(2, fig_bath, 0.01)
-        assert enqfi(lin, 2.0).value == lin.value / 2.0
-
-    def test_coherent_enqfi_is_energy_independent(self, fig_bath):
-        dlog = thermal_occupation_dT(1.0, 0.5) / thermal_occupation(1.0, 0.5)
-        for nbar in (0.5, 1.0, 4.0):
-            result = enqfi(bound_coherent(nbar, fig_bath, 0.01), nbar)
-            assert result.value == pytest.approx(dlog**2 * 1e-4, rel=1e-12)
-
-    def test_squeezed_to_coherent_ratio(self, fig_bath):
-        for nbar in (0.5, 2.0):
-            sq = enqfi(bound_squeezed(nbar, fig_bath, 0.01), nbar).value
-            coh = enqfi(bound_coherent(nbar, fig_bath, 0.01), nbar).value
-            assert sq / coh == pytest.approx(4.0 * (nbar + 1.0), rel=1e-12)
-
-    def test_zero_energy_rejected(self, fig_bath):
-        with pytest.raises(DomainError):
-            enqfi(bound_coherent(1.0, fig_bath, 0.01), 0.0)
+        assert bound_fock_linear(n, bath, 1.0) == pytest.approx(coefficient, rel=1e-12)
 
 
 class TestScalingTable:
+    def test_enqfi_columns(self, fig_bath):
+        # the closed forms per mean photon, nbar = n; undefined at n = 0
+        dlog = thermal_occupation_dT(1.0, 0.5) / thermal_occupation(1.0, 0.5)
+        zero, *rows = scaling_table(fig_bath, [0, 1, 2, 4], 0.01)
+        assert math.isnan(zero.enqfi_fock_linear)
+        assert math.isnan(zero.enqfi_squeezed) and math.isnan(zero.enqfi_coherent)
+        for row in rows:
+            assert row.enqfi_fock_linear == row.fock_linear / row.n
+            assert row.enqfi_coherent == pytest.approx(dlog**2 * 1e-4, rel=1e-12)
+            ratio = row.enqfi_squeezed / row.enqfi_coherent
+            assert ratio == pytest.approx(4.0 * (row.nbar + 1.0), rel=1e-12)
+
     def test_row_orderings(self, fig_bath):
         table = scaling_table(fig_bath, [0, 1, 2, 3], 0.01)
         for row in table:
@@ -206,7 +192,3 @@ class TestScalingTable:
         assert lines[1].split(",")[0] == "1"
         # numerics columns empty when not requested
         assert lines[1].split(",")[9] == ""
-
-    def test_kinds_tagged(self, fig_bath):
-        assert bound_fock_linear(1, fig_bath, 0.01).kind is BoundKind.FOCK_LINEAR
-        assert bound_squeezed(1.0, fig_bath, 0.01).kind is BoundKind.SQUEEZED_VACUUM

@@ -215,14 +215,10 @@ class TestShortTimePopulations:
         assert pops.p_below == pytest.approx(0.0011565176427496657, rel=1e-12)
         assert pops.p_above == pytest.approx(0.0003130352854993313, rel=1e-12)
         assert pops.p_stay == pytest.approx(0.998530447071751, rel=1e-12)
-        assert pops.valid
 
     def test_probabilities_sum_to_one_exactly(self, fig_rates):
         pops = short_time_populations(3, fig_rates, 0.05)
         assert pops.p_below + pops.p_stay + pops.p_above == 1.0
-
-    def test_validity_flag(self, fig_rates):
-        assert not short_time_populations(5, fig_rates, 1.0).valid
 
     def test_exact_populations_within_linear_band(self, fig_rates):
         # Gamma0 t = 1e-3: exact and first-order populations agree to O(Gamma0 t)

@@ -14,7 +14,7 @@ import pytest
 
 from fockthermo import fisher
 from fockthermo.bath import BathParams, RateModel
-from fockthermo.bounds import bound_fock_linear
+from fockthermo.bounds import bound_fock_linear, short_time_valid
 from fockthermo.errors import DomainError, InsufficientDataError, SingularSupportError, SweepError
 from fockthermo.fisher import FisherMethod, d_dT_state, qfi_point
 from fockthermo.probes import ProbeKind, ProbeSpec, default_dim, make_state
@@ -141,6 +141,24 @@ class TestRunSweep:
             ("coherent:1.0", "bound_coherent"),
         }
 
+    def test_bound_rows_share_the_fisher_validity(self, fig_bath):
+        # Gamma0 t (2n+1) = 0.01 (2n+1): valid through n = 4, invalid from n = 5
+        spec = SweepSpec(
+            axis=SweepAxis.EXCITATION_N, axis_values=(1.0, 4.0, 5.0, 6.0),
+            probes=(ProbeKind.FOCK, ProbeKind.SQUEEZED, ProbeKind.COHERENT),
+            methods=tuple(SweepMethod), bath=fig_bath, t=0.1,
+        )
+        rows = run_sweep(spec, workers=1).rows
+        cfi = {(r.axis_value, r.probe): r for r in rows if r.method == "cfi"}
+        bounds = [r for r in rows if r.method.startswith("bound_")]
+        assert len(bounds) == 16  # two Fock bounds and one per Gaussian probe, per n
+        for row in bounds:
+            expected = short_time_valid(fig_bath, 0.1, ProbeSpec.parse(row.probe).mean_photon)
+            assert row.error is None
+            assert row.valid_short_time == cfi[row.axis_value, row.probe].valid_short_time
+            assert row.valid_short_time == expected
+        assert {r.valid_short_time for r in bounds} == {True, False}
+
     def test_excitation_axis_instantiates_energy_matched_probes(self, fig_bath):
         spec = SweepSpec(
             axis=SweepAxis.EXCITATION_N, axis_values=(1.0, 2.0, 3.0),
@@ -166,7 +184,7 @@ class TestRunSweep:
         result = run_sweep(spec, workers=1)
         for row, g in zip(result.rows, (0.03, 0.05)):
             bath = BathParams(g=g, rate_model=RateModel.PURCELL)
-            assert row.qfi == pytest.approx(bound_fock_linear(1, bath, 0.01).value, rel=1e-12)
+            assert row.qfi == pytest.approx(bound_fock_linear(1, bath, 0.01), rel=1e-12)
 
     def test_decay_axis_scales_linear_bound(self, fig_bath):
         spec = SweepSpec(
@@ -276,7 +294,7 @@ class TestSharedDerivative:
             assert cfi.error is not None and "dim" in cfi.error
             assert qfi.error == cfi.error
             assert bound.error is None
-            assert bound.qfi == bound_fock_linear(30, fig_bath, t).value
+            assert bound.qfi == bound_fock_linear(30, fig_bath, t)
 
     def test_failed_reduction_marks_only_its_row(self, fig_bath, monkeypatch):
         def singular(*args, **kwargs):
