@@ -149,19 +149,30 @@ def test_fock_linear_law_is_the_generator_coefficient(T):
         assert bound_fock_linear(n, bath, 1.0) == pytest.approx(coefficient, rel=1e-12)
 
 
-class TestScalingTable:
-    def test_enqfi_columns(self, fig_bath):
-        # the closed forms per mean photon, nbar = n; undefined at n = 0
-        dlog = thermal_occupation_dT(1.0, 0.5) / thermal_occupation(1.0, 0.5)
-        zero, *rows = scaling_table(fig_bath, [0, 1, 2, 4], 0.01)
-        assert math.isnan(zero.enqfi_fock_linear)
-        assert math.isnan(zero.enqfi_squeezed) and math.isnan(zero.enqfi_coherent)
-        for row in rows:
+class TestEnqfi:
+    # the scaling table's enqfi_* columns: each closed form per mean photon, nbar = n
+    def test_fock_definition(self, fig_bath):
+        for row in scaling_table(fig_bath, [1, 2, 4], 0.01):
             assert row.enqfi_fock_linear == row.fock_linear / row.n
+
+    def test_coherent_enqfi_is_energy_independent(self, fig_bath):
+        dlog = thermal_occupation_dT(1.0, 0.5) / thermal_occupation(1.0, 0.5)
+        for row in scaling_table(fig_bath, [1, 2, 4], 0.01):
             assert row.enqfi_coherent == pytest.approx(dlog**2 * 1e-4, rel=1e-12)
+
+    def test_squeezed_to_coherent_ratio(self, fig_bath):
+        for row in scaling_table(fig_bath, [1, 2, 4], 0.01):
             ratio = row.enqfi_squeezed / row.enqfi_coherent
             assert ratio == pytest.approx(4.0 * (row.nbar + 1.0), rel=1e-12)
 
+    def test_zero_energy_rejected(self, fig_bath):
+        # no per-photon value at zero energy: the n = 0 row leaves the columns empty
+        (zero,) = scaling_table(fig_bath, [0], 0.01)
+        assert math.isnan(zero.enqfi_fock_linear)
+        assert math.isnan(zero.enqfi_squeezed) and math.isnan(zero.enqfi_coherent)
+
+
+class TestScalingTable:
     def test_row_orderings(self, fig_bath):
         table = scaling_table(fig_bath, [0, 1, 2, 3], 0.01)
         for row in table:
