@@ -61,10 +61,16 @@ def thermal_occupation_dT(omega: float, T: float) -> float:
     temperature extremes.
     """
     n = thermal_occupation(omega, T)
+    return omega_over_T2(omega, T, n) * (n + 1.0)
+
+
+def omega_over_T2(omega: float, T: float, x: float) -> float:
+    """(omega / T^2) * x, as (omega / T) * (x / T) where T^2 overflows
+    (T >~ 1.34e154) and the value need not."""
     try:
-        return (omega / T**2) * n * (n + 1.0)
-    except OverflowError:  # T**2 is beyond double range for T >~ 1.34e154
-        return (omega / T) * (n / T) * (n + 1.0)
+        return (omega / T**2) * x
+    except OverflowError:
+        return (omega / T) * (x / T)
 
 
 @dataclass(frozen=True)

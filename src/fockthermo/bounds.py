@@ -31,7 +31,8 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bath import BathParams, base_rate, rates, thermal_occupation, thermal_occupation_dT
+from .bath import (BathParams, base_rate, omega_over_T2, rates, thermal_occupation,
+                   thermal_occupation_dT)
 from .errors import DomainError
 from .fisher import FisherMethod, d_dT_state, fisher_record
 from .probes import ProbeSpec
@@ -100,10 +101,7 @@ def bound_fock_quadratic(n: int, bath: BathParams, t: float) -> float:
 def _dlog_occupation(bath: BathParams) -> float:
     # dT ln nbar = (omega/T^2)(nbar + 1): stable even when nbar underflows
     n1 = thermal_occupation(bath.omega, bath.T) + 1.0
-    try:
-        return (bath.omega / bath.T**2) * n1
-    except OverflowError:  # T**2 is beyond double range for T >~ 1.34e154
-        return (bath.omega / bath.T) * (n1 / bath.T)
+    return omega_over_T2(bath.omega, bath.T, n1)
 
 
 @_closed_form
@@ -161,9 +159,8 @@ def scaling_table(
             e_lin = e_sq = e_coh = math.nan
         numerics = {}
         if methods:
-            probe = ProbeSpec.fock(n)
-            deriv = d_dT_state(probe, bath, t, dim=dim, methods=methods)
-            numerics = {m: fisher_record(deriv, m, probe, bath, t).value for m in methods}
+            deriv = d_dT_state(ProbeSpec.fock(n), bath, t, dim=dim, methods=methods)
+            numerics = {m: fisher_record(deriv, m).value for m in methods}
         out.append(
             ScalingRow(
                 n=n, nbar=float(n),

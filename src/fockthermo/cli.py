@@ -130,22 +130,6 @@ class RunConfig:
             raise ConfigError(f"dim={self.dim} exceeds {DIM_MAX_ENV}={cap}")
         return self.dim
 
-    def to_text(self) -> str:
-        """Config-file serialization; ``parse_config_text`` is its inverse."""
-        sections: dict[str, list[str]] = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value is not None and value != ():
-                sections.setdefault(f.metadata["section"], []).append(
-                    f"{f.name} = {_text(value)}\n")
-        return "\n".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
-
-
-def _text(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(_text(item) for item in value)
-    return repr(value) if isinstance(value, float) else str(value)
-
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 _SECTIONS = {f.metadata["section"] for f in _FIELDS.values()}
@@ -158,9 +142,8 @@ def _convert(f: dataclasses.Field, raw: str, where: str):
         raise ConfigError(f"{where} {exc}, got {raw!r}") from None
 
 
-def _read_config(text: str, command: str | None) -> dict:
-    """Field values set by a config file; keys ``command`` does not read are
-    rejected (``None`` accepts every key)."""
+def _read_config(text: str, command: str) -> dict:
+    """Field values set by a config file; a key ``command`` does not read is rejected."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case sensitive ('T')
     try:
@@ -178,15 +161,10 @@ def _read_config(text: str, command: str | None) -> dict:
             f = _FIELDS.get(key)
             if f is None or f.metadata["section"] != section:
                 raise ConfigError(f"unknown config key {where}")
-            if command is not None and command not in f.metadata["reads"]:
+            if command not in f.metadata["reads"]:
                 raise ConfigError(f"config key {where} is not read by {command}")
             updates[key] = _convert(f, raw, where)
     return updates
-
-
-def parse_config_text(text: str) -> RunConfig:
-    """Parse the flat key = value format with section headers."""
-    return _build_config(_read_config(text, None))
 
 
 def _build_config(updates: dict) -> RunConfig:
@@ -280,8 +258,7 @@ def cmd_qfi(cfg: RunConfig) -> int:
     methods = _fisher_methods(cfg.method or ("qfi",), "qfi")
     deriv = d_dT_state(probe, bath, cfg.t, dim=cfg.resolved_dim(), methods=methods)
     for method in methods:
-        record = fisher_record(deriv, method, probe, bath, cfg.t)
-        diag = record.diagnostics
+        record = fisher_record(deriv, method)
         print(
             f"method={record.method} probe={probe.canonical()} "
             f"omega={fmt(bath.omega)} T={fmt(bath.T)} gamma={fmt(bath.gamma)} "
@@ -289,8 +266,8 @@ def cmd_qfi(cfg: RunConfig) -> int:
         )
         print(
             f"  qfi={fmt(record.value)} delta_t_min={fmt(record.delta_t_min)} "
-            f"h_used={fmt(diag['h_used'])} leakage={fmt(diag['leakage'])} "
-            f"dropped_pairs={diag['dropped_pairs']} dim={diag['dim']}"
+            f"h_used={fmt(record.h_used)} leakage={fmt(record.leakage)} "
+            f"dropped_pairs={record.dropped_pairs} dim={record.dim}"
         )
     return 0
 

@@ -22,7 +22,7 @@ the quantum value can only be larger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -55,10 +55,10 @@ class FisherMethod(str, Enum):
 @dataclass(frozen=True)
 class TemperatureDerivative:
     """The evolved :class:`BandState`, its temperature derivative ``dstate``,
-    and evaluation diagnostics. ``rho`` is that state and ``drho`` the d x d
-    matrix of its derivative; both refuse when ``coherences_dropped``. Then
-    ``state`` and ``dstate`` hold band 0 alone: the probe's coherences were
-    never propagated, and only the CFI can be reduced.
+    the temperature step and the leakage. ``rho`` is that state and ``drho``
+    the d x d matrix of its derivative; both refuse when ``coherences_dropped``.
+    Then ``state`` and ``dstate`` hold band 0 alone: the probe's coherences
+    were never propagated, and only the CFI can be reduced.
     """
 
     state: BandState
@@ -204,36 +204,24 @@ def delta_t_min(fisher_value: float) -> float:
 
 @dataclass(frozen=True)
 class QfiRecord:
-    """One evaluated Fisher-information point with its inputs and diagnostics."""
+    """One Fisher-information value and the facts of the derivative it
+    was reduced from: its dimension, leakage and temperature step, and the
+    eigenpairs the QFI's spectral floor dropped (0 for the CFI)."""
 
     value: float
     method: str
-    t: float
-    probe: ProbeSpec
-    bath: BathParams
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        v = self.value
-        if v < 0.0:
-            if v < -1e-12:
-                raise DomainError(f"Fisher information {v!r} is negative beyond roundoff")
-            object.__setattr__(self, "value", 0.0)
+    dim: int
+    leakage: float
+    h_used: float
+    dropped_pairs: int
 
     @property
     def delta_t_min(self) -> float:
         return delta_t_min(self.value)
 
 
-def fisher_record(
-    deriv: TemperatureDerivative,
-    method: FisherMethod,
-    probe: ProbeSpec,
-    bath: BathParams,
-    t: float,
-) -> QfiRecord:
-    """Reduce a temperature derivative, evaluated for (probe, bath, t), to the
-    Fisher information of ``method``.
+def fisher_record(deriv: TemperatureDerivative, method: FisherMethod) -> QfiRecord:
+    """Reduce a temperature derivative to the Fisher information of ``method``.
 
     Every method reduces the same derivative, so a caller wanting several
     evaluates :func:`d_dT_state` once, for all of them.
@@ -248,15 +236,10 @@ def fisher_record(
     return QfiRecord(
         value=value,
         method=method.value,
-        t=t,
-        probe=probe,
-        bath=bath,
-        diagnostics={
-            "h_used": deriv.h_used,
-            "dropped_pairs": dropped,
-            "leakage": deriv.leakage,
-            "dim": deriv.dim,
-        },
+        dim=deriv.dim,
+        leakage=deriv.leakage,
+        h_used=deriv.h_used,
+        dropped_pairs=dropped,
     )
 
 
@@ -269,9 +252,8 @@ def qfi_point(
     dim: int | None = None,
 ) -> QfiRecord:
     """Single Fisher-information evaluation at time t."""
-    method = FisherMethod(method)
     deriv = d_dT_state(probe, bath, t, dim=dim, methods=(method,))
-    return fisher_record(deriv, method, probe, bath, t)
+    return fisher_record(deriv, method)
 
 
 def qfi_curve(

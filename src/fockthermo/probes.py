@@ -73,15 +73,16 @@ class ProbeSpec:
         if self.kind is ProbeKind.FOCK:
             if not isinstance(self.n, (int, np.integer)) or self.n < 0:
                 raise DomainError(f"Fock excitation must be an integer >= 0, got {self.n!r}")
-        elif self.kind is ProbeKind.COHERENT:
-            if not np.isfinite(complex(self.alpha).real) or not np.isfinite(complex(self.alpha).imag):
-                raise DomainError(f"coherent amplitude must be finite, got {self.alpha!r}")
-        elif self.kind is ProbeKind.SQUEEZED:
-            if not math.isfinite(self.r):
-                raise DomainError(f"squeezing parameter must be finite, got {self.r!r}")
-        else:
-            if not (self.nbar >= 0.0) or not math.isfinite(self.nbar):
-                raise DomainError(f"thermal occupation must be >= 0, got {self.nbar!r}")
+        elif self.kind is ProbeKind.THERMAL and not self.nbar >= 0.0:
+            raise DomainError(f"thermal occupation must be >= 0, got {self.nbar!r}")
+        # a payload that is not finite, or whose sinh(r)^2 or |alpha|^2 leaves
+        # double range, has no representable mean photon number to size it by
+        try:
+            finite = math.isfinite(self.mean_photon)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DomainError(f"the mean photon number of {self.canonical()} is not a finite float")
 
     @classmethod
     def fock(cls, n: int) -> "ProbeSpec":
@@ -175,9 +176,12 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     check_dim(dim)
     c = np.zeros(dim, dtype=complex)
     c[0] = 1.0
-    for m in range(1, dim):
-        c[m] = c[m - 1] * alpha / math.sqrt(m)
-    return c * math.exp(-abs(alpha) ** 2 / 2.0)
+    # for |alpha| >~ 38 a^m/sqrt(m!) overflows; the NaN or zero amplitudes
+    # that follow are refused by the mass check of _truncated
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, dim):
+            c[m] = c[m - 1] * alpha / math.sqrt(m)
+        return c * math.exp(-abs(alpha) ** 2 / 2.0)
 
 
 def squeezed_amplitudes(r: float, dim: int) -> np.ndarray:
@@ -228,6 +232,11 @@ def _truncated(spec: ProbeSpec, dim: int) -> tuple[np.ndarray, float]:
             values = squeezed_amplitudes(spec.r, dim)
         mass = float(np.vdot(values, values).real)
         scale = math.sqrt(mass)
+    if not 0.0 < mass < math.inf:
+        raise TruncationError(
+            f"the amplitudes of {spec.canonical()} on dim={dim} levels are not "
+            f"representable: their mass is {mass!r}"
+        )
     return values / scale, max(0.0, 1.0 - mass)
 
 
@@ -270,7 +279,8 @@ def default_dim(spec: ProbeSpec) -> int:
     :func:`dim_ceiling`.
     """
     max_dim = dim_ceiling()
-    base = max(40, int(math.ceil(8 * max(spec.mean_photon, 0.0) + 20)))
+    # past the cap the floor is the cap, so 8 n is never formed beyond it
+    base = max(40, int(math.ceil(8 * min(spec.mean_photon, max_dim) + 20)))
     if spec.kind is ProbeKind.FOCK:
         if spec.n + 2 > max_dim:
             raise TruncationError(

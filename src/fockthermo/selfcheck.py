@@ -371,19 +371,6 @@ def _check_energy_matched_rows() -> tuple[bool, str]:
     return worst < 1e-8, f"max |<n> - axis value| = {worst:.1e}"
 
 
-# --------------------------------------------------------------------------
-# cli
-# --------------------------------------------------------------------------
-
-@_register("cli", "config_round_trip")
-def _check_config_round_trip() -> tuple[bool, str]:
-    from .cli import RunConfig, parse_config_text  # deferred: cli imports this module
-
-    cfg = RunConfig(T=0.25, probe="fock:2", axis="time", axis_values=(0.01, 0.1))
-    again = parse_config_text(cfg.to_text())
-    return again == cfg, "serialize -> parse is the identity" if again == cfg else "round trip drifted"
-
-
 def registered_checks() -> list[tuple[str, str]]:
     return [(group, name) for group, name, _ in _REGISTRY]
 

@@ -284,8 +284,8 @@ def _evaluate_row(
         if method in _FISHER:
             if isinstance(deriv, FockThermoError):
                 raise deriv
-            value = fisher_record(deriv, _FISHER[method], task.probe, task.bath, task.t).value
-            leakage, h_used, dim = deriv.leakage, deriv.h_used, deriv.dim
+            record = fisher_record(deriv, _FISHER[method])
+            value, leakage, h_used, dim = record.value, record.leakage, record.h_used, record.dim
         else:
             value = _BOUNDS[method][1](task.probe.mean_photon, task.bath, task.t)
             leakage, h_used, dim = 0.0, 0.0, 0

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockthermo import cli, selfcheck
-from fockthermo.cli import RunConfig, main, parse_args, parse_config_text
+from fockthermo.cli import RunConfig, main, parse_args
 from fockthermo.errors import ConfigError, DomainError
 from fockthermo.selfcheck import registered_checks
-from fockthermo.sweep import SweepAxis, SweepMethod
+from fockthermo.sweep import SweepMethod
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -28,6 +28,13 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-m", "fockthermo.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def parse_config_file(tmp_path: Path, text: str) -> RunConfig:
+    """``qfi --config`` of a file holding ``text``."""
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return parse_args(["qfi", "--config", str(path)])[1]
 
 
 class TestParsing:
@@ -66,32 +73,36 @@ class TestParsing:
         with pytest.raises(ConfigError, match="not found"):
             parse_args(["qfi", "--config", "/nonexistent/run.cfg"])
 
-    def test_unknown_config_key_named(self):
+    def test_unknown_config_key_named(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[bath\] humidity"):
-            parse_config_text("[bath]\nhumidity = 0.9\n")
+            parse_config_file(tmp_path, "[bath]\nhumidity = 0.9\n")
 
-    def test_unknown_config_section_named(self):
+    def test_unknown_config_section_named(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[lab\]"):
-            parse_config_text("[lab]\nbench = 3\n")
+            parse_config_file(tmp_path, "[lab]\nbench = 3\n")
 
-    def test_malformed_value_named(self):
+    def test_malformed_value_named(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[bath\] T must be a number"):
-            parse_config_text("[bath]\nT = warm\n")
-
-    def test_round_trip_is_identity(self):
-        cfg = RunConfig(
-            T=0.25, gamma=0.17, probe="fock:2", method=("cfi", "qfi"),
-            axis="time", axis_values=(0.01, 0.1), probes=("fock:1", "coherent:1.0"),
-            dim=48, workers=2, out="x.csv",
-        )
-        assert parse_config_text(cfg.to_text()) == cfg
-
-    def test_round_trip_of_defaults(self):
-        cfg = RunConfig()
-        assert parse_config_text(cfg.to_text()) == cfg
+            parse_config_file(tmp_path, "[bath]\nT = warm\n")
 
 
 class TestCommands:
+    @pytest.mark.parametrize("probe", [
+        "squeezed:400", "coherent:1e200", "thermal:1e308", "coherent:1e154", "squeezed:355",
+    ])
+    def test_probe_beyond_every_dim_refused(self, probe, capsys):
+        # its mean photon number, or 8 n + 20, leaves double range
+        assert main(["qfi", "--probe", probe]) in (1, 2)
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_unrepresentable_amplitudes_refused(self, capsys):
+        # coherent:40 has NaN amplitudes on the cap's 4096 levels
+        assert main(["qfi", "--probe", "coherent:40"]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: TruncationError: the amplitudes of coherent:40.0 on "
+            "dim=4096 levels are not representable: their mass is nan\n"
+        )
+
     def test_qfi_value_matches_short_time_oracle(self, capsys):
         # CFI at Gamma0 t = 1e-3 sits within 5% of the linear closed form
         assert main(["qfi", "--probe", "fock:1", "--t", "0.01", "--method", "cfi"]) == 0
@@ -376,10 +387,10 @@ class TestConfigFileKeys:
         assert main(["qfi", "--config", str(path)]) == 1
         assert "unknown config section [derivative]" in capsys.readouterr().err
 
-    def test_default_section_rejected(self):
+    def test_default_section_rejected(self, tmp_path):
         # configparser would copy its keys into every section, or drop them
         with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
-            parse_config_text("[DEFAULT]\nT = 0.3\n")
+            parse_config_file(tmp_path, "[DEFAULT]\nT = 0.3\n")
 
     def test_key_the_subcommand_reads_accepted(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -479,26 +490,31 @@ def test_fuzz_bounds_exits_with_a_contract_code(inputs, methods, one_value, fuzz
         assert set(parse_args(argv)[1].method) <= {"cfi", "qfi"}
 
 
-_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-_nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+# Probe payloads of either sign with magnitudes log-uniform over 1e-300 to
+# 1e300, complex for coherent probes: sizes whose mean photon number, or
+# whose amplitudes, leave double range must be refused, not raise.
+_magnitude = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-300.0, 300.0),
+)
+_probe_text = st.one_of(
+    _magnitude.map(lambda x: f"fock:{int(x)}"),
+    st.builds(lambda re, im: "coherent:" + repr(complex(re, im)).strip("()"),
+              _magnitude, _magnitude | st.just(0.0)),
+    _magnitude.map(lambda x: f"squeezed:{x!r}"),
+    _magnitude.map(lambda x: f"thermal:{x!r}"),
+)
 
 
-@settings(max_examples=100, deadline=None)
-@given(cfg=st.builds(
-    RunConfig,
-    omega=_positive, T=_positive, gamma=_positive, g=_nonnegative,
-    rate_model=st.sampled_from(["markovian", "purcell"]), t=_nonnegative,
-    probe=st.sampled_from(["fock:1", "coherent:1.0", "squeezed:0.5", "thermal:0.5"]),
-    probes=st.lists(st.sampled_from(["fock:2", "coherent:0.5", "fock"])).map(tuple),
-    method=st.lists(st.sampled_from([m.value for m in SweepMethod])).map(tuple),
-    axis=st.none() | st.sampled_from([a.value for a in SweepAxis]),
-    axis_values=st.lists(st.floats(allow_nan=False, allow_infinity=False)).map(tuple),
-    dim=st.none() | st.integers(min_value=2, max_value=4096),
-    workers=st.none() | st.integers(min_value=1, max_value=64),
-    out=st.none() | st.sampled_from(["x.csv", "out/run.csv"]),
-))
-def test_fuzz_to_text_round_trip(cfg):
-    assert parse_config_text(cfg.to_text()) == cfg
+@settings(max_examples=200, deadline=None)
+@given(probe=_probe_text, method=st.sampled_from(["cfi", "qfi", "cfi,qfi"]))
+def test_fuzz_qfi_probe_payloads_exit_with_a_contract_code(probe, method):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FOCKTHERMO_DIM_MAX", "64")  # bounds the cost of a draw
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["qfi", "--probe", probe, "--method", method])
+    assert code in (0, 1, 2)
 
 
 class TestValidateCommand:

@@ -12,7 +12,6 @@ from fockthermo.bounds import bound_fock_linear
 from fockthermo.errors import DomainError, SingularSupportError, TruncationError
 from fockthermo.fisher import (
     FisherMethod,
-    QfiRecord,
     cfi_number_basis,
     d_dT_state,
     delta_t_min,
@@ -112,12 +111,12 @@ class TestStateDerivative:
         assert alone.leakage == full.leakage
 
         def cfi(deriv):
-            return fisher_record(deriv, FisherMethod.CFI_NUMBER, probe, fig_bath, t).value
+            return fisher_record(deriv, FisherMethod.CFI_NUMBER).value
 
         assert cfi(alone) == cfi(full)
         # the coherences were never propagated, so nothing else can be read
         with pytest.raises(DomainError, match="only the CFI"):
-            fisher_record(alone, FisherMethod.QFI_SLD, probe, fig_bath, t)
+            fisher_record(alone, FisherMethod.QFI_SLD)
         with pytest.raises(DomainError, match="only the CFI"):
             alone.rho
 
@@ -237,9 +236,14 @@ class TestQfiPoint:
         assert rec.delta_t_min**2 * rec.value == 1.0
 
     def test_diagnostics_fields(self, fig_bath):
-        rec = qfi_point(ProbeSpec.fock(1), fig_bath, 0.1, FisherMethod.QFI_SLD)
-        for key in ("h_used", "dropped_pairs", "leakage", "dim"):
-            assert key in rec.diagnostics
+        # the record carries the facts of the derivative it was reduced from
+        deriv = d_dT_state(ProbeSpec.coherent(1.0), fig_bath, 0.1)
+        cfi, qfi = (fisher_record(deriv, method) for method in FisherMethod)
+        for rec in (cfi, qfi):
+            assert (rec.dim, rec.leakage, rec.h_used) == (deriv.dim, deriv.leakage, deriv.h_used)
+        assert (cfi.method, cfi.dropped_pairs) == ("cfi", 0)
+        dropped = qfi_sld_detailed(deriv.state, deriv.dstate)[1]
+        assert (qfi.method, qfi.dropped_pairs) == ("qfi", dropped)
 
 
 class TestQfiCurve:
@@ -270,15 +274,6 @@ class TestQfiCurve:
 
 
 class TestRecordInvariants:
-    def test_tiny_negative_clipped(self, fig_bath):
-        rec = QfiRecord(value=-1e-13, method="cfi", t=0.1, probe=ProbeSpec.fock(1), bath=fig_bath)
-        assert rec.value == 0.0
-        assert rec.delta_t_min == math.inf
-
-    def test_large_negative_rejected(self, fig_bath):
-        with pytest.raises(DomainError):
-            QfiRecord(value=-1e-9, method="cfi", t=0.1, probe=ProbeSpec.fock(1), bath=fig_bath)
-
     def test_delta_t_min(self):
         assert delta_t_min(4.0) == 0.5
         assert delta_t_min(0.0) == math.inf

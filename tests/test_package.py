@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+
 import fockthermo
+from fockthermo import cli
 
 
 def test_every_public_name_resolves():
@@ -14,3 +17,13 @@ def test_retired_bound_types_are_gone():
     retired = {"BoundResult", "BoundKind", "EnqfiResult", "enqfi"}
     assert not retired & set(fockthermo.__all__)
     assert not any(hasattr(fockthermo, name) for name in retired)
+
+
+def test_retired_writer_and_record_fields_are_gone():
+    # nothing in the program read the config writer or the record's copied
+    # inputs and free-form dict; the record's facts are typed fields
+    assert not hasattr(cli, "parse_config_text")
+    assert not hasattr(cli.RunConfig, "to_text")
+    fields = {f.name for f in dataclasses.fields(fockthermo.QfiRecord)}
+    assert fields == {"value", "method", "dim", "leakage", "h_used", "dropped_pairs"}
+    assert not {"diagnostics", "probe", "bath", "t"} & fields

@@ -134,6 +134,13 @@ class TestMakeState:
         with pytest.raises(TruncationError, match="raise dim"):
             make_state(ProbeSpec.thermal(5.0), 20)
 
+    @pytest.mark.parametrize("dim", [100, 4096])
+    def test_unrepresentable_amplitudes_rejected(self, dim):
+        # |alpha|^2/2 = 800: exp(-800) is 0, and alpha^m/sqrt(m!) overflows
+        # past m ~ 1000, so the amplitudes are all 0 (dim 100) or NaN (4096)
+        with pytest.raises(TruncationError, match=f"coherent:40.0 on dim={dim} levels"):
+            make_state(ProbeSpec.coherent(40.0), dim)
+
 
 class TestSqueezedAmplitudes:
     def test_recurrence_matches_factorial_form(self):
@@ -202,6 +209,13 @@ class TestProbeSpecText:
     @pytest.mark.parametrize("text", ["fock", "fock:", "gauss:1", "fock:1.5", "thermal:-1"])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(DomainError):
+            ProbeSpec.parse(text)
+
+    @pytest.mark.parametrize(
+        "text", ["squeezed:400", "squeezed:-800", "coherent:1e200", "coherent:1e154+1e154j"]
+    )
+    def test_mean_photon_beyond_double_range_rejected(self, text):
+        with pytest.raises(DomainError, match="mean photon number .* is not a finite float"):
             ProbeSpec.parse(text)
 
     def test_mean_photon(self):

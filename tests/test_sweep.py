@@ -267,17 +267,15 @@ class TestSharedDerivative:
         assert len(calls) == per_derivative * len(self.VALUES) * len(self.PROBES)
 
         direct = [
-            qfi_point(probe, dataclasses.replace(fig_bath, T=T), spec.t, method)
+            (probe, qfi_point(probe, dataclasses.replace(fig_bath, T=T), spec.t, method))
             for T in self.VALUES
             for probe in self.PROBES
             for method in (FisherMethod.CFI_NUMBER, FisherMethod.QFI_SLD)
         ]
-        for row, record in zip(rows, direct):
-            assert (row.probe, row.method) == (record.probe.canonical(), record.method)
-            assert row.qfi == record.value
-            assert row.leakage == record.diagnostics["leakage"]
-            assert row.h_used == record.diagnostics["h_used"]
-            assert row.dim == record.diagnostics["dim"]
+        for row, (probe, record) in zip(rows, direct):
+            assert (row.probe, row.method) == (probe.canonical(), record.method)
+            assert (row.qfi, row.leakage, row.h_used, row.dim) == (
+                record.value, record.leakage, record.h_used, record.dim)
 
     def test_derivative_failure_marks_every_fisher_row_of_its_task(self, fig_bath):
         # |30> does not fit in dim = 20; its bound needs no state
