@@ -28,7 +28,7 @@ from .errors import ConfigError, FockThermoError
 from .fisher import FisherMethod, d_dT_state, fisher_record
 from .probes import DIM_MAX_ENV, ProbeKind, ProbeSpec, dim_ceiling
 from .selfcheck import run_selfcheck
-from .sweep import SweepAxis, SweepMethod, SweepSpec, _atomic_write, run_sweep
+from .sweep import AXIS_OVERRIDES, SweepAxis, SweepMethod, SweepSpec, _atomic_write, run_sweep
 from .tables import csv_text, fmt
 
 
@@ -89,8 +89,9 @@ class RunConfig:
     g: float = _param(0.05, "bath", _number, _COMPUTE)
     rate_model: str = _param("markovian", "bath", str, _COMPUTE)
     t: float = _param(0.5, "run", _number, _COMPUTE)
-    probe: str = _param("fock:1", "run", str, ("qfi", "sweep"))
-    probes: tuple[str, ...] = _param((), "sweep", _names, ("sweep",), "comma-separated probe list")
+    probe: str = _param("fock:1", "run", str, ("qfi",))
+    probes: tuple[str, ...] = _param(("fock:1",), "sweep", _names, ("sweep",),
+                                     "comma-separated probe list")
     # empty means command default ('qfi')
     method: tuple[str, ...] = _param((), "run", _names, _COMPUTE, "comma-separated method list")
     axis: str | None = _param(None, "sweep", str, ("sweep",))
@@ -245,10 +246,28 @@ def parse_args(argv: list[str] | None = None) -> tuple[str, RunConfig]:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         updates = _read_config(text, command)
+    given = {name: f"[{_FIELDS[name].metadata['section']}] {name}" for name in updates}
     for name, raw in ns.items():  # flags win over the file
         if raw is not None:
-            updates[name] = _convert(_FIELDS[name], raw, _flag(name))
-    return command, _build_config(updates)
+            given[name] = _flag(name)
+            updates[name] = _convert(_FIELDS[name], raw, given[name])
+    cfg = _build_config(updates)
+    if command == "sweep" and cfg.axis is not None:
+        _refuse_axis_overrides(cfg, given)
+    return command, cfg
+
+
+def _refuse_axis_overrides(cfg: RunConfig, given: dict[str, str]) -> None:
+    """A sweep input that its axis replaces is refused, not silently dropped;
+    ``given`` names where each set field was set, by flag or config key."""
+    axis = _match(SweepAxis, "axis", cfg.axis, _AXIS_ALIASES)
+    name, rate_model = AXIS_OVERRIDES[axis]
+    if name in given:
+        raise ConfigError(f"{given[name]} cannot be set on the {axis.value} axis, "
+                          f"whose values replace {name}")
+    if rate_model is not None and "rate_model" in given and cfg.rate_model != rate_model.value:
+        raise ConfigError(f"{given['rate_model']} {cfg.rate_model} cannot be set on the "
+                          f"{axis.value} axis, which uses the {rate_model.value} rate")
 
 
 def cmd_qfi(cfg: RunConfig) -> int:
@@ -296,7 +315,7 @@ def _sweep_probes(cfg: RunConfig) -> tuple:
     malformed spec as a usage error."""
     return tuple(
         ProbeSpec.parse(entry) if ":" in entry else _match(ProbeKind, "probe kind", entry)
-        for entry in cfg.probes or (cfg.probe,)
+        for entry in cfg.probes
     )
 
 

@@ -202,10 +202,6 @@ def squeezed_amplitudes(r: float, dim: int) -> np.ndarray:
 def thermal_populations(nbar: float, dim: int) -> np.ndarray:
     """Unnormalized geometric populations (nbar/(nbar+1))^m."""
     check_dim(dim)
-    if nbar == 0.0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-        return p
     ratio = nbar / (nbar + 1.0)
     return ratio ** np.arange(dim) / (nbar + 1.0)
 
@@ -276,7 +272,9 @@ def default_dim(spec: ProbeSpec) -> int:
     the closed-form floor alone can under-truncate them; growth stops once
     tail * dim <= 1e-9, which caps the renormalization shift of the mean
     photon number below 1e-9 as well. Growth never exceeds
-    :func:`dim_ceiling`.
+    :func:`dim_ceiling`. It searches the dims base, base + 4, ... by
+    doubling steps, then bisection, so it takes O(log dim) tail tests and
+    returns the first of them that passes wherever the test is monotone in dim.
     """
     max_dim = dim_ceiling()
     # past the cap the floor is the cap, so 8 n is never formed beyond it
@@ -287,11 +285,29 @@ def default_dim(spec: ProbeSpec) -> int:
                 f"Fock n={spec.n} needs at least {spec.n + 2} levels, above the cap {max_dim}"
             )
         return min(max(base, spec.n + 2), max_dim)
-    dim = min(base, max_dim)
-    while dim <= max_dim:
-        if _truncated(spec, dim)[1] * dim <= 1e-9:
-            return dim
-        dim += 4
-    raise TruncationError(
-        f"no dimension <= {max_dim} reaches the truncation budget for {spec.canonical()}"
-    )
+    dims = range(min(base, max_dim), max_dim + 1, 4)
+    refusals: dict[int, TruncationError] = {}
+
+    def settled(i: int) -> bool:
+        # the tail test passes at dims[i], or _truncated refuses it, which is
+        # raised if i turns out to be the first to settle
+        try:
+            return _truncated(spec, dims[i])[1] * dims[i] <= 1e-9
+        except TruncationError as exc:
+            refusals[i] = exc
+            return True
+
+    # gallop to a settled index, then bisect: dims[lo] is unsettled, dims[hi] settled
+    lo, hi = -1, 0
+    while not settled(hi):
+        if hi == len(dims) - 1:
+            raise TruncationError(
+                f"no dimension <= {max_dim} reaches the truncation budget for {spec.canonical()}"
+            )
+        lo, hi = hi, min(2 * hi + 1, len(dims) - 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if settled(mid) else (mid, hi)
+    if hi in refusals:
+        raise refusals[hi]
+    return dims[hi]

@@ -20,7 +20,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -78,8 +78,25 @@ _BOUNDS = {
 _FISHER = {SweepMethod.CFI: FisherMethod.CFI_NUMBER, SweepMethod.QFI: FisherMethod.QFI_SLD}
 
 
+# What an axis value replaces, the one statement of it: a BathParams field,
+# or the evolution time 't', and the rate model the axis forces (None: the
+# bath's own). The excitation axis replaces no input; it instantiates the
+# probe kinds at each value instead.
+AXIS_OVERRIDES: dict[SweepAxis, tuple[str | None, RateModel | None]] = {
+    SweepAxis.EXCITATION_N: (None, None),
+    SweepAxis.TEMPERATURE: ("T", None),
+    SweepAxis.COUPLING_G: ("g", RateModel.PURCELL),
+    SweepAxis.DECAY_GAMMA: ("gamma", RateModel.MARKOVIAN),
+    SweepAxis.TIME: ("t", None),
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep and its plan: the tasks it evaluates, built once here, so a
+    bath-axis value outside the domain :class:`BathParams` states, or a spec
+    whose probes and methods share no row, is refused on construction."""
+
     axis: SweepAxis
     axis_values: tuple[float, ...]
     probes: tuple[ProbeSpec | ProbeKind, ...]
@@ -87,6 +104,7 @@ class SweepSpec:
     bath: BathParams = BathParams()
     t: float = 0.5
     dim: int | None = None
+    plan: tuple[_Task, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", SweepAxis(self.axis))
@@ -118,19 +136,16 @@ class SweepSpec:
                 probes.append(kind)
         object.__setattr__(self, "probes", tuple(probes))
         self._validate_axis_domain()
+        object.__setattr__(self, "plan", _plan(self))
+        if not self.plan:
+            raise DomainError("sweep plan is empty (no probe/method combination applies)")
 
     def _validate_axis_domain(self) -> None:
-        low = self.axis_values[0]
+        """The rules no constructor states; BathParams checks T, gamma and g."""
         if self.axis is SweepAxis.EXCITATION_N:
             if any(v != int(v) or v < 0 for v in self.axis_values):
                 raise DomainError("excitation axis values must be integers >= 0")
-        elif self.axis in (SweepAxis.TEMPERATURE, SweepAxis.DECAY_GAMMA):
-            if low <= 0.0:
-                raise DomainError(f"{self.axis.value} values must be > 0")
-        elif self.axis is SweepAxis.COUPLING_G:
-            if low < 0.0:
-                raise DomainError("coupling values must be >= 0")
-        elif low < 0.0:
+        elif self.axis is SweepAxis.TIME and self.axis_values[0] < 0.0:
             raise DomainError("time values must be >= 0")
 
     def echo(self) -> dict:
@@ -233,37 +248,23 @@ def _instantiate_probe(entry: ProbeSpec | ProbeKind, n: float) -> ProbeSpec:
     return ProbeSpec.thermal(n)
 
 
-def _plan(spec: SweepSpec) -> list[_Task]:
+def _plan(spec: SweepSpec) -> tuple[_Task, ...]:
+    name, rate_model = AXIS_OVERRIDES[spec.axis]
     tasks: list[_Task] = []
     for value in spec.axis_values:
-        bath, t = spec.bath, spec.t
-        if spec.axis is SweepAxis.TEMPERATURE:
-            bath = dataclasses.replace(bath, T=value)
-        elif spec.axis is SweepAxis.COUPLING_G:
-            bath = dataclasses.replace(bath, g=value, rate_model=RateModel.PURCELL)
-        elif spec.axis is SweepAxis.DECAY_GAMMA:
-            bath = dataclasses.replace(bath, gamma=value, rate_model=RateModel.MARKOVIAN)
-        elif spec.axis is SweepAxis.TIME:
-            t = value
+        changes = {} if name is None else {name: value}
+        if rate_model is not None:
+            changes["rate_model"] = rate_model
+        t = changes.pop("t", spec.t)
+        bath = dataclasses.replace(spec.bath, **changes)  # BathParams checks the value
         for entry in spec.probes:
             probe = _instantiate_probe(entry, value)
             methods = tuple(
                 m for m in spec.methods if m in _FISHER or _BOUNDS[m][0] is probe.kind
             )
-            if not methods:
-                continue
-            tasks.append(
-                _Task(
-                    axis=spec.axis,
-                    axis_value=value,
-                    bath=bath,
-                    t=t,
-                    probe=probe,
-                    methods=methods,
-                    dim=spec.dim,
-                )
-            )
-    return tasks
+            if methods:
+                tasks.append(_Task(spec.axis, value, bath, t, probe, methods, spec.dim))
+    return tuple(tasks)
 
 
 def _evaluate_task(task: _Task) -> list[SweepRow]:
@@ -316,9 +317,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     continues; more than 50% failures raise :class:`SweepError`.
     """
     started = time.monotonic()
-    tasks = _plan(spec)
-    if not tasks:
-        raise SweepError("sweep plan is empty (no probe/method combination applies)")
+    tasks = spec.plan
     workers = os.cpu_count() or 1 if workers is None else int(workers)
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers!r}")

@@ -79,3 +79,17 @@ def cfi_linear_coefficient(p0: np.ndarray, rates: Rates, drates: Rates) -> float
     fed = (p0 == 0.0) & (flow > 0.0)
     return float(np.sum(dflow[fed] ** 2 / flow[fed]))
 
+
+
+def cfi_quadratic_coefficient(p0: np.ndarray, drates: Rates) -> float:
+    """The coefficient of t^2 in the number-basis CFI of the populations p0
+    as t -> 0, from the levels p0 holds: there p = p0 + O(t) and
+    dp/dT = t dG p0 + O(t^2), so each level with p0_m > 0 contributes
+    (dG p0)_m^2 / p0_m. For a p0 of full support it is the leading term.
+
+    dG p0 is the diagonal of the oracle's right-hand side at ``drates``, the
+    T-derivatives of the rates.
+    """
+    dflow = lindblad_rhs(np.diag(p0).astype(complex), drates).diagonal().real
+    held = p0 > 0.0
+    return float(np.sum(dflow[held] ** 2 / p0[held]))

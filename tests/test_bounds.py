@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import cfi_linear_coefficient
+from oracle import cfi_linear_coefficient, cfi_quadratic_coefficient
 
 from fockthermo.bath import BathParams, Rates, rates, thermal_occupation, thermal_occupation_dT
 from fockthermo.bounds import (
@@ -20,7 +20,8 @@ from fockthermo.bounds import (
     short_time_valid,
 )
 from fockthermo.errors import DomainError
-from fockthermo.fisher import FisherMethod
+from fockthermo.fisher import FisherMethod, qfi_point
+from fockthermo.probes import ProbeSpec, default_dim, make_state
 from fockthermo.tables import csv_text
 
 # Frozen from high-precision evaluation at omega=1, T=0.5, Gamma0=0.1, t=0.01.
@@ -147,6 +148,31 @@ def test_fock_linear_law_is_the_generator_coefficient(T):
         p0[n] = 1.0
         coefficient = cfi_linear_coefficient(p0, r, drates)
         assert bound_fock_linear(n, bath, 1.0) == pytest.approx(coefficient, rel=1e-12)
+
+
+def test_gaussian_cfi_curves_follow_the_generator_coefficients(fig_bath):
+    # Gamma0 t = 1e-5. The squeezed vacuum's empty odd levels fill at a rate
+    # ~ t, so its CFI is linear (criterion 1b's slope near 1); the coherent
+    # probe's full support leaves only the t^2 term (criterion 1a's slope 2).
+    t = 1e-4
+    r = rates(fig_bath)
+    d_rate = r.gamma0 * thermal_occupation_dT(fig_bath.omega, fig_bath.T)
+    drates = Rates(gamma_plus=d_rate, gamma_minus=d_rate, gamma0=0.0)
+
+    squeezed = ProbeSpec.squeezed(math.asinh(1.0))
+    p0 = make_state(squeezed, default_dim(squeezed)).populations
+    linear = cfi_linear_coefficient(p0, r, drates)
+    assert linear == pytest.approx(0.321076, rel=1e-5)
+    cfi = qfi_point(squeezed, fig_bath, t, FisherMethod.CFI_NUMBER).value
+    assert cfi / t == pytest.approx(linear, rel=1e-3)
+
+    coherent = ProbeSpec.coherent(1.0)
+    p0 = make_state(coherent, 40).populations
+    quadratic = cfi_quadratic_coefficient(p0, drates)
+    assert quadratic == pytest.approx(0.015728, rel=1e-4)
+    assert cfi_linear_coefficient(p0, r, drates) == 0.0  # no empty level to feed
+    cfi = qfi_point(coherent, fig_bath, t, FisherMethod.CFI_NUMBER, dim=40).value
+    assert cfi / t**2 == pytest.approx(quadratic, rel=1e-3)
 
 
 class TestEnqfi:

@@ -18,7 +18,7 @@ from fockthermo import cli, selfcheck
 from fockthermo.cli import RunConfig, main, parse_args
 from fockthermo.errors import ConfigError, DomainError
 from fockthermo.selfcheck import registered_checks
-from fockthermo.sweep import SweepMethod
+from fockthermo.sweep import AXIS_OVERRIDES, SweepAxis, SweepMethod
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -178,6 +178,21 @@ class TestCommands:
         assert code == 1
         assert "excitation axis" in capsys.readouterr().err
 
+    def test_sweep_with_an_empty_plan_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # no Fock row has a coherent closed form: nothing to compute, nothing written
+        monkeypatch.chdir(tmp_path)
+        code = main(["sweep", "--axis", "n", "--axis-values", "1", "--probes", "fock",
+                     "--method", "bound_coherent"])
+        assert code == 1
+        assert "sweep plan is empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_probes_default_to_fock_1(self, tmp_path, capsys):
+        out_csv = tmp_path / "d.csv"
+        assert main(["sweep", "--axis", "time", "--axis-values", "0.01", "--method",
+                     "bound_fock_linear", "--out", str(out_csv)]) == 0
+        assert out_csv.read_text().splitlines()[1].split(",")[2] == "fock:1"
+
     def test_bounds_rejects_fractional_excitations(self, capsys):
         assert main(["bounds", "--axis-values", "1.5,2"]) == 1
         assert "integers" in capsys.readouterr().err
@@ -192,7 +207,7 @@ class TestCommands:
         out_csv = tmp_path / "temp.csv"
         code = main([
             "sweep", "--axis", "temperature", "--axis-values", "0.3,0.5,1.0",
-            "--probe", "fock:2", "--method", "bound_fock_linear",
+            "--probes", "fock:2", "--method", "bound_fock_linear",
             "--rate-model", "purcell", "--g", "0.07", "--workers", "1",
             "--out", str(out_csv),
         ])
@@ -294,7 +309,7 @@ class TestCommands:
         monkeypatch.setattr(cli, "run_sweep", no_points)
         out = tmp_path / "r.json"
         code = main(["sweep", "--axis", "time", "--axis-values", "0.01,0.02",
-                     "--probe", "fock:1", "--method", "bound_fock_linear", "--out", str(out)])
+                     "--probes", "fock:1", "--method", "bound_fock_linear", "--out", str(out)])
         assert code == 1
         assert "JSON mirror" in capsys.readouterr().err
         assert not out.exists()
@@ -320,6 +335,7 @@ _FLAG_VALUES = {
     [("validate", flag) for flag in _FLAG_VALUES]
     + [("qfi", flag) for flag in ("--probes", "--workers", "--axis", "--axis-values", "--out")]
     + [("bounds", flag) for flag in ("--probe", "--probes", "--workers", "--axis")]
+    + [("sweep", "--probe")]  # sweep reads its probes from --probes alone
     + [(command, "--dt") for command in ("qfi", "bounds", "sweep")],
 )
 def test_subcommand_rejects_flags_it_does_not_read(command, flag, capsys):
@@ -335,10 +351,10 @@ def test_subcommand_rejects_flags_it_does_not_read(command, flag, capsys):
         pytest.param(["bounds", "--t", "nan"], None, id="bounds-t-nan"),
         pytest.param(["qfi", "--t", "nan"], None, id="qfi-t-nan"),
         pytest.param(["qfi", "--t", "inf"], None, id="qfi-t-inf"),
-        pytest.param(["sweep", "--axis", "time", "--axis-values", "0.1,nan", "--probe", "fock:1",
+        pytest.param(["sweep", "--axis", "time", "--axis-values", "0.1,nan", "--probes", "fock:1",
                       "--method", "bound_fock_linear"], None, id="sweep-axis-values-nan"),
         pytest.param(["qfi"], "[run]\nt = inf\n", id="qfi-config-t-inf"),
-        pytest.param(["sweep", "--axis", "time", "--probe", "fock:1"],
+        pytest.param(["sweep", "--axis", "time", "--probes", "fock:1"],
                      "[sweep]\naxis_values = 0.1,nan\n", id="sweep-config-axis-values-nan"),
     ],
 )
@@ -357,7 +373,7 @@ def test_non_finite_numbers_rejected(argv, config, tmp_path, monkeypatch, capsys
     "argv",
     [
         pytest.param(["bounds", "--t", "0.01", "--axis-values", "1"], id="bounds"),
-        pytest.param(["sweep", "--axis", "time", "--axis-values", "0.01", "--probe", "fock:1",
+        pytest.param(["sweep", "--axis", "time", "--axis-values", "0.01", "--probes", "fock:1",
                       "--method", "bound_fock_linear"], id="sweep"),
     ],
 )
@@ -381,6 +397,14 @@ class TestConfigFileKeys:
         err = capsys.readouterr().err
         assert "[sweep] probes" in err and "qfi" in err
 
+    def test_sweep_does_not_read_run_probe(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("[run]\nprobe = fock:2\n")
+        assert main(["sweep", "--config", str(path), "--axis", "time", "--axis-values", "0.1",
+                     "--probes", "fock:3", "--out", str(tmp_path / "s.csv")]) == 1
+        assert "config key [run] probe is not read by sweep" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["c.cfg"]
+
     def test_derivative_section_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
         path.write_text("[derivative]\nh_rel = 0.3\nrichardson = false\n")
@@ -398,6 +422,53 @@ class TestConfigFileKeys:
         path.write_text(f"[output]\nout = {out}\n")
         assert main(["bounds", "--config", str(path), "--t", "0.01", "--axis-values", "0,1"]) == 0
         assert out.read_text() == capsys.readouterr().out
+
+
+# Each axis and an input its values replace: (axis, values, field, its config
+# section, a value). Each of these used to leave the CSV byte-identical to a
+# run without it.
+_AXIS_OVERRIDE_CASES = [
+    pytest.param("temperature", "0.3", "T", "bath", "9", id="temperature"),
+    pytest.param("time", "0.1", "t", "run", "7", id="time"),
+    pytest.param("coupling_g", "0.1", "g", "bath", "0.2", id="coupling_g"),
+    pytest.param("coupling_g", "0.1", "rate_model", "bath", "markovian",
+                 id="coupling_g-rate-model"),
+    pytest.param("decay_gamma", "0.3", "gamma", "bath", "2", id="decay_gamma"),
+    pytest.param("decay_gamma", "0.3", "rate_model", "bath", "purcell",
+                 id="decay_gamma-rate-model"),
+]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("axis, values, name, section, value", _AXIS_OVERRIDE_CASES)
+def test_sweep_refuses_an_input_its_axis_replaces(axis, values, name, section, value, via,
+                                                  tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a sweep would write sweep.csv here
+    argv = ["sweep", "--axis", axis, "--axis-values", values, "--probes", "fock:1",
+            "--method", "cfi", "--workers", "1"]
+    if via == "flag":
+        where = "--" + name.replace("_", "-")
+        argv += [where, value]
+    else:
+        where = f"[{section}] {name}"
+        (tmp_path / "run.cfg").write_text(f"[{section}]\n{name} = {value}\n")
+        argv += ["--config", "run.cfg"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert where in err and f"{axis} axis" in err
+    assert [f.name for f in tmp_path.iterdir()] == ([] if via == "flag" else ["run.cfg"])
+
+
+@pytest.mark.parametrize("axis, rate_model", [("coupling_g", "purcell"),
+                                              ("decay_gamma", "markovian")])
+def test_sweep_accepts_the_rate_model_its_axis_forces(axis, rate_model, tmp_path, capsys):
+    out_csv = tmp_path / "r.csv"
+    argv = ["sweep", "--axis", axis, "--axis-values", "0.1", "--probes", "fock:1",
+            "--method", "bound_fock_linear", "--out", str(out_csv)]
+    assert main(argv) == 0
+    expected = out_csv.read_text()
+    assert main([*argv, "--rate-model", rate_model]) == 0
+    assert out_csv.read_text() == expected
 
 
 # Front-end fuzzing: random subcommands, flags and config-file entries, with
@@ -515,6 +586,54 @@ def test_fuzz_qfi_probe_payloads_exit_with_a_contract_code(probe, method):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["qfi", "--probe", probe, "--method", method])
     assert code in (0, 1, 2)
+
+
+# Sweep fuzzing: every axis under each of its spellings, axis values that are
+# negative, non-integer or huge, probe specs and bare kinds, any methods, and
+# the flags an axis replaces. FOCKTHERMO_DIM_MAX=64 bounds the cost of a draw.
+_SWEEP_AXES = [(axis.value, axis) for axis in SweepAxis] + [
+    ("n", SweepAxis.EXCITATION_N), ("temp", SweepAxis.TEMPERATURE),
+    ("Coupling-G", SweepAxis.COUPLING_G), ("TIME", SweepAxis.TIME),
+]
+_sweep_value = st.sampled_from([0.0, 0.01, 0.3, 1.0, 2.0, 1.5, -1.0]) | _magnitude
+_sweep_probe = st.sampled_from(
+    ["fock", "squeezed", "coherent", "thermal", "fock:1", "coherent:1.0", "squeezed:0.5",
+     "thermal:0.5", "Fock", "laser", "fock:x"]
+) | _probe_text
+_REPLACEABLE = [("--T", "0.3"), ("--t", "0.2"), ("--g", "0.2"), ("--gamma", "0.3"),
+                ("--rate-model", "purcell"), ("--rate-model", "markovian")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    axis=st.sampled_from(_SWEEP_AXES),
+    values=st.lists(_sweep_value, min_size=1, max_size=3, unique=True)
+    .flatmap(lambda vs: st.sampled_from([sorted(vs), vs])),
+    probes=st.lists(_sweep_probe, min_size=1, max_size=2),
+    methods=st.lists(st.sampled_from([m.value for m in SweepMethod]), min_size=1, max_size=3),
+    extra=st.lists(st.sampled_from(_REPLACEABLE), max_size=2, unique_by=lambda f: f[0]),
+)
+def test_fuzz_sweep_exits_with_a_contract_code(axis, values, probes, methods, extra, fuzz_dir):
+    spelling, member = axis
+    out = fuzz_dir / "s.csv"
+    argv = ["sweep", "--axis", spelling, "--axis-values", ",".join(repr(v) for v in values),
+            "--probes", ",".join(probes), "--method", ",".join(methods),
+            "--workers", "1", "--out", str(out)]
+    for flag, value in extra:
+        argv += [flag, value]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FOCKTHERMO_DIM_MAX", "64")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert not [f.name for f in fuzz_dir.iterdir() if f.name.endswith(".tmp")]
+    name, rate_model = AXIS_OVERRIDES[member]
+    given_names = {flag.lstrip("-").replace("-", "_"): value for flag, value in extra}
+    forced = rate_model is not None and given_names.get("rate_model", rate_model) != rate_model
+    if name in given_names or forced:
+        assert code == 1  # an input the axis replaces is refused, never dropped
 
 
 class TestValidateCommand:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import number_operator
 
+from fockthermo import probes
 from fockthermo.errors import DomainError, InvalidDimensionError, TruncationError
 from fockthermo.probes import (
     ProbeKind,
@@ -184,6 +185,38 @@ class TestDefaultDim:
         assert default_dim(ProbeSpec.fock(1)) == 40
         with pytest.raises(TruncationError):
             default_dim(ProbeSpec.fock(60))
+
+
+    @pytest.mark.parametrize("r, expected", [(2.5, 1937), (3.0, None)])
+    def test_search_takes_few_tail_tests(self, monkeypatch, r, expected):
+        # a walk 4 levels at a time would take 407 tests to reach 1937, and 819 to refuse r = 3
+        dims = []
+
+        def counted(spec, dim):
+            dims.append(dim)
+            return _truncated(spec, dim)
+
+        monkeypatch.setattr(probes, "_truncated", counted)
+        if expected is None:
+            with pytest.raises(TruncationError, match="no dimension <= 4096"):
+                default_dim(ProbeSpec.squeezed(r))
+        else:
+            assert default_dim(ProbeSpec.squeezed(r)) == expected
+        assert len(dims) <= 24
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([ProbeKind.COHERENT, ProbeKind.SQUEEZED, ProbeKind.THERMAL]),
+           n=st.floats(1e-3, 10.0))
+    def test_search_returns_the_first_passing_dim(self, kind, n):
+        match = energy_match(n)
+        spec = {ProbeKind.COHERENT: ProbeSpec.coherent(match.alpha_mod),
+                ProbeKind.SQUEEZED: ProbeSpec.squeezed(match.r),
+                ProbeKind.THERMAL: ProbeSpec.thermal(n)}[kind]
+        # the reference: walk up from the floor 4 levels at a time
+        dim = max(40, math.ceil(8 * spec.mean_photon + 20))
+        while _truncated(spec, dim)[1] * dim > 1e-9:
+            dim += 4
+        assert default_dim(spec) == dim
 
 
 class TestProbeSpecText:

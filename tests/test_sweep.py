@@ -98,6 +98,26 @@ class TestSpecValidation:
                 probes=(ProbeSpec.fock(1),), bath=fig_bath,
             )
 
+    @pytest.mark.parametrize("axis, value, message", [
+        (SweepAxis.DECAY_GAMMA, -0.1, "gamma must be > 0"),
+        (SweepAxis.COUPLING_G, -0.1, "g must be >= 0"),
+        (SweepAxis.TIME, -0.1, "time values must be >= 0"),
+    ])
+    def test_axis_value_outside_its_domain_refused_on_construction(
+        self, fig_bath, axis, value, message
+    ):
+        # BathParams states the domain of T, gamma and g; the spec states t's
+        with pytest.raises(DomainError, match=message):
+            SweepSpec(axis=axis, axis_values=(value, 0.5), probes=(ProbeSpec.fock(1),),
+                      bath=fig_bath)
+
+    def test_empty_plan_refused_on_construction(self, fig_bath):
+        with pytest.raises(DomainError, match="sweep plan is empty"):
+            SweepSpec(
+                axis=SweepAxis.EXCITATION_N, axis_values=(1.0,), probes=(ProbeKind.FOCK,),
+                methods=(SweepMethod.BOUND_COHERENT,), bath=fig_bath,
+            )
+
 
 class TestRunSweep:
     def test_degenerate_sweep_equals_direct_call(self, fig_bath):
