@@ -252,14 +252,17 @@ def parse_args(argv: list[str] | None = None) -> tuple[str, RunConfig]:
             given[name] = _flag(name)
             updates[name] = _convert(_FIELDS[name], raw, given[name])
     cfg = _build_config(updates)
+    rate_model = RateModel(cfg.rate_model)
     if command == "sweep" and cfg.axis is not None:
-        _refuse_axis_overrides(cfg, given)
+        rate_model = _refuse_axis_overrides(cfg, given) or rate_model
+    if "g" in given and rate_model is RateModel.MARKOVIAN:
+        raise ConfigError(f"{given['g']} is read only under the purcell rate model, not markovian")
     return command, cfg
 
 
-def _refuse_axis_overrides(cfg: RunConfig, given: dict[str, str]) -> None:
-    """A sweep input that its axis replaces is refused, not silently dropped;
-    ``given`` names where each set field was set, by flag or config key."""
+def _refuse_axis_overrides(cfg: RunConfig, given: dict[str, str]) -> RateModel | None:
+    """Refuse a sweep input that its axis replaces, naming where ``given`` says it
+    was set (flag or config key); return the rate model the axis forces, if any."""
     axis = _match(SweepAxis, "axis", cfg.axis, _AXIS_ALIASES)
     name, rate_model = AXIS_OVERRIDES[axis]
     if name in given:
@@ -268,6 +271,7 @@ def _refuse_axis_overrides(cfg: RunConfig, given: dict[str, str]) -> None:
     if rate_model is not None and "rate_model" in given and cfg.rate_model != rate_model.value:
         raise ConfigError(f"{given['rate_model']} {cfg.rate_model} cannot be set on the "
                           f"{axis.value} axis, which uses the {rate_model.value} rate")
+    return rate_model
 
 
 def cmd_qfi(cfg: RunConfig) -> int:

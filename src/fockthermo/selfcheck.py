@@ -9,6 +9,7 @@ registry once, with one test case per check.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -48,6 +49,11 @@ def _register(group: str, name: str):
     return wrap
 
 
+def _within(pairs: list[tuple[float, float]]) -> tuple[bool, float]:
+    """Whether every (defect, tolerance) pair is inside, and the largest defect."""
+    return all(defect < tol for defect, tol in pairs), max(defect for defect, _ in pairs)
+
+
 # --------------------------------------------------------------------------
 # bath
 # --------------------------------------------------------------------------
@@ -65,11 +71,13 @@ def _check_detailed_balance() -> tuple[bool, str]:
 @_register("bath", "rate_gap_identity")
 def _check_rate_gap() -> tuple[bool, str]:
     worst = 0.0  # in units of one ulp of gamma_minus
-    for T in (0.05, 0.5, 5.0, 50.0):
+    for T in (0.05, 0.5, 3.0, 5.0, 50.0):
         r = rates(BathParams(T=T))
         defect = abs(r.gamma_minus - r.gamma_plus - r.gamma0)
         worst = max(worst, defect / np.spacing(r.gamma_minus))
-    return worst <= 1.0, f"max |(G- - G+) - G0| = {worst:.2f} ulp"
+    ref = rates(FIG_BATH)  # where the difference rounds to Gamma0 exactly
+    exact = ref.gamma_minus - ref.gamma_plus == ref.gamma0
+    return worst <= 1.0 and exact, f"max |(G- - G+) - G0| = {worst:.2f} ulp, 0 at T=0.5: {exact}"
 
 
 @_register("bath", "occupation_derivative_positive")
@@ -80,12 +88,12 @@ def _check_derivative_positive() -> tuple[bool, str]:
 
 @_register("bath", "derivative_vs_finite_difference")
 def _check_derivative_fd() -> tuple[bool, str]:
-    worst = 0.0
-    for T in np.logspace(-1, 1, 9):
-        h = 1e-6 * T
-        fd = (thermal_occupation(1.0, T + h) - thermal_occupation(1.0, T - h)) / (2 * h)
-        worst = max(worst, abs(fd / thermal_occupation_dT(1.0, T) - 1.0))
-    return worst < 1e-7, f"max relative FD mismatch {worst:.1e}"
+    # (T, step, tolerance): a log grid at h = 1e-6 T, and the reference T at h = 1e-6
+    cases = [(T, 1e-6 * T, 1e-7) for T in np.logspace(-1, 1, 9)] + [(0.5, 1e-6, 1e-8)]
+    ok, worst = _within([(abs((thermal_occupation(1.0, T + h) - thermal_occupation(1.0, T - h))
+                              / (2 * h) / thermal_occupation_dT(1.0, T) - 1.0), tol)
+                         for T, h, tol in cases])
+    return ok, f"max relative FD mismatch {worst:.1e}"
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +167,10 @@ def _evolved_probes() -> tuple:
 @_register("dynamics", "trace_preservation")
 def _check_trace() -> tuple[bool, str]:
     defect = max(abs(float(out.matrix().trace().real) - 1.0) for out in _evolved_probes())
-    return defect <= 1e-9, f"max |tr - 1| = {defect:.1e}"
+    p = evolve(make_state(ProbeSpec.fock(3), 20), rates(FIG_BATH), 2.0).populations
+    ok = defect <= 1e-9 and abs(p.sum() - 1.0) <= 1e-12 and p.min() >= 0.0
+    return ok, (f"max |tr - 1| = {defect:.1e}; |3> at dim 20, t=2: |sum p - 1| = "
+                f"{abs(p.sum() - 1.0):.1e}, min p {p.min():.1e}")
 
 
 @_register("dynamics", "positivity")
@@ -170,9 +181,11 @@ def _check_positivity() -> tuple[bool, str]:
 
 @_register("dynamics", "diagonality_preservation")
 def _check_diagonality() -> tuple[bool, str]:
-    carried = [evolve(make_state(spec, 40), rates(FIG_BATH), 0.5).bands.size
-               for spec in (ProbeSpec.fock(1), ProbeSpec.fock(2), ProbeSpec.thermal(0.5))]
-    return not any(carried), f"coherence bands carried: {carried}"
+    outs = [evolve(make_state(spec, 40), rates(FIG_BATH), 0.5)
+            for spec in (ProbeSpec.fock(1), ProbeSpec.fock(2), ProbeSpec.thermal(0.5))]
+    carried = [out.bands.size for out in outs]
+    exact = all(np.array_equal(out.matrix(), np.diag(out.populations)) for out in outs)
+    return not any(carried) and exact, f"coherence bands carried: {carried}, diagonal: {exact}"
 
 
 @_register("dynamics", "thermal_stationarity")
@@ -186,28 +199,30 @@ def _check_stationarity() -> tuple[bool, str]:
 
 @_register("dynamics", "first_moment_law")
 def _check_first_moment() -> tuple[bool, str]:
+    # (state, t, tolerance): each probe class at its automatic dim, and |1> at dim 40
+    cases = [(make_state(spec, default_dim(spec)), 0.5, 1e-7) for spec in (
+        ProbeSpec.fock(1), ProbeSpec.coherent(1.0), SQUEEZED_ONE, ProbeSpec.thermal(0.5))]
+    cases.append((make_state(ProbeSpec.fock(1), 40), 1.0, 1e-10))
     r = rates(FIG_BATH)
-    worst = 0.0
-    for spec in (ProbeSpec.fock(1), ProbeSpec.coherent(1.0), SQUEEZED_ONE,
-                 ProbeSpec.thermal(0.5)):
-        rho = make_state(spec, default_dim(spec))
-        out = evolve(rho, r, 0.5)
-        expected = mean_photon_analytic(rho.mean_photon(), r, 0.5)
-        worst = max(worst, abs(out.mean_photon() - expected))
-    return worst < 1e-7, f"max |<n> - analytic| = {worst:.1e}"
+    ok, worst = _within([(abs(evolve(rho, r, t).mean_photon()
+                              - mean_photon_analytic(rho.mean_photon(), r, t)), tol)
+                         for rho, t, tol in cases])
+    return ok, f"max |<n> - analytic| = {worst:.1e}"
 
 
 @_register("dynamics", "short_time_consistency")
 def _check_short_time() -> tuple[bool, str]:
     r = rates(FIG_BATH)
-    t = 1e-3 / r.gamma0 * 0.1  # Gamma0 t = 1e-4
-    rho = evolve(make_state(ProbeSpec.fock(1), 30), r, t)
-    pred = short_time_populations(1, r, t)
-    p = rho.populations
-    band = 10.0 * r.gamma0 * t
-    ratios = [p[0] / pred.p_below, p[1] / pred.p_stay, p[2] / pred.p_above]
-    ok = all(1.0 - band <= x <= 1.0 + band for x in ratios)
-    return ok, f"ratios to first order: {', '.join(f'{x:.6f}' for x in ratios)}"
+    ok, msgs = True, []
+    for g0t, dim in ((1e-4, 30), (1e-3, 40)):  # |1> within 10 Gamma0 t of first order
+        t = g0t / r.gamma0
+        p = evolve(make_state(ProbeSpec.fock(1), dim), r, t).populations
+        pred = short_time_populations(1, r, t)
+        band = 10.0 * r.gamma0 * t
+        ratios = [p[0] / pred.p_below, p[1] / pred.p_stay, p[2] / pred.p_above]
+        ok = ok and all(1.0 - band <= x <= 1.0 + band for x in ratios)
+        msgs.append(f"G0t={g0t:g}, dim {dim}: {', '.join(f'{x:.6f}' for x in ratios)}")
+    return ok, f"ratios to first order at {'; '.join(msgs)}"
 
 
 # --------------------------------------------------------------------------
@@ -216,12 +231,16 @@ def _check_short_time() -> tuple[bool, str]:
 
 @_register("fisher", "cfi_equals_qfi_diagonal")
 def _check_cfi_qfi_equal() -> tuple[bool, str]:
-    worst = 0.0
-    for spec in (ProbeSpec.fock(1), ProbeSpec.thermal(0.5)):
-        c = qfi_point(spec, FIG_BATH, 0.2, FisherMethod.CFI_NUMBER).value
-        q = qfi_point(spec, FIG_BATH, 0.2, FisherMethod.QFI_SLD).value
-        worst = max(worst, abs(q - c) / c)
-    return worst < 1e-8, f"max relative gap {worst:.1e}"
+    # (probe, bath, t, relative tolerance): two at the reference bath, ten seeded draws
+    probes = (ProbeSpec.fock(1), ProbeSpec.fock(2), ProbeSpec.thermal(0.5), ProbeSpec.thermal(1.2))
+    rng = np.random.default_rng(20260808)
+    cases = [(probes[0], FIG_BATH, 0.2, 1e-10), (probes[2], FIG_BATH, 0.2, 1e-8)] + [
+        (probes[i % 4], FIG_BATH.with_temperature(float(rng.uniform(0.3, 1.2))),
+         float(rng.uniform(0.1, 0.5)), 1e-8) for i in range(10)]
+    ok, worst = _within([(abs(qfi_point(spec, bath, t, FisherMethod.QFI_SLD).value
+                              / qfi_point(spec, bath, t, FisherMethod.CFI_NUMBER).value - 1.0), tol)
+                         for spec, bath, t, tol in cases])
+    return ok, f"max relative gap {worst:.1e} over {len(cases)} points"
 
 
 @_register("fisher", "qfi_at_least_cfi")
@@ -255,9 +274,18 @@ def _check_truncation_convergence() -> tuple[bool, str]:
 
 @_register("fisher", "cramer_rao_identity")
 def _check_cramer_rao() -> tuple[bool, str]:
-    rec = qfi_point(ProbeSpec.fock(1), FIG_BATH, 0.1, FisherMethod.CFI_NUMBER)
-    product = rec.delta_t_min**2 * rec.value
-    return product == 1.0, f"deltaT^2 * F = {product!r}"
+    recs = [qfi_point(ProbeSpec.fock(n), FIG_BATH, 0.1, FisherMethod.CFI_NUMBER) for n in (1, 2)]
+    products = [rec.delta_t_min**2 * rec.value for rec in recs]
+    return all(p == 1.0 for p in products), f"deltaT^2 * F = {products!r} for |1>, |2>"
+
+
+@_register("fisher", "displacement_covariance")
+def _check_displacement_covariance() -> tuple[bool, str]:
+    # |alpha> relaxes to a displaced thermal state, and Gamma0 does not depend on T
+    worst = max(abs(qfi_point(ProbeSpec.coherent(alpha), FIG_BATH, t, FisherMethod.QFI_SLD).value
+                    / qfi_point(ProbeSpec.fock(0), FIG_BATH, t, FisherMethod.QFI_SLD).value - 1.0)
+                for t in (0.05, 0.5, 2.0) for alpha in (1.0, 1.5 * np.exp(0.7j), -1.2j))
+    return worst <= 1e-7, f"max relative gap to the vacuum QFI {worst:.1e} over t = 0.05, 0.5, 2"
 
 
 # --------------------------------------------------------------------------
@@ -300,14 +328,13 @@ def _check_nonnegative() -> tuple[bool, str]:
 @_register("bounds", "short_time_ratio")
 def _check_short_time_ratio() -> tuple[bool, str]:
     r = rates(FIG_BATH)
-    msgs = []
-    ok = True
-    for g0t, tol in ((1e-4, 0.05), (1e-5, 0.01)):
+    ok, msgs = True, []
+    for g0t, tol in ((1e-5, 0.01), (1e-4, 0.01), (1e-3, 0.05)):  # |n>, n = 0..3
         t = g0t / r.gamma0
-        cfi = qfi_point(ProbeSpec.fock(1), FIG_BATH, t, FisherMethod.CFI_NUMBER).value
-        ratio = cfi / bound_fock_linear(1, FIG_BATH, t)
-        ok = ok and abs(ratio - 1.0) <= tol
-        msgs.append(f"G0t={g0t:g}: ratio {ratio:.6f}")
+        worst = max((qfi_point(ProbeSpec.fock(n), FIG_BATH, t, FisherMethod.CFI_NUMBER).value
+                     / bound_fock_linear(n, FIG_BATH, t) - 1.0 for n in range(4)), key=abs)
+        ok = ok and abs(worst) <= tol
+        msgs.append(f"G0t={g0t:g}: worst ratio - 1 {worst:.1e} (tol {tol:g})")
     return ok, "; ".join(msgs)
 
 
@@ -319,23 +346,25 @@ def _check_short_time_ratio() -> tuple[bool, str]:
 def _check_determinism() -> tuple[bool, str]:
     spec = SweepSpec(
         axis=SweepAxis.TIME,
-        axis_values=(0.01, 0.02, 0.05, 0.1),
-        probes=(ProbeSpec.fock(1),),
-        methods=(SweepMethod.BOUND_FOCK_LINEAR, SweepMethod.CFI),
+        axis_values=(0.01, 0.02, 0.05, 0.1, 0.2),
+        probes=(ProbeSpec.fock(1), ProbeSpec.coherent(1.0), ProbeSpec.squeezed(0.5)),
+        methods=(SweepMethod.CFI, SweepMethod.QFI, SweepMethod.BOUND_FOCK_LINEAR,
+                 SweepMethod.BOUND_COHERENT),
         bath=FIG_BATH,
     )
-    body1 = run_sweep(spec, workers=1).csv_body()
-    body2 = run_sweep(spec, workers=2).csv_body()
-    return body1 == body2, f"{len(body1)} CSV bytes, workers 1 vs 2"
+    runs = [run_sweep(spec, workers=workers) for workers in (1, 2, 3, 4)]
+    outs = [(r.csv_body(), json.dumps([row.as_json_dict() for row in r.rows])) for r in runs]
+    same = [out == outs[0] for out in outs[1:]]
+    return all(same), f"{len(outs[0][0])} CSV bytes, JSON rows too; workers 2-4 same as 1: {same}"
 
 
 @_register("sweep", "fit_exactness")
 def _check_fit() -> tuple[bool, str]:
-    ts = np.logspace(-3, -1, 6)
-    lin = fit_scaling_exponent(ts, 3.0 * ts)
-    quad = fit_scaling_exponent(ts, 0.5 * ts**2)
-    ok = abs(lin.slope - 1.0) < 1e-9 and abs(quad.slope - 2.0) < 1e-9 and lin.r_squared > 1 - 1e-12
-    return ok, f"slopes {lin.slope:.12f}, {quad.slope:.12f}"
+    fits = [(power, fit_scaling_exponent(ts, coef * ts**power))
+            for ts in (np.logspace(-3, -1, 6), np.logspace(-3, -1, 7))
+            for coef, power in ((3.0, 1), (0.5, 2), (0.25, 2))]
+    ok = all(abs(fit.slope - k) < 1e-9 and abs(fit.r_squared - 1.0) < 1e-12 for k, fit in fits)
+    return ok, f"slopes {', '.join(f'{fit.slope:.12f}' for _, fit in fits)}"
 
 
 @_register("sweep", "time_axis_monotone")
@@ -343,32 +372,34 @@ def _check_time_monotone() -> tuple[bool, str]:
     # information is nondecreasing in t while Gamma0 t <= 0.05
     spec = SweepSpec(
         axis=SweepAxis.TIME,
-        axis_values=(0.1, 0.25, 0.5),
-        probes=(ProbeSpec.fock(1),),
+        axis_values=(0.05, 0.1, 0.2, 0.25, 0.35, 0.5),
+        probes=(ProbeSpec.fock(1), ProbeSpec.coherent(1.0)),
         methods=(SweepMethod.CFI,),
         bath=FIG_BATH,
     )
-    vals = [row.qfi for row in run_sweep(spec, workers=1).rows]
-    ok = all(b >= a for a, b in zip(vals, vals[1:]))
-    return ok, f"CFI over t=(0.1, 0.25, 0.5): {', '.join(f'{v:.5e}' for v in vals)}"
+    rows = run_sweep(spec, workers=1).rows
+    curves = [[row.qfi for row in rows if row.probe == p.canonical()] for p in spec.probes]
+    ok = all(b >= a for vals in curves for a, b in zip(vals, vals[1:]))
+    return ok, "CFI: " + "; ".join(", ".join(f"{x:.3e}" for x in vals) for vals in curves)
 
 
 @_register("sweep", "energy_matched_rows")
 def _check_energy_matched_rows() -> tuple[bool, str]:
     spec = SweepSpec(
         axis=SweepAxis.EXCITATION_N,
-        axis_values=(1.0, 3.0),
-        probes=(ProbeKind.SQUEEZED, ProbeKind.COHERENT),
-        methods=(SweepMethod.BOUND_SQUEEZED, SweepMethod.BOUND_COHERENT),
+        axis_values=(1.0, 2.0, 3.0),
+        probes=(ProbeKind.FOCK, ProbeKind.SQUEEZED, ProbeKind.COHERENT),
+        methods=(SweepMethod.BOUND_FOCK_LINEAR, SweepMethod.BOUND_SQUEEZED,
+                 SweepMethod.BOUND_COHERENT),
         bath=FIG_BATH,
         t=0.01,
     )
-    worst = 0.0
-    for row in run_sweep(spec, workers=1).rows:
-        probe = ProbeSpec.parse(row.probe)
-        rho = make_state(probe, default_dim(probe))
-        worst = max(worst, abs(rho.mean_photon() - row.axis_value))
-    return worst < 1e-8, f"max |<n> - axis value| = {worst:.1e}"
+    rows = run_sweep(spec, workers=1).rows
+    probes = [(ProbeSpec.parse(row.probe), row.axis_value) for row in rows]
+    by_spec = max(abs(p.mean_photon - n) for p, n in probes)
+    by_state = max(abs(make_state(p, default_dim(p)).mean_photon() - n) for p, n in probes)
+    ok = len(rows) == 9 and by_spec <= 1e-12 and by_state < 1e-8  # one bound per probe and n
+    return ok, f"{len(rows)} rows; max |<n> - n| {by_spec:.1e} by spec, {by_state:.1e} in the state"
 
 
 def registered_checks() -> list[tuple[str, str]]:

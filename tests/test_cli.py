@@ -459,6 +459,38 @@ def test_sweep_refuses_an_input_its_axis_replaces(axis, values, name, section, v
     assert [f.name for f in tmp_path.iterdir()] == ([] if via == "flag" else ["run.cfg"])
 
 
+# Under the Markovian rate, the default, given or forced by the decay_gamma
+# axis, no computation reads g: each of these used to print the same numbers
+# as a run without g, or write the same sweep.
+@pytest.mark.parametrize("argv, where", [
+    pytest.param(["qfi", "--g", "7"], "--g", id="qfi"),
+    pytest.param(["bounds", "--g", "7"], "--g", id="bounds"),
+    pytest.param(["qfi", "--g", "7", "--rate-model", "markovian"], "--g", id="qfi-markovian"),
+    pytest.param(["sweep", "--axis", "decay_gamma", "--axis-values", "0.1,0.3", "--probes",
+                  "fock:1", "--method", "cfi", "--g", "7"], "--g", id="sweep-decay-gamma"),
+    pytest.param(["qfi", "--config", "run.cfg"], "[bath] g", id="qfi-config"),
+    pytest.param(["sweep", "--axis", "temperature", "--axis-values", "0.3", "--probes", "fock:1",
+                  "--config", "run.cfg"], "[bath] g", id="sweep-config"),
+])
+def test_g_refused_under_the_markovian_rate(argv, where, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a sweep would write sweep.csv here
+    (tmp_path / "run.cfg").write_text("[bath]\ng = 0.05\n")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where} is read only under the purcell rate model, not markovian\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_g_read_under_the_purcell_rate(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("[bath]\nrate_model = purcell\ng = 0.07\n")
+    assert main(["qfi", "--config", str(tmp_path / "run.cfg")]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["qfi", "--rate-model", "purcell", "--g", "0.07"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert "g=0.07 rate_model=purcell" in from_file
+
+
 @pytest.mark.parametrize("axis, rate_model", [("coupling_g", "purcell"),
                                               ("decay_gamma", "markovian")])
 def test_sweep_accepts_the_rate_model_its_axis_forces(axis, rate_model, tmp_path, capsys):
@@ -634,6 +666,9 @@ def test_fuzz_sweep_exits_with_a_contract_code(axis, values, probes, methods, ex
     forced = rate_model is not None and given_names.get("rate_model", rate_model) != rate_model
     if name in given_names or forced:
         assert code == 1  # an input the axis replaces is refused, never dropped
+    effective = rate_model.value if rate_model else given_names.get("rate_model", "markovian")
+    if "g" in given_names and effective == "markovian":
+        assert code == 1  # g is read only under the Purcell rate
 
 
 class TestValidateCommand:
