@@ -27,7 +27,7 @@ from .fisher import (
     qfi_curve,
     qfi_point,
 )
-from .probes import EnergyMatch, ProbeKind, ProbeSpec, default_dim, energy_match, make_state
+from .probes import ProbeKind, ProbeSpec, default_dim, make_state
 from .sweep import SweepAxis, SweepMethod, SweepSpec, fit_scaling_exponent, run_sweep
 
 __all__ = [
@@ -54,11 +54,9 @@ __all__ = [
     "fisher_record",
     "qfi_curve",
     "qfi_point",
-    "EnergyMatch",
     "ProbeKind",
     "ProbeSpec",
     "default_dim",
-    "energy_match",
     "make_state",
     "SweepAxis",
     "SweepMethod",

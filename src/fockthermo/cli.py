@@ -81,55 +81,32 @@ _COMPUTE = ("qfi", "bounds", "sweep")  # every subcommand but validate
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat, fully validated parameter record for one invocation."""
+    """Every parameter of one invocation, as the type the program reads;
+    :func:`parse_args` converts and checks each value once."""
 
     omega: float = _param(1.0, "bath", _number, _COMPUTE)
     T: float = _param(0.5, "bath", _number, _COMPUTE)
     gamma: float = _param(0.1, "bath", _number, _COMPUTE)
     g: float = _param(0.05, "bath", _number, _COMPUTE)
-    rate_model: str = _param("markovian", "bath", str, _COMPUTE)
+    rate_model: RateModel = _param(RateModel.MARKOVIAN, "bath", str, _COMPUTE)
     t: float = _param(0.5, "run", _number, _COMPUTE)
-    probe: str = _param("fock:1", "run", str, ("qfi",))
-    probes: tuple[str, ...] = _param(("fock:1",), "sweep", _names, ("sweep",),
-                                     "comma-separated probe list")
-    # empty means command default ('qfi')
-    method: tuple[str, ...] = _param((), "run", _names, _COMPUTE, "comma-separated method list")
-    axis: str | None = _param(None, "sweep", str, ("sweep",))
+    probe: ProbeSpec = _param(ProbeSpec.fock(1), "run", str, ("qfi",))
+    # probe specs, or bare kinds on the excitation axis
+    probes: tuple[ProbeSpec | ProbeKind, ...] = _param(
+        (ProbeSpec.fock(1),), "sweep", _names, ("sweep",), "comma-separated probe list")
+    # the command's default where none is given: 'qfi' for qfi and sweep, none for bounds
+    method: tuple[SweepMethod, ...] = _param((), "run", _names, _COMPUTE,
+                                             "comma-separated method list")
+    axis: SweepAxis | None = _param(None, "sweep", str, ("sweep",))
     axis_values: tuple[float, ...] = _param((), "sweep", _numbers, ("bounds", "sweep"),
                                             "comma-separated axis values")
-    dim: int | None = _param(None, "run", _integer, _COMPUTE)
+    dim: int | None = _param(None, "run", _integer, _COMPUTE)  # within the cap
     workers: int | None = _param(None, "sweep", _integer, ("sweep",))
     out: str | None = _param(None, "output", _path, ("bounds", "sweep"))
 
     def bath(self) -> BathParams:
-        try:
-            return BathParams(
-                omega=self.omega, T=self.T, gamma=self.gamma, g=self.g,
-                rate_model=RateModel(self.rate_model),
-            )
-        except ValueError:
-            raise ConfigError(
-                f"rate_model must be 'markovian' or 'purcell', got {self.rate_model!r}"
-            ) from None
-        except FockThermoError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def probe_spec(self) -> ProbeSpec:
-        try:
-            return ProbeSpec.parse(self.probe)
-        except FockThermoError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def resolved_dim(self) -> int | None:
-        """Explicit dim checked against the safety cap; None keeps auto sizing
-        (which is itself capped inside :func:`fockthermo.probes.default_dim`)."""
-        try:
-            cap = dim_ceiling()
-        except FockThermoError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.dim is not None and self.dim > cap:
-            raise ConfigError(f"dim={self.dim} exceeds {DIM_MAX_ENV}={cap}")
-        return self.dim
+        return BathParams(omega=self.omega, T=self.T, gamma=self.gamma, g=self.g,
+                          rate_model=self.rate_model)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -168,22 +145,6 @@ def _read_config(text: str, command: str) -> dict:
     return updates
 
 
-def _build_config(updates: dict) -> RunConfig:
-    cfg = RunConfig(**updates)
-    cfg.bath()  # BathParams checks omega, T, gamma, g and rate_model
-    if cfg.t < 0:
-        raise ConfigError(f"t must be >= 0, got {cfg.t!r}")
-    if cfg.dim is not None and cfg.dim < 2:
-        raise ConfigError(f"dim must be >= 2, got {cfg.dim!r}")
-    if cfg.workers is not None and cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers!r}")
-    for name in cfg.method:
-        _match(SweepMethod, "method", name)
-    if cfg.axis is not None:
-        _match(SweepAxis, "axis", cfg.axis, _AXIS_ALIASES)
-    return cfg
-
-
 _AXIS_ALIASES = {"n": "excitation_n", "temp": "temperature"}
 
 
@@ -197,15 +158,12 @@ def _match(enum, what: str, name: str, aliases: dict[str, str] | None = None):
         raise ConfigError(f"unknown {what} {name!r} (expected one of: {valid})") from None
 
 
-def _fisher_methods(names: tuple[str, ...], command: str) -> list[FisherMethod]:
-    """The --method names of a command that computes only 'cfi' and 'qfi'."""
-    methods = []
-    for name in names:
-        method = _match(SweepMethod, "method", name)
-        if method not in (SweepMethod.CFI, SweepMethod.QFI):
-            raise ConfigError(f"{command} command computes 'cfi' or 'qfi', not {name!r}")
-        methods.append(FisherMethod(method.value))
-    return methods
+def _usage(convert, *args, **kwargs):
+    """``convert(*args, **kwargs)``, with a package error reported as a usage error."""
+    try:
+        return convert(*args, **kwargs)
+    except FockThermoError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,39 +209,105 @@ def parse_args(argv: list[str] | None = None) -> tuple[str, RunConfig]:
         if raw is not None:
             given[name] = _flag(name)
             updates[name] = _convert(_FIELDS[name], raw, given[name])
-    cfg = _build_config(updates)
-    rate_model = RateModel(cfg.rate_model)
-    if command == "sweep" and cfg.axis is not None:
-        rate_model = _refuse_axis_overrides(cfg, given) or rate_model
+    return command, _build_config(command, updates, given)
+
+
+def _build_config(command: str, updates: dict, given: dict[str, str]) -> RunConfig:
+    """The config of ``command``: each value in ``updates`` converted once to
+    the type the program reads, and every usage rule checked. The checks run
+    in one fixed order, so an input that breaks several is refused for the
+    first. ``given`` names the flag or config key that set each value."""
+    # these arrive as text, and each is converted below at its turn in the order
+    text = {name: updates.pop(name) for name in ("rate_model", "probe", "probes", "method", "axis")
+            if name in updates}
+    if "rate_model" in text:
+        try:
+            updates["rate_model"] = RateModel(text["rate_model"])
+        except ValueError:
+            raise ConfigError(f"rate_model must be 'markovian' or 'purcell', "
+                              f"got {text['rate_model']!r}") from None
+    cfg = RunConfig(**updates)
+    _usage(cfg.bath)  # BathParams checks omega, T, gamma and g
+    if cfg.t < 0:
+        raise ConfigError(f"t must be >= 0, got {cfg.t!r}")
+    if cfg.dim is not None and cfg.dim < 2:
+        raise ConfigError(f"dim must be >= 2, got {cfg.dim!r}")
+    if cfg.workers is not None and cfg.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {cfg.workers!r}")
+    names = text.get("method", ())
+    typed = {"method": tuple(_match(SweepMethod, "method", name) for name in names)}
+    if "axis" in text:
+        typed["axis"] = _match(SweepAxis, "axis", text["axis"], _AXIS_ALIASES)
+    rate_model = cfg.rate_model
+    if command == "sweep" and "axis" in typed:
+        rate_model = _refuse_axis_overrides(typed["axis"], cfg, given) or rate_model
     if "g" in given and rate_model is RateModel.MARKOVIAN:
         raise ConfigError(f"{given['g']} is read only under the purcell rate model, not markovian")
-    return command, cfg
+
+    if "probe" in text:  # read by qfi alone
+        typed["probe"] = _usage(ProbeSpec.parse, text["probe"])
+    if command == "bounds" and any(v != int(v) or v < 0 for v in cfg.axis_values):
+        raise ConfigError("bounds --axis-values must be integers >= 0 (excitation numbers)")
+    if command in ("qfi", "bounds"):
+        for name, method in zip(names, typed["method"]):
+            if method not in (SweepMethod.CFI, SweepMethod.QFI):
+                raise ConfigError(f"{command} command computes 'cfi' or 'qfi', not {name!r}")
+    if command == "sweep":
+        if "axis" not in typed:
+            raise ConfigError("sweep requires --axis")
+        if not cfg.axis_values:
+            raise ConfigError("sweep requires --axis-values")
+        out_csv, out_json = _sweep_outputs(cfg.out)
+        if out_json == out_csv:
+            raise ConfigError(f"--out {out_csv} would be overwritten by its JSON mirror; "
+                              "give the CSV a suffix other than .json")
+        if "probes" in text:
+            typed["probes"] = tuple(
+                _usage(ProbeSpec.parse, entry) if ":" in entry
+                else _match(ProbeKind, "probe kind", entry)
+                for entry in text["probes"]
+            )
+    if command in ("qfi", "sweep") and not typed["method"]:
+        typed["method"] = (SweepMethod.QFI,)
+    if command in _COMPUTE:  # the commands that read dim check the cap, set or not
+        cap = _usage(dim_ceiling)
+        if cfg.dim is not None and cfg.dim > cap:
+            raise ConfigError(f"dim={cfg.dim} exceeds {DIM_MAX_ENV}={cap}")
+    return dataclasses.replace(cfg, **typed)
 
 
-def _refuse_axis_overrides(cfg: RunConfig, given: dict[str, str]) -> RateModel | None:
+def _refuse_axis_overrides(axis: SweepAxis, cfg: RunConfig,
+                           given: dict[str, str]) -> RateModel | None:
     """Refuse a sweep input that its axis replaces, naming where ``given`` says it
     was set (flag or config key); return the rate model the axis forces, if any."""
-    axis = _match(SweepAxis, "axis", cfg.axis, _AXIS_ALIASES)
     name, rate_model = AXIS_OVERRIDES[axis]
     if name in given:
         raise ConfigError(f"{given[name]} cannot be set on the {axis.value} axis, "
                           f"whose values replace {name}")
-    if rate_model is not None and "rate_model" in given and cfg.rate_model != rate_model.value:
-        raise ConfigError(f"{given['rate_model']} {cfg.rate_model} cannot be set on the "
+    if rate_model is not None and "rate_model" in given and cfg.rate_model is not rate_model:
+        raise ConfigError(f"{given['rate_model']} {cfg.rate_model.value} cannot be set on the "
                           f"{axis.value} axis, which uses the {rate_model.value} rate")
     return rate_model
+
+
+def _sweep_outputs(out: str | None) -> tuple[Path, Path]:
+    """The sweep's CSV and its JSON mirror."""
+    out_csv = Path(out or "sweep.csv")
+    try:
+        return out_csv, out_csv.with_suffix(".json")
+    except ValueError:  # a path without a file name, such as '.' or '/'
+        raise ConfigError(f"--out {out} names no file") from None
 
 
 def cmd_qfi(cfg: RunConfig) -> int:
     """single-point Fisher information"""
     bath = cfg.bath()
-    probe = cfg.probe_spec()
-    methods = _fisher_methods(cfg.method or ("qfi",), "qfi")
-    deriv = d_dT_state(probe, bath, cfg.t, dim=cfg.resolved_dim(), methods=methods)
+    methods = [FisherMethod(m) for m in cfg.method]
+    deriv = d_dT_state(cfg.probe, bath, cfg.t, dim=cfg.dim, methods=methods)
     for method in methods:
         record = fisher_record(deriv, method)
         print(
-            f"method={record.method} probe={probe.canonical()} "
+            f"method={record.method} probe={cfg.probe.canonical()} "
             f"omega={fmt(bath.omega)} T={fmt(bath.T)} gamma={fmt(bath.gamma)} "
             f"g={fmt(bath.g)} rate_model={bath.rate_model.value} t={fmt(cfg.t)}"
         )
@@ -297,15 +321,8 @@ def cmd_qfi(cfg: RunConfig) -> int:
 
 def cmd_bounds(cfg: RunConfig) -> int:
     """closed-form short-time scaling table"""
-    bath = cfg.bath()
-    if cfg.axis_values:
-        if any(v != int(v) or v < 0 for v in cfg.axis_values):
-            raise ConfigError("bounds --axis-values must be integers >= 0 (excitation numbers)")
-        n_list = [int(v) for v in cfg.axis_values]
-    else:
-        n_list = [0, 1, 2, 3, 4, 5]
-    methods = _fisher_methods(cfg.method, "bounds")
-    table = scaling_table(bath, n_list, cfg.t, methods=methods, dim=cfg.resolved_dim())
+    table = scaling_table(cfg.bath(), cfg.axis_values or range(6), cfg.t,
+                          methods=[FisherMethod(m) for m in cfg.method], dim=cfg.dim)
     text = csv_text(ScalingRow, table)
     print(text, end="")
     if cfg.out:
@@ -314,39 +331,11 @@ def cmd_bounds(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_probes(cfg: RunConfig) -> tuple:
-    """Probe specs, or bare kinds for the excitation axis; cmd_sweep reports a
-    malformed spec as a usage error."""
-    return tuple(
-        ProbeSpec.parse(entry) if ":" in entry else _match(ProbeKind, "probe kind", entry)
-        for entry in cfg.probes
-    )
-
-
 def cmd_sweep(cfg: RunConfig) -> int:
     """parameter sweep to CSV/JSON"""
-    if cfg.axis is None:
-        raise ConfigError("sweep requires --axis")
-    if not cfg.axis_values:
-        raise ConfigError("sweep requires --axis-values")
-    axis = _match(SweepAxis, "axis", cfg.axis, _AXIS_ALIASES)
-    out_csv = Path(cfg.out or "sweep.csv")
-    out_json = out_csv.with_suffix(".json")
-    if out_json == out_csv:
-        raise ConfigError(f"--out {out_csv} would be overwritten by its JSON mirror; "
-                          "give the CSV a suffix other than .json")
-    try:
-        spec = SweepSpec(
-            axis=axis,
-            axis_values=cfg.axis_values,
-            probes=_sweep_probes(cfg),
-            methods=tuple(_match(SweepMethod, "method", m) for m in cfg.method or ("qfi",)),
-            bath=cfg.bath(),
-            t=cfg.t,
-            dim=cfg.resolved_dim(),
-        )
-    except FockThermoError as exc:  # spec assembly failures are usage errors
-        raise ConfigError(str(exc)) from None
+    out_csv, out_json = _sweep_outputs(cfg.out)
+    spec = _usage(SweepSpec, axis=cfg.axis, axis_values=cfg.axis_values, probes=cfg.probes,
+                  methods=cfg.method, bath=cfg.bath(), t=cfg.t, dim=cfg.dim)
     result = run_sweep(spec, workers=cfg.workers)
     result.write_csv(out_csv)
     result.write_json(out_json)

@@ -206,9 +206,9 @@ def evolve(
     if t == 0.0:
         return state
     p0 = population_vector(state.populations)
-    band0 = BandStack.build(state.dim, np.zeros(1, dtype=int), rates)
+    # rates large enough to overflow the generator are refused by _check_finite
     with np.errstate(all="ignore"):
-        p = dense_action(band0, p0, t)
+        p = dense_action(BandStack.build(state.dim, np.zeros(1, dtype=int), rates), p0, t)
     _check_finite(p, "dense population exponential", rates, t)
     low = float(p.min())
     if low < -NEGATIVE_CLIP:
@@ -224,12 +224,12 @@ def evolve(
         raise PositivityError(f"trace drifted by {trace_defect:.3e} during evolution")
     v = state.coherences
     if state.bands.size:
-        stack = BandStack.build(state.dim, state.bands, rates)
-        if stack.uses_taylor_action(t):
-            kernel, name = taylor_action, "Taylor action on the coherence bands"
-        else:
-            kernel, name = dense_action, "dense exponential of the coherence bands"
         with np.errstate(all="ignore"):
+            stack = BandStack.build(state.dim, state.bands, rates)
+            if stack.uses_taylor_action(t):
+                kernel, name = taylor_action, "Taylor action on the coherence bands"
+            else:
+                kernel, name = dense_action, "dense exponential of the coherence bands"
             v = kernel(stack, v, t)
         _check_finite(v, name, rates, t)
     return BandState(p, state.bands, v)

@@ -123,7 +123,8 @@ def d_dT_state(
     h = max(H_REL * bath.T, H_ABS_FLOOR)
     while bath.T - h <= 0.0:
         h /= 2.0
-        if bath.T + h == bath.T:
+        # the difference quotients below divide by h
+        if bath.T + h == bath.T or math.isinf(1.0 / h):
             raise DomainError(f"derivative step underflowed at T={bath.T!r}")
 
     states = [

@@ -100,6 +100,25 @@ class ProbeSpec:
     def thermal(cls, nbar: float) -> "ProbeSpec":
         return cls(kind=ProbeKind.THERMAL, nbar=float(nbar))
 
+    @classmethod
+    def matched(cls, kind: ProbeKind | str, n: float) -> "ProbeSpec":
+        """The probe of ``kind`` with mean photon number n: |n>, the coherent
+        state with |alpha| = sqrt(n), the squeezed vacuum with
+        r = asinh(sqrt(n)), or the thermal state with occupation n, so that
+        sinh^2(r) = |alpha|^2 = n to machine precision by construction.
+        A Fock probe needs an integer n."""
+        kind = ProbeKind(kind)
+        if not (n >= 0.0) or not math.isfinite(n):
+            raise DomainError(f"target mean photon number must be >= 0, got {n!r}")
+        if kind is ProbeKind.FOCK:
+            if n != int(n):
+                raise DomainError(f"a Fock probe needs an integer mean photon number, got {n!r}")
+            return cls.fock(int(n))
+        if kind is ProbeKind.THERMAL:
+            return cls.thermal(n)
+        root = math.sqrt(n)
+        return cls.coherent(root) if kind is ProbeKind.COHERENT else cls.squeezed(math.asinh(root))
+
     @property
     def mean_photon(self) -> float:
         if self.kind is ProbeKind.FOCK:
@@ -148,27 +167,6 @@ class ProbeSpec:
             return cls.thermal(float(payload))
         except ValueError as exc:
             raise DomainError(f"bad probe payload in {text!r}: {exc}") from None
-
-
-@dataclass(frozen=True)
-class EnergyMatch:
-    """Gaussian-probe parameters sharing a target mean photon number."""
-
-    n_target: float
-    r: float
-    alpha_mod: float
-
-
-def energy_match(n_target: float) -> EnergyMatch:
-    """Squeezing and coherent amplitude with mean energy n_target.
-
-    sinh^2(r) = n_target and alpha_mod^2 = n_target hold to machine
-    precision by construction (r = asinh(sqrt(n_target))).
-    """
-    if not (n_target >= 0.0) or not math.isfinite(n_target):
-        raise DomainError(f"target mean photon number must be >= 0, got {n_target!r}")
-    root = math.sqrt(n_target)
-    return EnergyMatch(n_target=float(n_target), r=math.asinh(root), alpha_mod=root)
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:

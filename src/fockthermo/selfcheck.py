@@ -22,7 +22,7 @@ from .dynamics import evolve, mean_photon_analytic, short_time_populations
 from .errors import FockThermoError
 from .fisher import FisherMethod, cfi_number_basis, d_dT_state, qfi_point, qfi_sld_detailed
 from .fockspace import LEAKAGE_BUDGET
-from .probes import ProbeKind, ProbeSpec, default_dim, energy_match, make_state
+from .probes import ProbeKind, ProbeSpec, default_dim, make_state
 from .sweep import SweepAxis, SweepMethod, SweepSpec, fit_scaling_exponent, run_sweep
 
 FIG_BATH = BathParams()  # omega=1, T=0.5, gamma=0.1, g=0.05, markovian
@@ -117,17 +117,6 @@ def _check_states_validate() -> tuple[bool, str]:
     ok = herm == 0.0 and trace <= 1e-9 and low >= -1e-9 and top <= LEAKAGE_BUDGET
     return ok, (f"hermiticity defect {herm:.1e}, max |tr - 1| {trace:.1e}, "
                 f"smallest eigenvalue {low:.1e}, max top-level population {top:.1e}")
-
-
-@_register("probes", "energy_matching")
-def _check_energy_matching() -> tuple[bool, str]:
-    worst = 0.0
-    for n in (1.0, 2.0, 3.0):
-        match = energy_match(n)
-        for spec in (ProbeSpec.coherent(match.alpha_mod), ProbeSpec.squeezed(match.r)):
-            rho = make_state(spec, default_dim(spec))
-            worst = max(worst, abs(rho.mean_photon() - n))
-    return worst < 1e-9, f"max |<n> - target| = {worst:.1e}"
 
 
 @_register("probes", "squeezed_odd_levels")
@@ -398,7 +387,7 @@ def _check_energy_matched_rows() -> tuple[bool, str]:
     probes = [(ProbeSpec.parse(row.probe), row.axis_value) for row in rows]
     by_spec = max(abs(p.mean_photon - n) for p, n in probes)
     by_state = max(abs(make_state(p, default_dim(p)).mean_photon() - n) for p, n in probes)
-    ok = len(rows) == 9 and by_spec <= 1e-12 and by_state < 1e-8  # one bound per probe and n
+    ok = len(rows) == 9 and by_spec <= 1e-12 and by_state < 1e-9  # one bound per probe and n
     return ok, f"{len(rows)} rows; max |<n> - n| {by_spec:.1e} by spec, {by_state:.1e} in the state"
 
 

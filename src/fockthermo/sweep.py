@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fisher
 from .bath import BathParams, RateModel
 from .bounds import (
     bound_coherent,
@@ -37,14 +37,8 @@ from .bounds import (
     short_time_valid,
 )
 from .errors import DomainError, FockThermoError, InsufficientDataError, SweepError
-from .fisher import (
-    FisherMethod,
-    TemperatureDerivative,
-    d_dT_state,
-    delta_t_min,
-    fisher_record,
-)
-from .probes import ProbeKind, ProbeSpec, energy_match
+from .fisher import FisherMethod, TemperatureDerivative, delta_t_min, fisher_record
+from .probes import ProbeKind, ProbeSpec
 from .tables import columns, csv_text
 
 
@@ -235,19 +229,6 @@ class _Task:
     dim: int | None
 
 
-def _instantiate_probe(entry: ProbeSpec | ProbeKind, n: float) -> ProbeSpec:
-    if isinstance(entry, ProbeSpec):
-        return entry
-    match = energy_match(n)
-    if entry is ProbeKind.FOCK:
-        return ProbeSpec.fock(int(n))
-    if entry is ProbeKind.SQUEEZED:
-        return ProbeSpec.squeezed(match.r)
-    if entry is ProbeKind.COHERENT:
-        return ProbeSpec.coherent(match.alpha_mod)
-    return ProbeSpec.thermal(n)
-
-
 def _plan(spec: SweepSpec) -> tuple[_Task, ...]:
     name, rate_model = AXIS_OVERRIDES[spec.axis]
     tasks: list[_Task] = []
@@ -258,7 +239,7 @@ def _plan(spec: SweepSpec) -> tuple[_Task, ...]:
         t = changes.pop("t", spec.t)
         bath = dataclasses.replace(spec.bath, **changes)  # BathParams checks the value
         for entry in spec.probes:
-            probe = _instantiate_probe(entry, value)
+            probe = entry if isinstance(entry, ProbeSpec) else ProbeSpec.matched(entry, value)
             methods = tuple(
                 m for m in spec.methods if m in _FISHER or _BOUNDS[m][0] is probe.kind
             )
@@ -269,10 +250,11 @@ def _plan(spec: SweepSpec) -> tuple[_Task, ...]:
 
 def _evaluate_task(task: _Task) -> list[SweepRow]:
     deriv: TemperatureDerivative | FockThermoError | None = None
-    fisher = [_FISHER[method] for method in task.methods if method in _FISHER]
-    if fisher:
+    methods = [_FISHER[method] for method in task.methods if method in _FISHER]
+    if methods:
         try:
-            deriv = d_dT_state(task.probe, task.bath, task.t, dim=task.dim, methods=fisher)
+            # through the module, where a tracer of fisher.d_dT_state sees it
+            deriv = fisher.d_dT_state(task.probe, task.bath, task.t, dim=task.dim, methods=methods)
         except FockThermoError as exc:
             deriv = exc  # reported on every Fisher row of the task
     return [_evaluate_row(task, method, deriv) for method in task.methods]

@@ -24,7 +24,7 @@ from oracle import apply, propagator
 from fockthermo.bath import BathParams, rates
 from fockthermo.dynamics import evolve
 from fockthermo.fisher import FisherMethod, qfi_curve, qfi_point
-from fockthermo.probes import ProbeSpec, energy_match, make_state
+from fockthermo.probes import ProbeKind, ProbeSpec, make_state
 from fockthermo.sweep import fit_scaling_exponent
 
 BATH = BathParams()  # omega=1, T=0.5, gamma=0.1, g=0.05, markovian
@@ -142,11 +142,10 @@ def excitation_table():
     t = 0.5
     table = {}
     for n in range(1, 6):
-        match = energy_match(float(n))
-        fock = qfi_point(ProbeSpec.fock(n), BATH, t, FisherMethod.QFI_SLD).value
-        coh = qfi_point(ProbeSpec.coherent(match.alpha_mod), BATH, t, FisherMethod.QFI_SLD).value
-        sq = qfi_point(ProbeSpec.squeezed(match.r), BATH, t, FisherMethod.QFI_SLD).value
-        table[n] = (fock, coh, sq)
+        table[n] = tuple(
+            qfi_point(ProbeSpec.matched(kind, n), BATH, t, FisherMethod.QFI_SLD).value
+            for kind in (ProbeKind.FOCK, ProbeKind.COHERENT, ProbeKind.SQUEEZED)
+        )
     return table
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -15,12 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockthermo import cli, selfcheck
+from fockthermo.bath import RateModel
 from fockthermo.cli import RunConfig, main, parse_args
 from fockthermo.errors import ConfigError, DomainError
+from fockthermo.probes import ProbeKind, ProbeSpec
 from fockthermo.selfcheck import registered_checks
 from fockthermo.sweep import AXIS_OVERRIDES, SweepAxis, SweepMethod
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 def run_cli(*argv: str) -> subprocess.CompletedProcess:
@@ -41,12 +45,12 @@ class TestParsing:
     def test_defaults_are_the_reference_regime(self):
         _, cfg = parse_args(["qfi"])
         assert (cfg.omega, cfg.T, cfg.gamma, cfg.g, cfg.t) == (1.0, 0.5, 0.1, 0.05, 0.5)
-        assert cfg.rate_model == "markovian"
-        assert cfg.probe == "fock:1"
+        assert cfg.rate_model is RateModel.MARKOVIAN
+        assert cfg.probe == ProbeSpec.fock(1)
 
     def test_flag_overrides(self):
         _, cfg = parse_args(["qfi", "--probe", "fock:3", "--T", "0.25"])
-        assert cfg.probe == "fock:3"
+        assert cfg.probe == ProbeSpec.fock(3)
         assert cfg.T == 0.25
         assert cfg.gamma == 0.1  # untouched default
 
@@ -84,6 +88,24 @@ class TestParsing:
     def test_malformed_value_named(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[bath\] T must be a number"):
             parse_config_file(tmp_path, "[bath]\nT = warm\n")
+
+    def test_values_arrive_as_the_types_the_program_reads(self):
+        _, cfg = parse_args(["sweep", "--axis", "N", "--axis-values", "1,2", "--probes",
+                             "fock,Squeezed,coherent:1.0", "--method", "CFI,bound-coherent",
+                             "--rate-model", "purcell", "--g", "0.07"])
+        assert cfg.axis is SweepAxis.EXCITATION_N
+        assert cfg.probes == (ProbeKind.FOCK, ProbeKind.SQUEEZED, ProbeSpec.coherent(1.0))
+        assert cfg.method == (SweepMethod.CFI, SweepMethod.BOUND_COHERENT)
+        assert cfg.rate_model is RateModel.PURCELL
+        # the command's default method: qfi for qfi and sweep, none for bounds
+        assert parse_args(["qfi"])[1].method == (SweepMethod.QFI,)
+        assert parse_args(["bounds"])[1].method == ()
+
+    @pytest.mark.parametrize("value", ["foo", "PURCELL", "Markovian"])
+    def test_rate_model_is_spelled_exactly(self, value, capsys):
+        assert main(["qfi", "--rate-model", value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: rate_model must be 'markovian' or 'purcell', got {value!r}\n")
 
 
 class TestCommands:
@@ -224,16 +246,35 @@ class TestCommands:
 
     def test_dim_cap_env(self, monkeypatch):
         monkeypatch.setenv("FOCKTHERMO_DIM_MAX", "64")
-        _, cfg = parse_args(["qfi", "--dim", "128"])
-        with pytest.raises(ConfigError, match="FOCKTHERMO_DIM_MAX"):
-            cfg.resolved_dim()
-        _, cfg = parse_args(["qfi", "--dim", "48"])
-        assert cfg.resolved_dim() == 48
-        _, cfg = parse_args(["qfi"])
-        assert cfg.resolved_dim() is None  # auto sizing stays on, capped downstream
+        with pytest.raises(ConfigError, match="dim=128 exceeds FOCKTHERMO_DIM_MAX=64"):
+            parse_args(["qfi", "--dim", "128"])
+        assert parse_args(["qfi", "--dim", "48"])[1].dim == 48
+        assert parse_args(["qfi"])[1].dim is None  # auto sizing stays on, capped downstream
         monkeypatch.setenv("FOCKTHERMO_DIM_MAX", "not-a-number")
         with pytest.raises(ConfigError):
-            cfg.resolved_dim()
+            parse_args(["qfi"])
+
+    @pytest.mark.parametrize("env, dim", [("64", "128"), ("not-a-number", None),
+                                          ("not-a-number", "40"), ("1", None)])
+    @pytest.mark.parametrize("command", [
+        ["qfi"], ["bounds", "--axis-values", "1"],
+        ["sweep", "--axis", "time", "--axis-values", "0.1", "--workers", "1"],
+    ])
+    def test_dim_cap_refused_by_each_command_that_reads_dim(self, command, env, dim,
+                                                            tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a sweep would write sweep.csv here
+        monkeypatch.setenv("FOCKTHERMO_DIM_MAX", env)
+        assert main(command + (["--dim", dim] if dim else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "FOCKTHERMO_DIM_MAX" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_validate_does_not_read_the_dim_cap(self, selfcheck_run, monkeypatch, capsys):
+        results, _ = selfcheck_run
+        monkeypatch.setattr(cli, "run_selfcheck", lambda: results)
+        monkeypatch.setenv("FOCKTHERMO_DIM_MAX", "not-a-number")
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["qfi", "--T", "-3"]) == 1
@@ -282,6 +323,44 @@ class TestCommands:
         assert "DomainError: rates must be finite" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["qfi", "--T", "1e308"], id="qfi-T"),
+            pytest.param(["sweep", "--axis", "decay_gamma", "--axis-values", "1e308",
+                          "--probes", "fock:1", "--workers", "1"], id="sweep-decay-gamma"),
+        ],
+    )
+    def test_overflowing_generator_is_refused_without_a_warning(self, argv, tmp_path):
+        # the band generator overflows; its exponential is refused as not finite
+        out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "sweep" else []
+        proc = run_cli(*argv, *out)
+        assert proc.returncode == 2
+        assert "the dense population exponential is not finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("T", ["6e-309", "2e-309"])
+    def test_derivative_step_whose_reciprocal_overflows_is_refused(self, T, capsys):
+        # T - h > 0 needs h < T, and 1/h then overflows: the quotient would be nan
+        assert main(["qfi", "--T", T]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"numerical failure: DomainError: derivative step underflowed at T={T}\n")
+        assert main(["qfi", "--T", "1e-308"]) == 0  # 1/h is finite here
+        assert "qfi=0 " in capsys.readouterr().out
+
+    def test_sweep_marks_the_row_whose_derivative_step_overflows(self, tmp_path, capsys):
+        out_csv = tmp_path / "T.csv"
+        code = main(["sweep", "--axis", "temperature", "--axis-values", "6e-309,0.5",
+                     "--probes", "fock:1", "--method", "cfi", "--workers", "1",
+                     "--out", str(out_csv)])
+        assert code == 2  # a failed row, not an aborted sweep
+        rows = json.loads(out_csv.with_suffix(".json").read_text())["rows"]
+        assert rows[0]["qfi"] is None
+        assert rows[0]["error"] == "DomainError: derivative step underflowed at T=6e-309"
+        assert rows[1]["error"] is None and rows[1]["qfi"] > 0
+
     def test_bounds_beyond_the_overflow_of_T_squared(self, capsys):
         assert main(["bounds", "--T", "1e160", "--t", "0.01", "--axis-values", "1"]) == 0
         row = capsys.readouterr().out.strip().split("\n")[1].split(",")
@@ -313,6 +392,12 @@ class TestCommands:
         assert code == 1
         assert "JSON mirror" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", [".", "/"])
+    def test_sweep_out_without_a_file_name_rejected(self, out, capsys):
+        assert main(["sweep", "--axis", "time", "--axis-values", "0.01", "--probes", "fock:1",
+                     "--method", "bound_fock_linear", "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: --out {out} names no file\n"
 
     def test_bounds_out_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -501,6 +586,25 @@ def test_sweep_accepts_the_rate_model_its_axis_forces(axis, rate_model, tmp_path
     expected = out_csv.read_text()
     assert main([*argv, "--rate-model", rate_model]) == 0
     assert out_csv.read_text() == expected
+
+
+def test_readme_flags_paragraph_matches_the_parser():
+    # the paragraph names every flag once, and what each subcommand does not take
+    text = " ".join(README.read_text().split())
+    flags = re.search(r"Flags: `([^`]*)`", text).group(1).split()
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    taken = {name: {flag for action in sub._actions for flag in action.option_strings}
+             - {"-h", "--help"} for name, sub in subparsers.choices.items()}
+    assert sorted(flags) == sorted(set(flags)) == sorted(set().union(*taken.values()))
+    excluded = {command: set(flags) if rest == "none" else set(rest[4:-1].split())
+                for command, rest in re.findall(r"`(\w+)` takes (none|no `[^`]*`)", text)}
+    assert excluded.keys() == taken.keys()
+    for command in taken:
+        fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(RunConfig)
+                  if command in f.metadata["reads"]}
+        reads = fields | {"--config"} if fields else set()  # --config comes with any field
+        assert set(flags) - excluded[command] == reads == taken[command], command
 
 
 # Front-end fuzzing: random subcommands, flags and config-file entries, with

@@ -3,7 +3,7 @@ from __future__ import annotations
 import dataclasses
 
 import fockthermo
-from fockthermo import cli
+from fockthermo import cli, probes, sweep
 
 
 def test_every_public_name_resolves():
@@ -27,3 +27,14 @@ def test_retired_writer_and_record_fields_are_gone():
     fields = {f.name for f in dataclasses.fields(fockthermo.QfiRecord)}
     assert fields == {"value", "method", "dim", "leakage", "h_used", "dropped_pairs"}
     assert not {"diagnostics", "probe", "bath", "t"} & fields
+
+
+def test_retired_probe_conversions_are_gone():
+    # ProbeSpec.matched is the one energy-matched probe, and parse_args
+    # converts each CLI value once, into the RunConfig it returns
+    assert not {"EnergyMatch", "energy_match"} & set(fockthermo.__all__)
+    for owner, name in [(fockthermo, "EnergyMatch"), (fockthermo, "energy_match"),
+                        (probes, "EnergyMatch"), (probes, "energy_match"),
+                        (sweep, "_instantiate_probe"), (cli.RunConfig, "probe_spec"),
+                        (cli.RunConfig, "resolved_dim"), (cli, "_sweep_probes")]:
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"

@@ -15,7 +15,6 @@ from fockthermo.probes import (
     ProbeSpec,
     _truncated,
     default_dim,
-    energy_match,
     make_state,
     squeezed_amplitudes,
     thermal_populations,
@@ -30,31 +29,49 @@ def mean_photon_direct(state) -> float:
 
 
 class TestEnergyMatch:
+    """``ProbeSpec.matched``: each probe kind at a target mean photon number."""
+
     def test_zero_energy(self):
-        match = energy_match(0.0)
-        assert match.r == 0.0
-        assert match.alpha_mod == 0.0
+        assert ProbeSpec.matched(ProbeKind.SQUEEZED, 0.0).r == 0.0
+        assert ProbeSpec.matched(ProbeKind.COHERENT, 0.0).alpha == 0.0
+        assert ProbeSpec.matched(ProbeKind.FOCK, 0.0) == ProbeSpec.fock(0)
 
     def test_unit_energy(self):
-        match = energy_match(1.0)
-        assert match.r == pytest.approx(ASINH_1, rel=1e-15)
-        assert match.alpha_mod == 1.0
+        assert ProbeSpec.matched(ProbeKind.SQUEEZED, 1.0).r == pytest.approx(ASINH_1, rel=1e-15)
+        assert ProbeSpec.matched(ProbeKind.COHERENT, 1.0).alpha == 1.0
+        assert ProbeSpec.matched(ProbeKind.THERMAL, 1.0) == ProbeSpec.thermal(1.0)
 
     def test_three_quanta_round_trip(self):
-        match = energy_match(3.0)
-        assert match.r == pytest.approx(1.3169578969248166, rel=1e-15)
-        assert math.sinh(match.r) ** 2 == pytest.approx(3.0, abs=1e-12)
+        r = ProbeSpec.matched(ProbeKind.SQUEEZED, 3.0).r
+        assert r == pytest.approx(1.3169578969248166, rel=1e-15)
+        assert math.sinh(r) ** 2 == pytest.approx(3.0, abs=1e-12)
+        assert ProbeSpec.matched("fock", 3) == ProbeSpec.fock(3)
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            energy_match(-0.5)
+        # and every other n that is not a finite float >= 0, for every kind
+        for kind in ProbeKind:
+            for n in (-0.5, math.nan, math.inf):
+                with pytest.raises(DomainError, match="target mean photon number must be >= 0"):
+                    ProbeSpec.matched(kind, n)
+
+    @pytest.mark.parametrize("n", [0.5, 2.25])
+    def test_fractional_fock_rejected(self, n):
+        # int(n) would truncate it to another energy
+        with pytest.raises(DomainError, match="Fock probe needs an integer"):
+            ProbeSpec.matched(ProbeKind.FOCK, n)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
     def test_round_trip_property(self, n):
-        match = energy_match(n)
-        assert math.sinh(match.r) ** 2 == pytest.approx(n, abs=1e-12)
-        assert match.alpha_mod**2 == pytest.approx(n, abs=1e-12)
+        root = math.sqrt(n)
+        squeezed = ProbeSpec.matched(ProbeKind.SQUEEZED, n)
+        coherent = ProbeSpec.matched(ProbeKind.COHERENT, n)
+        # r = asinh(sqrt(n)) and |alpha| = sqrt(n), bit for bit
+        assert squeezed == ProbeSpec.squeezed(math.asinh(root))
+        assert coherent == ProbeSpec.coherent(root)
+        assert ProbeSpec.matched(ProbeKind.THERMAL, n) == ProbeSpec.thermal(n)
+        assert squeezed.mean_photon == pytest.approx(n, abs=1e-12)
+        assert coherent.mean_photon == pytest.approx(n, abs=1e-12)
 
 
 class TestMakeState:
@@ -208,10 +225,7 @@ class TestDefaultDim:
     @given(kind=st.sampled_from([ProbeKind.COHERENT, ProbeKind.SQUEEZED, ProbeKind.THERMAL]),
            n=st.floats(1e-3, 10.0))
     def test_search_returns_the_first_passing_dim(self, kind, n):
-        match = energy_match(n)
-        spec = {ProbeKind.COHERENT: ProbeSpec.coherent(match.alpha_mod),
-                ProbeKind.SQUEEZED: ProbeSpec.squeezed(match.r),
-                ProbeKind.THERMAL: ProbeSpec.thermal(n)}[kind]
+        spec = ProbeSpec.matched(kind, n)
         # the reference: walk up from the floor 4 levels at a time
         dim = max(40, math.ceil(8 * spec.mean_photon + 20))
         while _truncated(spec, dim)[1] * dim > 1e-9:

@@ -17,7 +17,8 @@ from fockthermo import fisher
 from fockthermo.dynamics import population_vector
 from fockthermo.fisher import FisherMethod
 from fockthermo.fockspace import EIGENVALUE_FLOOR
-from fockthermo.probes import ProbeSpec
+from fockthermo.probes import ProbeKind, ProbeSpec
+from fockthermo.sweep import SweepAxis, SweepMethod, SweepSpec, run_sweep
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -48,15 +49,8 @@ def test_stale_sites_are_still_listed_and_still_gone():
         assert getattr(_TRACER._owner(owner), attr, None) is None
 
 
-@pytest.mark.parametrize(
-    "spec, method, expected",
-    [
-        ("fock:1", FisherMethod.QFI_SLD, {"fisher.qfi_sld": 1, "fisher.cfi": 0}),
-        ("coherent:1.0", FisherMethod.CFI_NUMBER, {"fisher.qfi_sld": 0, "fisher.cfi": 1}),
-    ],
-)
-def test_a_point_calls_through_the_sites_of_its_stages(monkeypatch, fig_bath, spec, method, expected):
-    # count the calls through each traced name, as the tracer would see them
+def _count_site_calls(monkeypatch) -> Counter:
+    """The calls through each traced name from here on, as the tracer would see them."""
     calls: Counter = Counter()
     for owner, attr, name in _LIVE:
         target = _TRACER._owner(owner)
@@ -66,6 +60,18 @@ def test_a_point_calls_through_the_sites_of_its_stages(monkeypatch, fig_bath, sp
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(target, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec, method, expected",
+    [
+        ("fock:1", FisherMethod.QFI_SLD, {"fisher.qfi_sld": 1, "fisher.cfi": 0}),
+        ("coherent:1.0", FisherMethod.CFI_NUMBER, {"fisher.qfi_sld": 0, "fisher.cfi": 1}),
+    ],
+)
+def test_a_point_calls_through_the_sites_of_its_stages(monkeypatch, fig_bath, spec, method, expected):
+    calls = _count_site_calls(monkeypatch)
     fisher.qfi_point(ProbeSpec.parse(spec), fig_bath, 0.5, method)
     stages = {
         "fisher.qfi_point": 1,
@@ -77,6 +83,22 @@ def test_a_point_calls_through_the_sites_of_its_stages(monkeypatch, fig_bath, sp
         **expected,
     }
     assert {name: calls[name] for name in stages} == stages
+
+
+@pytest.mark.parametrize(
+    "axis, values, probes",
+    [
+        (SweepAxis.TEMPERATURE, (0.3, 0.5, 1.0), (ProbeSpec.fock(1), ProbeSpec.thermal(0.5))),
+        (SweepAxis.EXCITATION_N, (1, 2), (ProbeKind.FOCK, ProbeKind.COHERENT)),
+    ],
+)
+def test_a_sweep_calls_the_derivative_site_once_per_value_and_probe(monkeypatch, axis, values,
+                                                                     probes):
+    calls = _count_site_calls(monkeypatch)
+    spec = SweepSpec(axis=axis, axis_values=values, probes=probes, t=0.05,
+                     methods=(SweepMethod.CFI, SweepMethod.QFI, SweepMethod.BOUND_FOCK_LINEAR))
+    assert not any(row.error for row in run_sweep(spec, workers=1).rows)
+    assert calls["fisher.d_dT_state"] == len(values) * len(probes)
 
 
 @pytest.mark.parametrize(
