@@ -299,6 +299,14 @@ def _sweep_outputs(out: str | None) -> tuple[Path, Path]:
         raise ConfigError(f"--out {out} names no file") from None
 
 
+def _refuse_directories(out: Path, *mirrors: Path) -> None:
+    """Refuse, before any work, an ``out`` path or a mirror of it that is an
+    existing directory."""
+    for path in (out, *mirrors):
+        if path.is_dir():
+            raise ConfigError(f"--out {out}: {path} is a directory, not a file")
+
+
 def cmd_qfi(cfg: RunConfig) -> int:
     """single-point Fisher information"""
     bath = cfg.bath()
@@ -321,6 +329,8 @@ def cmd_qfi(cfg: RunConfig) -> int:
 
 def cmd_bounds(cfg: RunConfig) -> int:
     """closed-form short-time scaling table"""
+    if cfg.out:
+        _refuse_directories(Path(cfg.out))
     table = scaling_table(cfg.bath(), cfg.axis_values or range(6), cfg.t,
                           methods=[FisherMethod(m) for m in cfg.method], dim=cfg.dim)
     text = csv_text(ScalingRow, table)
@@ -336,6 +346,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     out_csv, out_json = _sweep_outputs(cfg.out)
     spec = _usage(SweepSpec, axis=cfg.axis, axis_values=cfg.axis_values, probes=cfg.probes,
                   methods=cfg.method, bath=cfg.bath(), t=cfg.t, dim=cfg.dim)
+    _refuse_directories(out_csv, out_json)
     result = run_sweep(spec, workers=cfg.workers)
     result.write_csv(out_csv)
     result.write_json(out_json)

@@ -96,9 +96,17 @@ class BandStack:
         sup[starts[1:] - 1] = 0.0  # each block's last row
         return cls(starts=starts, diag=diag, sub=sub, sup=sup)
 
-    def dense_block(self, i: int) -> np.ndarray:
+    def dense_block(self, i: int, t: float = 1.0) -> np.ndarray:
+        """t G of block i as a dense matrix, for t > 0. Each entry is (x + 0.0) * t,
+        the bits of the sum of three np.diag matrices times t, signed zeros included."""
         b = slice(self.starts[i], self.starts[i + 1])
-        return np.diag(self.diag[b]) + np.diag(self.sub[b][1:], k=-1) + np.diag(self.sup[b][:-1], k=1)
+        n = b.stop - b.start
+        out = np.zeros((n, n))
+        flat = out.reshape(-1)
+        flat[::n + 1] = (self.diag[b] + 0.0) * t
+        flat[n::n + 1] = (self.sub[b][1:] + 0.0) * t
+        flat[1::n + 1] = (self.sup[b][:-1] + 0.0) * t
+        return out
 
     def shifted_norm(self, t: float) -> tuple[float, float]:
         """The mean diagonal mu and the exact ||t (G - mu I)||_1."""
@@ -157,7 +165,7 @@ def dense_action(stack: BandStack, v: np.ndarray, t: float) -> np.ndarray:
     """exp(t G) v for the stacked generator G, one dense exponential per band."""
     s = stack.starts
     return np.concatenate(
-        [expm(stack.dense_block(i) * t) @ v[s[i]:s[i + 1]] for i in range(s.size - 1)]
+        [expm(stack.dense_block(i, t)) @ v[s[i]:s[i + 1]] for i in range(s.size - 1)]
     )
 
 
@@ -181,14 +189,47 @@ def _check_finite(values: np.ndarray, propagator: str, rates: Rates, t: float) -
         )
 
 
+@dataclass(frozen=True)
+class BandGenerator:
+    """The generators of a state's bands at one pair of rates, built once and
+    applied at any t by :func:`evolve`: band 0 as ``populations``, and the
+    coherence bands k >= 1 the state carries stacked as ``coherences`` (None
+    for a state without them). Only the tridiagonals are kept; each dense
+    exponential assembles its matrix at its own t."""
+
+    rates: Rates
+    bands: np.ndarray
+    populations: BandStack
+    coherences: BandStack | None
+
+    @classmethod
+    def build(cls, state: BandState, rates: Rates) -> "BandGenerator":
+        # rates large enough to overflow the generator are refused by evolve's
+        # _check_finite on the propagated values
+        with np.errstate(all="ignore"):
+            return cls(
+                rates=rates,
+                bands=state.bands,
+                populations=BandStack.build(state.dim, np.zeros(1, dtype=int), rates),
+                coherences=(BandStack.build(state.dim, state.bands, rates)
+                            if state.bands.size else None),
+            )
+
+    def fits(self, state: BandState) -> bool:
+        return self.populations.diag.size == state.dim and (
+            self.bands is state.bands or np.array_equal(self.bands, state.bands))
+
+
 def evolve(
     state: BandState,
-    rates: Rates,
+    rates: Rates | BandGenerator,
     t: float,
     *,
     leakage_budget: float = LEAKAGE_BUDGET,
 ) -> BandState:
-    """Propagate a state for a time t with the exact exponential of its bands.
+    """Propagate a state for a time t with the exact exponential of its bands,
+    under the bath ``rates`` or a :class:`BandGenerator` built from them for
+    this state's dim and bands (the same bits, without rebuilding it per t).
 
     Band 0, the populations, goes through :func:`dense_action`; a population
     below -NEGATIVE_CLIP raises :class:`PositivityError`, and smaller
@@ -205,10 +246,17 @@ def evolve(
         raise DomainError(f"t must be >= 0, got {t!r}")
     if t == 0.0:
         return state
+    if isinstance(rates, BandGenerator):
+        generator = rates
+        if not generator.fits(state):
+            raise DomainError(f"the generator was built for other bands than those of "
+                              f"this dim-{state.dim} state")
+    else:
+        generator = BandGenerator.build(state, rates)
+    rates = generator.rates
     p0 = population_vector(state.populations)
-    # rates large enough to overflow the generator are refused by _check_finite
     with np.errstate(all="ignore"):
-        p = dense_action(BandStack.build(state.dim, np.zeros(1, dtype=int), rates), p0, t)
+        p = dense_action(generator.populations, p0, t)
     _check_finite(p, "dense population exponential", rates, t)
     low = float(p.min())
     if low < -NEGATIVE_CLIP:
@@ -223,9 +271,9 @@ def evolve(
     if trace_defect > 1e-9:
         raise PositivityError(f"trace drifted by {trace_defect:.3e} during evolution")
     v = state.coherences
-    if state.bands.size:
+    stack = generator.coherences
+    if stack is not None:
         with np.errstate(all="ignore"):
-            stack = BandStack.build(state.dim, state.bands, rates)
             if stack.uses_taylor_action(t):
                 kernel, name = taylor_action, "Taylor action on the coherence bands"
             else:

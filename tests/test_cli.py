@@ -399,6 +399,27 @@ class TestCommands:
                      "--method", "bound_fock_linear", "--out", out]) == 1
         assert capsys.readouterr().err == f"error: --out {out} names no file\n"
 
+    @pytest.mark.parametrize("out, directory", [("..", ".."), ("r.csv", "r.json")])
+    def test_sweep_out_naming_a_directory_rejected_before_any_point(
+            self, out, directory, tmp_path, capsys, monkeypatch):
+        def no_points(*args, **kwargs):
+            raise AssertionError("no point may be computed for a rejected --out")
+
+        monkeypatch.setattr(cli, "run_sweep", no_points)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").mkdir()  # the JSON mirror of r.csv
+        assert main(["sweep", "--axis", "time", "--axis-values", "0.1", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: {directory} is a directory, not a file\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["r.json"]
+
+    def test_bounds_out_naming_a_directory_rejected_before_the_table(self, tmp_path, capsys):
+        assert main(["bounds", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {tmp_path}: {tmp_path} is a directory, not a file\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bounds_out_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         assert main(["bounds", "--t", "0.01", "--axis-values", "0,1", "--out", str(out)]) == 0

@@ -13,6 +13,7 @@ from oracle import apply, lindblad_rhs, propagator
 
 from fockthermo.bath import BathParams, rates, thermal_occupation
 from fockthermo.dynamics import (
+    BandGenerator,
     BandStack,
     dense_action,
     evolve,
@@ -256,6 +257,20 @@ class TestPopulations:
         with pytest.raises(TruncationError) as matrix_error:
             evolve(state, fig_rates, 0.7, leakage_budget=-1.0)
         assert str(vector_error.value) == str(matrix_error.value)
+
+    @pytest.mark.parametrize("spec", ["fock:3", "coherent:1.0"])
+    def test_a_prebuilt_generator_gives_the_same_bits(self, fig_rates, spec):
+        state = make_state(ProbeSpec.parse(spec), 40)
+        generator = BandGenerator.build(state, fig_rates)
+        for t in (1e-3, 0.7, 30.0):  # the Taylor action and the dense kernel on the coherences
+            built, given_rates = evolve(state, generator, t), evolve(state, fig_rates, t)
+            np.testing.assert_array_equal(built.populations, given_rates.populations)
+            np.testing.assert_array_equal(built.coherences, given_rates.coherences)
+        others = [make_state(ProbeSpec.parse(spec), 41)]
+        others += [BandState(state.populations)] if state.bands.size else []
+        for other in others:
+            with pytest.raises(DomainError, match="generator was built for other bands"):
+                evolve(other, generator, 0.7)
 
     def test_population_vector_validation(self):
         with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from fockthermo import fisher
 from fockthermo.bath import BathParams, RateModel, rates, thermal_occupation_dT
 from fockthermo.errors import DomainError, SingularSupportError, TruncationError
 from fockthermo.fisher import (
@@ -16,6 +17,7 @@ from fockthermo.fisher import (
     delta_t_min,
     fisher_record,
     qfi_curve,
+    qfi_point,
     qfi_sld_detailed,
 )
 from fockthermo.fockspace import EIGENVALUE_FLOOR, BandState
@@ -254,6 +256,56 @@ class TestQfiCurve:
             qfi_curve(ProbeSpec.fock(1), fig_bath, [0.2, 0.1], FisherMethod.CFI_NUMBER)
         with pytest.raises(DomainError):
             qfi_curve(ProbeSpec.fock(1), fig_bath, [], FisherMethod.CFI_NUMBER)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_time_refused_at_the_entry(self, fig_bath, monkeypatch, bad):
+        def no_sizing(*args, **kwargs):
+            raise AssertionError("a refused grid must not be sized")
+
+        monkeypatch.setattr(fisher, "default_dim", no_sizing)
+        with pytest.raises(DomainError,
+                           match="^t_grid must be finite, nonnegative and strictly ascending$"):
+            qfi_curve(ProbeSpec.fock(1), BathParams(), [0.1, bad], FisherMethod.CFI_NUMBER)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        probe=st.one_of(
+            st.integers(0, 3).map(ProbeSpec.fock),
+            st.floats(0.3, 1.5).map(ProbeSpec.coherent),
+            st.floats(0.2, 0.8).map(ProbeSpec.squeezed),
+            st.floats(0.1, 2.0).map(ProbeSpec.thermal),
+        ),
+        method=st.sampled_from(list(FisherMethod)),
+        dim=st.one_of(st.none(), st.integers(4, 48)),
+        T=log_uniform(0.2, 5.0),
+        grid=st.lists(log_uniform(1e-4, 5.0), min_size=1, max_size=4, unique=True).map(sorted),
+    )
+    def test_a_curve_is_its_points_bit_for_bit(self, probe, method, dim, T, grid):
+        # a small explicit dim or a hot bath fails some points: the curve then
+        # raises what the first failing point raises
+        bath = BathParams(T=T)
+        assert _outcome(lambda: qfi_curve(probe, bath, grid, method, dim=dim)) == _outcome(
+            lambda: [qfi_point(probe, bath, t, method, dim=dim) for t in grid])
+
+    @pytest.mark.parametrize("method", list(FisherMethod))
+    def test_a_late_failure_is_the_first_failure_of_the_points(self, method):
+        # at T = 5 and dim = 6, t = 0.014967 puts the top level of the T + h
+        # stencil temperature over the leakage budget but not that of T
+        # itself, and t = 0.05 puts both over it
+        bath, grid = BathParams(T=5.0), [0.01, 0.014967, 0.05]
+        points = _outcome(lambda: [qfi_point(ProbeSpec.fock(1), bath, t, method, dim=6)
+                                   for t in grid])
+        assert points[0] is TruncationError and "by t=0.014967" in points[1]
+        assert _outcome(lambda: qfi_curve(ProbeSpec.fock(1), bath, grid, method, dim=6)) == points
+
+
+def _outcome(evaluate):
+    """The fields of each record ``evaluate`` returns, or the type and message it raises."""
+    try:
+        records = evaluate()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(r.value, r.method, r.dim, r.leakage, r.h_used, r.dropped_pairs) for r in records]
 
 
 class TestRecordInvariants:

@@ -119,6 +119,35 @@ def test_evolve_span_reads_the_dim_of_the_point(monkeypatch, fig_bath, spec, met
     assert seen == [{"dim": dim}] * 5
 
 
+@pytest.mark.parametrize(
+    "spec, method", [("fock:1", FisherMethod.QFI_SLD), ("squeezed:0.6", FisherMethod.CFI_NUMBER)]
+)
+def test_a_curve_sizes_and_prepares_its_probe_once(monkeypatch, fig_bath, spec, method):
+    ts = (1e-3, 1e-2, 0.1, 0.5)
+    calls = _count_site_calls(monkeypatch)
+    seen = []
+    evolve = fisher.evolve
+
+    def recorded(*args, **kwargs):
+        seen.append(_TRACER.ATTRS["dynamics.evolve"](args, kwargs))
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(fisher, "evolve", recorded)
+    records = fisher.qfi_curve(ProbeSpec.parse(spec), fig_bath, ts, method)
+    evolutions = 5 * len(ts)  # one per stencil temperature and time
+    stages = {
+        "fisher.qfi_curve": 1,
+        "fisher.qfi_point": 0,
+        "fisher.d_dT_state": 0,
+        "probes.default_dim": 1,
+        "probes.make_state": 1,
+        "dynamics.evolve": evolutions,
+        "dynamics.expm": evolutions,
+    }
+    assert {name: calls[name] for name in stages} == stages
+    assert seen == [{"dim": records[0].dim}] * evolutions
+
+
 def test_benchmark_cross_check_path(fig_bath):
     # perfbench/workload.py recomputes the CFI of a number-diagonal point
     # from the derivative's state and matrix, with the QFI's eigenvalue floor
