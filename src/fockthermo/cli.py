@@ -28,7 +28,15 @@ from .errors import ConfigError, FockThermoError
 from .fisher import FisherMethod, d_dT_state, fisher_record
 from .probes import DIM_MAX_ENV, ProbeKind, ProbeSpec, dim_ceiling
 from .selfcheck import run_selfcheck
-from .sweep import AXIS_OVERRIDES, SweepAxis, SweepMethod, SweepSpec, _atomic_write, run_sweep
+from .sweep import (
+    AXIS_OVERRIDES,
+    SweepAxis,
+    SweepMethod,
+    SweepSpec,
+    _atomic_write,
+    refuse_repeats,
+    run_sweep,
+)
 from .tables import csv_text, fmt
 
 
@@ -246,12 +254,15 @@ def _build_config(command: str, updates: dict, given: dict[str, str]) -> RunConf
 
     if "probe" in text:  # read by qfi alone
         typed["probe"] = _usage(ProbeSpec.parse, text["probe"])
-    if command == "bounds" and any(v != int(v) or v < 0 for v in cfg.axis_values):
-        raise ConfigError("bounds --axis-values must be integers >= 0 (excitation numbers)")
+    if command == "bounds":
+        if any(v != int(v) or v < 0 for v in cfg.axis_values):
+            raise ConfigError("bounds --axis-values must be integers >= 0 (excitation numbers)")
+        _usage(refuse_repeats, "axis value", cfg.axis_values)
     if command in ("qfi", "bounds"):
         for name, method in zip(names, typed["method"]):
             if method not in (SweepMethod.CFI, SweepMethod.QFI):
                 raise ConfigError(f"{command} command computes 'cfi' or 'qfi', not {name!r}")
+        _usage(refuse_repeats, "method", typed["method"], lambda m: repr(m.value))
     if command == "sweep":
         if "axis" not in typed:
             raise ConfigError("sweep requires --axis")

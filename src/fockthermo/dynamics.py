@@ -128,8 +128,10 @@ def taylor_action(stack: BandStack, v: np.ndarray, t: float) -> np.ndarray:
     Higham (2011), with the exact 1-norm of the shifted generator in place of
     their norm estimates.
 
-    G is real, so the algorithm runs on the real vector (Re v, Im v), held
-    as the two rows of f; its infinity norm is the largest |entry|.
+    G is real, so the algorithm runs in real arithmetic: on v itself when v
+    is real, else on (Re v, Im v) held as the two rows of f. The infinity
+    norm of f is its largest |entry|, which a row of zeros never sets, so a
+    real v gets the bits of the real part of its complex action.
     """
     mu, norm = stack.shifted_norm(t)
     degree, steps = min(
@@ -141,14 +143,14 @@ def taylor_action(stack: BandStack, v: np.ndarray, t: float) -> np.ndarray:
     sub = h * stack.sub[1:]
     sup = h * stack.sup[:-1]
     eta = math.exp(h * mu)
-    f = np.array([v.real, v.imag])
+    f = np.array([v.real, v.imag]) if np.iscomplexobj(v) else np.array(v, dtype=float)
     b = f
     for _ in range(steps):
         c1 = np.abs(b).max()
         for j in range(1, degree + 1):
             y = diag * b
-            y[:, 1:] += sub * b[:, :-1]
-            y[:, :-1] += sup * b[:, 1:]
+            y[..., 1:] += sub * b[..., :-1]
+            y[..., :-1] += sup * b[..., 1:]
             y /= j
             b = y
             c2 = np.abs(b).max()
@@ -158,15 +160,22 @@ def taylor_action(stack: BandStack, v: np.ndarray, t: float) -> np.ndarray:
             c1 = c2
         f *= eta
         b = f
-    return f[0] + 1j * f[1]
+    return f if f.ndim == 1 else f[0] + 1j * f[1]
 
 
 def dense_action(stack: BandStack, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(t G) v for the stacked generator G, one dense exponential per band."""
+    """exp(t G) v for the stacked generator G, one dense exponential per band.
+
+    The exponentials are real, so they act on Re v and Im v apart: a real v
+    gets the bits of the real part of its complex action.
+    """
     s = stack.starts
-    return np.concatenate(
-        [expm(stack.dense_block(i, t)) @ v[s[i]:s[i + 1]] for i in range(s.size - 1)]
-    )
+    split = np.iscomplexobj(v)
+    out = []
+    for i in range(s.size - 1):
+        e, w = expm(stack.dense_block(i, t)), v[s[i]:s[i + 1]]
+        out.append(e @ w.real + 1j * (e @ w.imag) if split else e @ w)
+    return np.concatenate(out)
 
 
 def population_vector(p: np.ndarray) -> np.ndarray:

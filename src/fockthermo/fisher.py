@@ -56,7 +56,8 @@ class FisherMethod(str, Enum):
 class TemperatureDerivative:
     """The evolved :class:`BandState`, its temperature derivative ``dstate``,
     the temperature step and the leakage. ``rho`` is that state and ``drho``
-    the d x d matrix of its derivative; both refuse when ``coherences_dropped``.
+    the d x d matrix of its derivative, float64 for a probe whose coherences
+    are real and complex128 otherwise; both refuse when ``coherences_dropped``.
     Then ``state`` and ``dstate`` hold band 0 alone: the probe's coherences
     were never propagated, and only the CFI can be reduced.
     """
@@ -213,7 +214,8 @@ def qfi_sld_detailed(state: BandState, dstate: BandState) -> tuple[float, int]:
     Eigenvalues with |lambda| < EIGENVALUE_FLOOR are treated as exact zeros,
     and pairs with lambda_i + lambda_j <= EIGENVALUE_FLOOR are excluded from
     the sum. A state without coherence bands is diagonal in the number basis,
-    so its populations are the eigenvalues and no matrix is assembled.
+    so its populations are the eigenvalues and no matrix is assembled; a state
+    with real coherences is reduced by a real symmetric eigendecomposition.
     """
     if dstate.dim != state.dim:
         raise DomainError(f"state and derivative dims differ: {state.dim} vs {dstate.dim}")

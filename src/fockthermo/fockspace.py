@@ -48,16 +48,24 @@ class BandState:
     ``coherences`` stacks the entries rho[m, m+k] of the ``bands`` k >= 1 in
     the order of :func:`band_entries`; a band not listed is zero. The lower
     triangle is the conjugate of the upper one: Hermitian by construction.
+
+    The coherences are float64 when every imaginary part is exactly zero, as
+    for the squeezed vacuum and a coherent state of real amplitude, and
+    complex128 otherwise; a state with real coherences is propagated,
+    differenced and reduced in real arithmetic. A state without coherences
+    is float64.
     """
 
     populations: np.ndarray
     bands: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    coherences: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
+    coherences: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self) -> None:
         p = np.array(self.populations, dtype=float)
         bands = np.array(self.bands, dtype=int)
-        v = np.array(self.coherences, dtype=complex)
+        v = np.asarray(self.coherences)
+        v = (np.array(v, dtype=complex) if v.dtype.kind == "c" and v.imag.any()
+             else np.array(v.real, dtype=float))
         dim = check_dim(p.size)
         entries = dim * bands.size - int(bands.sum()) if bands.size else 0
         if (p.ndim != 1 or bands.ndim != 1 or v.shape != (entries,)
@@ -75,8 +83,9 @@ class BandState:
         return float(np.dot(np.arange(self.dim), self.populations))
 
     def matrix(self) -> np.ndarray:
-        """The dim x dim matrix of the state, assembled from its bands."""
-        mat = np.diag(self.populations).astype(complex)
+        """The dim x dim matrix of the state, assembled from its bands, of
+        the dtype of its coherences."""
+        mat = np.diag(self.populations).astype(self.coherences.dtype, copy=False)
         _, m, k = band_entries(self.dim, self.bands)
         mat[m, m + k] = self.coherences
         mat[m + k, m] = self.coherences.conj()

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -85,11 +85,20 @@ AXIS_OVERRIDES: dict[SweepAxis, tuple[str | None, RateModel | None]] = {
 }
 
 
+def refuse_repeats(what: str, items: Sequence, label: Callable[[object], str] = repr) -> None:
+    """Refuse the first of ``items`` equal to an earlier one, which would
+    otherwise be evaluated twice or collapse into one without a word."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise DomainError(f"{what} {label(item)} is repeated")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A sweep and its plan: the tasks it evaluates, built once here, so a
-    bath-axis value outside the domain :class:`BathParams` states, or a spec
-    whose probes and methods share no row, is refused on construction."""
+    bath-axis value outside the domain :class:`BathParams` states, a repeated
+    axis value, probe or method, or a spec whose probes and methods share no
+    row, is refused on construction."""
 
     axis: SweepAxis
     axis_values: tuple[float, ...]
@@ -128,6 +137,9 @@ class SweepSpec:
                         f"bare probe kind {kind.value!r} is only valid on the excitation axis"
                     )
                 probes.append(kind)
+        refuse_repeats("probe", probes,
+                       lambda p: repr(p.canonical() if isinstance(p, ProbeSpec) else p.value))
+        refuse_repeats("method", self.methods, lambda m: repr(m.value))
         object.__setattr__(self, "probes", tuple(probes))
         self._validate_axis_domain()
         object.__setattr__(self, "plan", _plan(self))

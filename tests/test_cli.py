@@ -215,6 +215,23 @@ class TestCommands:
                      "bound_fock_linear", "--out", str(out_csv)]) == 0
         assert out_csv.read_text().splitlines()[1].split(",")[2] == "fock:1"
 
+    @pytest.mark.parametrize("argv, repeat", [
+        (["sweep", "--axis", "time", "--axis-values", "0.1", "--probes", "fock:1,fock:1"],
+         "probe 'fock:1'"),
+        (["sweep", "--axis", "time", "--axis-values", "0.1", "--method", "cfi,cfi"],
+         "method 'cfi'"),
+        (["qfi", "--method", "cfi,cfi"], "method 'cfi'"),
+        (["bounds", "--method", "cfi,cfi"], "method 'cfi'"),
+        (["bounds", "--axis-values", "1,1"], "axis value 1.0"),
+    ])
+    def test_repeated_entry_refused(self, argv, repeat, tmp_path, monkeypatch, capsys):
+        # no row, record or table line is written twice, or collapsed into one
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"{repeat} is repeated" in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     def test_bounds_rejects_fractional_excitations(self, capsys):
         assert main(["bounds", "--axis-values", "1.5,2"]) == 1
         assert "integers" in capsys.readouterr().err
@@ -794,6 +811,8 @@ def test_fuzz_sweep_exits_with_a_contract_code(axis, values, probes, methods, ex
     effective = rate_model.value if rate_model else given_names.get("rate_model", "markovian")
     if "g" in given_names and effective == "markovian":
         assert code == 1  # g is read only under the Purcell rate
+    if len(set(probes)) < len(probes) or len(set(methods)) < len(methods):
+        assert code == 1  # a repeated probe or method is refused, never written twice
 
 
 class TestValidateCommand:

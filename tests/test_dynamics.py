@@ -172,6 +172,32 @@ class TestCoherenceKernels:
         for kernel in (taylor_action, dense_action):
             assert np.max(np.abs(kernel(stack, v0, t) - want)) <= 1e-12
 
+    @pytest.mark.parametrize("spec", ["squeezed:0.6", "coherent:1.0"])
+    @pytest.mark.parametrize("T", [0.05, 0.5, 5.0])
+    def test_a_real_vector_gets_the_real_part_of_its_complex_action(self, spec, T):
+        # G is real: each kernel acts on Re v and Im v apart, so the real path
+        # is the complex one without its zero imaginary part, bit for bit
+        rho = make_state(ProbeSpec.parse(spec), 40)
+        stack, v = coherence_stack(rho, rates(BathParams(T=T)))
+        assert v.dtype == np.float64
+        for t in (1e-3, 0.5, 5.0, 30.0):
+            for kernel in (taylor_action, dense_action):
+                real, both = kernel(stack, v, t), kernel(stack, v.astype(complex), t)
+                assert real.dtype == np.float64 and both.dtype == np.complex128
+                assert real.tobytes() == np.ascontiguousarray(both.real).tobytes()
+                assert not both.imag.any()
+
+    @pytest.mark.parametrize("spec, dtype", [
+        ("squeezed:0.6", np.float64), ("coherent:1.0", np.float64),
+        ("coherent:1j", np.complex128), ("fock:2", np.float64),
+    ])
+    def test_evolve_keeps_the_dtype_of_the_coherences(self, fig_rates, spec, dtype):
+        rho = make_state(ProbeSpec.parse(spec), 40)
+        assert rho.coherences.dtype == dtype
+        for t in (1e-3, 30.0):  # the Taylor action and the dense kernel
+            out = evolve(rho, fig_rates, t)
+            assert out.coherences.dtype == out.matrix().dtype == dtype
+
     def test_cost_rule_sides(self):
         r = rates(BathParams(T=0.5))
         wide = ProbeSpec.squeezed(math.asinh(math.sqrt(3.0)))

@@ -179,6 +179,24 @@ class TestQfiSld:
         cfi = cfi_number_basis(p, dp, p_floor=EIGENVALUE_FLOOR)
         assert qfi_sld_detailed(deriv.state, deriv.dstate)[0] >= cfi * (1.0 - 1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.floats(0.3, 2.0),
+        # not so near 0 or 2 pi that the imaginary part of every coherence underflows
+        phase=st.floats(1e-9, 2 * np.pi - 1e-9),
+        T=st.floats(0.5, 3.0),
+        t=st.floats(0.05, 3.0),
+    )
+    def test_real_and_complex_paths_agree(self, size, phase, T, t):
+        # the QFI is phase covariant: the real amplitude runs in real
+        # arithmetic, its rotation in complex arithmetic, to the same value
+        bath = BathParams(T=T)
+        real, rotated = (d_dT_state(ProbeSpec.coherent(alpha), bath, t)
+                         for alpha in (size, size * np.exp(1j * phase)))
+        assert real.drho.dtype == np.float64 and rotated.drho.dtype == np.complex128
+        a, b = (qfi_sld_detailed(d.state, d.dstate)[0] for d in (real, rotated))
+        assert abs(a - b) <= 1e-8 * a
+
     def test_coherent_linear_coefficient_matches_channel_theory(self, fig_bath, fig_rates):
         # For a pure coherent probe the only state component appearing at
         # order t is the orthogonal part of a^dag|psi>, populated at rate

@@ -62,6 +62,16 @@ class TestBandState:
             with pytest.raises(ValueError):
                 array[0] = 0
 
+    def test_coherences_are_real_where_every_imaginary_part_is_zero(self):
+        populations, bands = np.array([0.5, 0.5]), np.array([1])
+        assert BandState(populations).coherences.dtype == np.float64
+        assert BandState(populations).matrix().dtype == np.float64
+        for given, dtype in (([0.5 + 0j], np.float64), ([0.5], np.float64),
+                             ([0.5j], np.complex128), ([0.5 - 1e-300j], np.complex128)):
+            state = BandState(populations, bands, np.array(given))
+            assert state.coherences.dtype == state.matrix().dtype == dtype
+            np.testing.assert_array_equal(state.coherences, given)
+
     def test_mismatched_shapes_rejected(self):
         # a matrix for populations, a band short of entries, a band past the
         # top level, and an entry too many

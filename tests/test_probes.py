@@ -94,6 +94,14 @@ class TestMakeState:
         rho = make_state(spec, default_dim(spec))
         assert mean_photon_direct(rho) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("spec, dtype", [
+        ("squeezed:0.6", np.float64), ("squeezed:-0.6", np.float64),
+        ("coherent:1.5", np.float64), ("coherent:-1.5", np.float64),
+        ("coherent:1j", np.complex128), ("coherent:0.5+0.5j", np.complex128),
+    ])
+    def test_coherences_are_real_for_a_real_amplitude(self, spec, dtype):
+        assert make_state(ProbeSpec.parse(spec), 40).coherences.dtype == dtype
+
     def test_trace_exactly_one_after_renormalization(self):
         rho = make_state(ProbeSpec.coherent(2.0), 60)
         assert abs(rho.matrix().trace().real - 1.0) < 1e-15

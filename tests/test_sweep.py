@@ -100,6 +100,21 @@ class TestSpecValidation:
             SweepSpec(axis=axis, axis_values=(value, 0.5), probes=(ProbeSpec.fock(1),),
                       bath=fig_bath)
 
+    @pytest.mark.parametrize("axis, probes, methods, message", [
+        (SweepAxis.TIME, (ProbeSpec.fock(1), ProbeSpec.parse("fock:1")), ("cfi",),
+         "probe 'fock:1' is repeated"),
+        (SweepAxis.TIME, (ProbeSpec.coherent(1), ProbeSpec.parse("coherent:1.0")), ("cfi",),
+         "probe 'coherent:1.0' is repeated"),
+        (SweepAxis.EXCITATION_N, ("fock", ProbeKind.FOCK), ("cfi",), "probe 'fock' is repeated"),
+        (SweepAxis.TIME, (ProbeSpec.fock(1),), ("cfi", "qfi", SweepMethod.CFI),
+         "method 'cfi' is repeated"),
+    ])
+    def test_repeated_probe_or_method_refused(self, fig_bath, axis, probes, methods, message):
+        # a repeat would be evaluated, and written, twice
+        with pytest.raises(DomainError, match=message):
+            SweepSpec(axis=axis, axis_values=(1.0,), probes=probes, methods=methods,
+                      bath=fig_bath)
+
     def test_empty_plan_refused_on_construction(self, fig_bath):
         with pytest.raises(DomainError, match="sweep plan is empty"):
             SweepSpec(
