@@ -144,8 +144,14 @@ def scaling_table(
 ) -> list[ScalingRow]:
     """All four closed forms at matched mean energy nbar = n per row, next to
     the simulated Fisher information of the Fock probe for each of
-    ``methods`` (``cfi_fock``, ``qfi_fock``; None where not requested)."""
+    ``methods`` (``cfi_fock``, ``qfi_fock``; None where not requested). An
+    excitation number that is not a finite integer >= 0 raises DomainError
+    before any row is computed."""
     methods = [FisherMethod(m) for m in methods]
+    n_list = list(n_list)
+    for n in n_list:
+        if not (0 <= n < math.inf and n == int(n)):
+            raise DomainError(f"excitation numbers must be finite integers >= 0, got {n!r}")
     out = []
     for n in n_list:
         n = int(n)

@@ -18,6 +18,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -25,7 +26,7 @@ from . import __version__
 from .bath import BathParams, RateModel
 from .bounds import ScalingRow, scaling_table
 from .errors import ConfigError, FockThermoError
-from .fisher import FisherMethod, d_dT_state, fisher_record
+from .fisher import d_dT_state, fisher_record
 from .probes import DIM_MAX_ENV, ProbeKind, ProbeSpec, dim_ceiling
 from .selfcheck import run_selfcheck
 from .sweep import (
@@ -40,8 +41,9 @@ from .sweep import (
 from .tables import csv_text, fmt
 
 
-# Text parsers shared by a flag and its config-file key; a ValueError names
-# what the text must be.
+# Text parsers shared by a flag and its config-file key, each returning the
+# type the program reads. A ValueError names what the text must be; a
+# ConfigError is the whole message.
 def _number(text: str) -> float:
     try:
         value = float(text)
@@ -76,6 +78,45 @@ def _numbers(text: str) -> tuple[float, ...]:
         raise ValueError("must be comma-separated finite numbers") from None
 
 
+def _match(enum, what: str, name: str, aliases: dict[str, str] | None = None):
+    """The member of ``enum`` that ``name`` names, case and '-'/'_' blind."""
+    normalized = name.strip().lower().replace("-", "_")
+    try:
+        return enum((aliases or {}).get(normalized, normalized))
+    except ValueError:
+        valid = ", ".join(m.value for m in enum)
+        raise ConfigError(f"unknown {what} {name!r} (expected one of: {valid})") from None
+
+
+def _usage(convert, *args, **kwargs):
+    """``convert(*args, **kwargs)``, with a package error reported as a usage error."""
+    try:
+        return convert(*args, **kwargs)
+    except FockThermoError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _rate_model(text: str) -> RateModel:
+    try:
+        return RateModel(text)  # spelled exactly
+    except ValueError:
+        raise ConfigError(f"rate_model must be 'markovian' or 'purcell', got {text!r}") from None
+
+
+def _probes(text: str) -> tuple[ProbeSpec | ProbeKind, ...]:
+    """Probe specs, or bare kinds on the excitation axis."""
+    return tuple(_usage(ProbeSpec.parse, entry) if ":" in entry
+                 else _match(ProbeKind, "probe kind", entry) for entry in _names(text))
+
+
+def _methods(text: str) -> tuple[SweepMethod, ...]:
+    return tuple(_match(SweepMethod, "method", name) for name in _names(text))
+
+
+def _axis(text: str) -> SweepAxis:
+    return _match(SweepAxis, "axis", text, {"n": "excitation_n", "temp": "temperature"})
+
+
 def _param(default, section: str, parse: Callable[[str], object],
            reads: tuple[str, ...], help: str | None = None):
     """A parameter's only declaration: its config section, the parser of its
@@ -96,16 +137,15 @@ class RunConfig:
     T: float = _param(0.5, "bath", _number, _COMPUTE)
     gamma: float = _param(0.1, "bath", _number, _COMPUTE)
     g: float = _param(0.05, "bath", _number, _COMPUTE)
-    rate_model: RateModel = _param(RateModel.MARKOVIAN, "bath", str, _COMPUTE)
+    rate_model: RateModel = _param(RateModel.MARKOVIAN, "bath", _rate_model, _COMPUTE)
     t: float = _param(0.5, "run", _number, _COMPUTE)
-    probe: ProbeSpec = _param(ProbeSpec.fock(1), "run", str, ("qfi",))
-    # probe specs, or bare kinds on the excitation axis
+    probe: ProbeSpec = _param(ProbeSpec.fock(1), "run", partial(_usage, ProbeSpec.parse), ("qfi",))
     probes: tuple[ProbeSpec | ProbeKind, ...] = _param(
-        (ProbeSpec.fock(1),), "sweep", _names, ("sweep",), "comma-separated probe list")
+        (ProbeSpec.fock(1),), "sweep", _probes, ("sweep",), "comma-separated probe list")
     # the command's default where none is given: 'qfi' for qfi and sweep, none for bounds
-    method: tuple[SweepMethod, ...] = _param((), "run", _names, _COMPUTE,
+    method: tuple[SweepMethod, ...] = _param((), "run", _methods, _COMPUTE,
                                              "comma-separated method list")
-    axis: SweepAxis | None = _param(None, "sweep", str, ("sweep",))
+    axis: SweepAxis | None = _param(None, "sweep", _axis, ("sweep",))
     axis_values: tuple[float, ...] = _param((), "sweep", _numbers, ("bounds", "sweep"),
                                             "comma-separated axis values")
     dim: int | None = _param(None, "run", _integer, _COMPUTE)  # within the cap
@@ -151,27 +191,6 @@ def _read_config(text: str, command: str) -> dict:
                 raise ConfigError(f"config key {where} is not read by {command}")
             updates[key] = _convert(f, raw, where)
     return updates
-
-
-_AXIS_ALIASES = {"n": "excitation_n", "temp": "temperature"}
-
-
-def _match(enum, what: str, name: str, aliases: dict[str, str] | None = None):
-    """The member of ``enum`` that ``name`` names, case and '-'/'_' blind."""
-    normalized = name.strip().lower().replace("-", "_")
-    try:
-        return enum((aliases or {}).get(normalized, normalized))
-    except ValueError:
-        valid = ", ".join(m.value for m in enum)
-        raise ConfigError(f"unknown {what} {name!r} (expected one of: {valid})") from None
-
-
-def _usage(convert, *args, **kwargs):
-    """``convert(*args, **kwargs)``, with a package error reported as a usage error."""
-    try:
-        return convert(*args, **kwargs)
-    except FockThermoError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,19 +240,11 @@ def parse_args(argv: list[str] | None = None) -> tuple[str, RunConfig]:
 
 
 def _build_config(command: str, updates: dict, given: dict[str, str]) -> RunConfig:
-    """The config of ``command``: each value in ``updates`` converted once to
-    the type the program reads, and every usage rule checked. The checks run
-    in one fixed order, so an input that breaks several is refused for the
-    first. ``given`` names the flag or config key that set each value."""
-    # these arrive as text, and each is converted below at its turn in the order
-    text = {name: updates.pop(name) for name in ("rate_model", "probe", "probes", "method", "axis")
-            if name in updates}
-    if "rate_model" in text:
-        try:
-            updates["rate_model"] = RateModel(text["rate_model"])
-        except ValueError:
-            raise ConfigError(f"rate_model must be 'markovian' or 'purcell', "
-                              f"got {text['rate_model']!r}") from None
+    """The config of ``command`` from typed ``updates``, with each per-command and
+    cross-field rule checked in one fixed order, so an input that breaks several
+    is refused for the first. ``given`` names the flag or config key of each value."""
+    if command in ("qfi", "sweep") and not updates.get("method"):
+        updates["method"] = (SweepMethod.QFI,)
     cfg = RunConfig(**updates)
     _usage(cfg.bath)  # BathParams checks omega, T, gamma and g
     if cfg.t < 0:
@@ -242,29 +253,23 @@ def _build_config(command: str, updates: dict, given: dict[str, str]) -> RunConf
         raise ConfigError(f"dim must be >= 2, got {cfg.dim!r}")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers!r}")
-    names = text.get("method", ())
-    typed = {"method": tuple(_match(SweepMethod, "method", name) for name in names)}
-    if "axis" in text:
-        typed["axis"] = _match(SweepAxis, "axis", text["axis"], _AXIS_ALIASES)
     rate_model = cfg.rate_model
-    if command == "sweep" and "axis" in typed:
-        rate_model = _refuse_axis_overrides(typed["axis"], cfg, given) or rate_model
+    if command == "sweep" and cfg.axis is not None:
+        rate_model = _refuse_axis_overrides(cfg, given) or rate_model
     if "g" in given and rate_model is RateModel.MARKOVIAN:
         raise ConfigError(f"{given['g']} is read only under the purcell rate model, not markovian")
-
-    if "probe" in text:  # read by qfi alone
-        typed["probe"] = _usage(ProbeSpec.parse, text["probe"])
     if command == "bounds":
         if any(v != int(v) or v < 0 for v in cfg.axis_values):
             raise ConfigError("bounds --axis-values must be integers >= 0 (excitation numbers)")
         _usage(refuse_repeats, "axis value", cfg.axis_values)
     if command in ("qfi", "bounds"):
-        for name, method in zip(names, typed["method"]):
+        for method in cfg.method:
             if method not in (SweepMethod.CFI, SweepMethod.QFI):
-                raise ConfigError(f"{command} command computes 'cfi' or 'qfi', not {name!r}")
-        _usage(refuse_repeats, "method", typed["method"], lambda m: repr(m.value))
+                raise ConfigError(f"{command} command computes 'cfi' or 'qfi', "
+                                  f"not {method.value!r}")
+        _usage(refuse_repeats, "method", cfg.method, lambda m: repr(m.value))
     if command == "sweep":
-        if "axis" not in typed:
+        if cfg.axis is None:
             raise ConfigError("sweep requires --axis")
         if not cfg.axis_values:
             raise ConfigError("sweep requires --axis-values")
@@ -272,32 +277,23 @@ def _build_config(command: str, updates: dict, given: dict[str, str]) -> RunConf
         if out_json == out_csv:
             raise ConfigError(f"--out {out_csv} would be overwritten by its JSON mirror; "
                               "give the CSV a suffix other than .json")
-        if "probes" in text:
-            typed["probes"] = tuple(
-                _usage(ProbeSpec.parse, entry) if ":" in entry
-                else _match(ProbeKind, "probe kind", entry)
-                for entry in text["probes"]
-            )
-    if command in ("qfi", "sweep") and not typed["method"]:
-        typed["method"] = (SweepMethod.QFI,)
     if command in _COMPUTE:  # the commands that read dim check the cap, set or not
         cap = _usage(dim_ceiling)
         if cfg.dim is not None and cfg.dim > cap:
             raise ConfigError(f"dim={cfg.dim} exceeds {DIM_MAX_ENV}={cap}")
-    return dataclasses.replace(cfg, **typed)
+    return cfg
 
 
-def _refuse_axis_overrides(axis: SweepAxis, cfg: RunConfig,
-                           given: dict[str, str]) -> RateModel | None:
+def _refuse_axis_overrides(cfg: RunConfig, given: dict[str, str]) -> RateModel | None:
     """Refuse a sweep input that its axis replaces, naming where ``given`` says it
     was set (flag or config key); return the rate model the axis forces, if any."""
-    name, rate_model = AXIS_OVERRIDES[axis]
+    name, rate_model = AXIS_OVERRIDES[cfg.axis]
     if name in given:
-        raise ConfigError(f"{given[name]} cannot be set on the {axis.value} axis, "
+        raise ConfigError(f"{given[name]} cannot be set on the {cfg.axis.value} axis, "
                           f"whose values replace {name}")
     if rate_model is not None and "rate_model" in given and cfg.rate_model is not rate_model:
         raise ConfigError(f"{given['rate_model']} {cfg.rate_model.value} cannot be set on the "
-                          f"{axis.value} axis, which uses the {rate_model.value} rate")
+                          f"{cfg.axis.value} axis, which uses the {rate_model.value} rate")
     return rate_model
 
 
@@ -321,9 +317,8 @@ def _refuse_directories(out: Path, *mirrors: Path) -> None:
 def cmd_qfi(cfg: RunConfig) -> int:
     """single-point Fisher information"""
     bath = cfg.bath()
-    methods = [FisherMethod(m) for m in cfg.method]
-    deriv = d_dT_state(cfg.probe, bath, cfg.t, dim=cfg.dim, methods=methods)
-    for method in methods:
+    deriv = d_dT_state(cfg.probe, bath, cfg.t, dim=cfg.dim, methods=cfg.method)
+    for method in cfg.method:
         record = fisher_record(deriv, method)
         print(
             f"method={record.method} probe={cfg.probe.canonical()} "
@@ -343,7 +338,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
     if cfg.out:
         _refuse_directories(Path(cfg.out))
     table = scaling_table(cfg.bath(), cfg.axis_values or range(6), cfg.t,
-                          methods=[FisherMethod(m) for m in cfg.method], dim=cfg.dim)
+                          methods=cfg.method, dim=cfg.dim)
     text = csv_text(ScalingRow, table)
     print(text, end="")
     if cfg.out:

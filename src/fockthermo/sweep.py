@@ -96,9 +96,10 @@ def refuse_repeats(what: str, items: Sequence, label: Callable[[object], str] = 
 @dataclass(frozen=True)
 class SweepSpec:
     """A sweep and its plan: the tasks it evaluates, built once here, so a
-    bath-axis value outside the domain :class:`BathParams` states, a repeated
-    axis value, probe or method, or a spec whose probes and methods share no
-    row, is refused on construction."""
+    bath-axis value outside the domain :class:`BathParams` states, a negative
+    or non-finite t on an axis that reads it, a repeated axis value, probe or
+    method, or a spec whose probes and methods share no row, is refused on
+    construction."""
 
     axis: SweepAxis
     axis_values: tuple[float, ...]
@@ -153,6 +154,8 @@ class SweepSpec:
                 raise DomainError("excitation axis values must be integers >= 0")
         elif self.axis is SweepAxis.TIME and self.axis_values[0] < 0.0:
             raise DomainError("time values must be >= 0")
+        if AXIS_OVERRIDES[self.axis][0] != "t" and not 0.0 <= self.t < math.inf:
+            raise DomainError(f"t must be finite and >= 0, got {self.t!r}")
 
     def echo(self) -> dict:
         return {

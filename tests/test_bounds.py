@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import cfi_linear_coefficient, cfi_quadratic_coefficient
 
+from fockthermo import bounds
 from fockthermo.bath import BathParams, Rates, rates, thermal_occupation, thermal_occupation_dT
 from fockthermo.bounds import (
     ScalingRow,
@@ -216,6 +217,19 @@ class TestScalingTable:
         qfis = [row.qfi_fock for row in table]
         assert all(b > a for a, b in zip(cfis, cfis[1:]))
         assert all(b > a for a, b in zip(qfis, qfis[1:]))
+
+    @pytest.mark.parametrize("n_list", [[1.5, 2.0], [math.nan], [math.inf], [-math.inf],
+                                        [1, -1]])
+    def test_excitation_not_a_finite_integer_refused_before_any_row(self, n_list, fig_bath,
+                                                                    monkeypatch):
+        # 1.5 used to become a row with n = 1; nan and inf ended in a bare
+        # ValueError or OverflowError from int(n)
+        def row_computed(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(bounds, "d_dT_state", row_computed)
+        with pytest.raises(DomainError, match="finite integers >= 0"):
+            scaling_table(fig_bath, n_list, 0.01, methods=(FisherMethod.CFI_NUMBER,))
 
     def test_csv_schema(self, fig_bath):
         text = csv_text(ScalingRow, scaling_table(fig_bath, [1], 0.01))

@@ -89,14 +89,32 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\[bath\] T must be a number"):
             parse_config_file(tmp_path, "[bath]\nT = warm\n")
 
-    def test_values_arrive_as_the_types_the_program_reads(self):
-        _, cfg = parse_args(["sweep", "--axis", "N", "--axis-values", "1,2", "--probes",
-                             "fock,Squeezed,coherent:1.0", "--method", "CFI,bound-coherent",
-                             "--rate-model", "purcell", "--g", "0.07"])
-        assert cfg.axis is SweepAxis.EXCITATION_N
-        assert cfg.probes == (ProbeKind.FOCK, ProbeKind.SQUEEZED, ProbeSpec.coherent(1.0))
-        assert cfg.method == (SweepMethod.CFI, SweepMethod.BOUND_COHERENT)
-        assert cfg.rate_model is RateModel.PURCELL
+    def test_values_arrive_as_the_types_the_program_reads(self, tmp_path):
+        def parse(via, command, **values):
+            if via == "flag":
+                return parse_args([command, *(arg for name, text in values.items()
+                                              for arg in (cli._flag(name), text))])[1]
+            sections: dict[str, list[str]] = {}
+            for name, text in values.items():
+                section = cli._FIELDS[name].metadata["section"]
+                sections.setdefault(section, []).append(f"{name} = {text}\n")
+            path = tmp_path / f"{command}.cfg"
+            path.write_text("".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items()))
+            return parse_args([command, "--config", str(path)])[1]
+
+        for via in ("flag", "config"):
+            cfg = parse(via, "sweep", axis="N", axis_values="1,2",
+                        probes="fock,Squeezed,coherent:1.0", method="CFI,bound-coherent",
+                        rate_model="purcell", g="0.07")
+            assert cfg.axis is SweepAxis.EXCITATION_N
+            assert cfg.probes == (ProbeKind.FOCK, ProbeKind.SQUEEZED, ProbeSpec.coherent(1.0))
+            assert cfg.method == (SweepMethod.CFI, SweepMethod.BOUND_COHERENT)
+            assert cfg.rate_model is RateModel.PURCELL
+            cfg = parse(via, "sweep", axis="temp", axis_values="0.5")
+            assert cfg.axis is SweepAxis.TEMPERATURE
+            cfg = parse(via, "qfi", probe=" Coherent:1.0", method="qfi,Cfi")
+            assert cfg.probe == ProbeSpec.coherent(1.0)
+            assert cfg.method == (SweepMethod.QFI, SweepMethod.CFI)
         # the command's default method: qfi for qfi and sweep, none for bounds
         assert parse_args(["qfi"])[1].method == (SweepMethod.QFI,)
         assert parse_args(["bounds"])[1].method == ()
@@ -106,6 +124,30 @@ class TestParsing:
         assert main(["qfi", "--rate-model", value]) == 1
         assert capsys.readouterr().err == (
             f"error: rate_model must be 'markovian' or 'purcell', got {value!r}\n")
+
+    @pytest.mark.parametrize("argv, section, key, value, message", [
+        pytest.param(["qfi", "--rate-model", "markovian"], "bath", "rate_model", "PURCELL",
+                     "rate_model must be 'markovian' or 'purcell', got 'PURCELL'",
+                     id="rate_model"),
+        pytest.param(["qfi", "--probe", "fock:1"], "run", "probe", "nonsense:1",
+                     "unknown probe kind 'nonsense'", id="probe"),
+        pytest.param(["sweep", "--axis", "time", "--axis-values", "0.1", "--probes", "fock:1"],
+                     "sweep", "probes", "fock:x", "bad probe payload in 'fock:x'", id="probes"),
+        pytest.param(["qfi", "--method", "cfi"], "run", "method", "bogus",
+                     "unknown method 'bogus'", id="method"),
+        pytest.param(["sweep", "--axis", "time", "--axis-values", "0.1", "--probes", "fock:1"],
+                     "sweep", "axis", "bogus", "unknown axis 'bogus'", id="axis"),
+    ])
+    def test_malformed_config_value_refused_under_its_flag(self, argv, section, key, value,
+                                                           message, tmp_path, monkeypatch,
+                                                           capsys):
+        # the flag wins, but the file's value is parsed, and refused, all the same
+        monkeypatch.chdir(tmp_path)  # a sweep would write sweep.csv here
+        (tmp_path / "run.cfg").write_text(f"[{section}]\n{key} = {value}\n")
+        assert main([*argv, "--config", "run.cfg"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
 
 
 class TestCommands:
@@ -231,6 +273,21 @@ class TestCommands:
         captured = capsys.readouterr()
         assert f"{repeat} is repeated" in captured.err
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["qfi", "--t", "-1"], "t must be >= 0"),
+        (["qfi", "--dim", "1"], "dim must be >= 2"),
+        (["sweep", "--axis", "time", "--axis-values", "0.1", "--probes", "fock:1",
+          "--workers", "0"], "workers must be >= 1"),
+        (["sweep", "--axis", "time", "--probes", "fock:1"], "sweep requires --axis-values"),
+    ])
+    def test_out_of_range_or_missing_input_refused(self, argv, message, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.chdir(tmp_path)  # a sweep would write sweep.csv here
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bounds_rejects_fractional_excitations(self, capsys):
         assert main(["bounds", "--axis-values", "1.5,2"]) == 1

@@ -100,6 +100,18 @@ class TestSpecValidation:
             SweepSpec(axis=axis, axis_values=(value, 0.5), probes=(ProbeSpec.fock(1),),
                       bath=fig_bath)
 
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("axis, value, probe", [
+        (SweepAxis.TEMPERATURE, 0.5, ProbeSpec.fock(1)),
+        (SweepAxis.COUPLING_G, 0.05, ProbeSpec.fock(1)),
+        (SweepAxis.DECAY_GAMMA, 0.1, ProbeSpec.fock(1)),
+        (SweepAxis.EXCITATION_N, 1.0, ProbeKind.FOCK),
+    ])
+    def test_t_outside_its_domain_refused_on_construction(self, fig_bath, axis, value, probe, t):
+        # such a spec used to construct, and then fail every row of run_sweep
+        with pytest.raises(DomainError, match="t must be finite and >= 0"):
+            SweepSpec(axis=axis, axis_values=(value,), probes=(probe,), bath=fig_bath, t=t)
+
     @pytest.mark.parametrize("axis, probes, methods, message", [
         (SweepAxis.TIME, (ProbeSpec.fock(1), ProbeSpec.parse("fock:1")), ("cfi",),
          "probe 'fock:1' is repeated"),
