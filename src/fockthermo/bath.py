@@ -58,18 +58,21 @@ def thermal_occupation_dT(omega: float, T: float) -> float:
 
     The product form is algebraically identical to
     (omega/T^2) e^{omega/T} / (e^{omega/T} - 1)^2 and stays stable at both
-    temperature extremes.
+    temperature extremes; it is 0.0 wherever nbar underflows to 0.
     """
     n = thermal_occupation(omega, T)
+    if n == 0.0:
+        return 0.0
     return omega_over_T2(omega, T, n) * (n + 1.0)
 
 
 def omega_over_T2(omega: float, T: float, x: float) -> float:
     """(omega / T^2) * x, as (omega / T) * (x / T) where T^2 overflows
-    (T >~ 1.34e154) and the value need not."""
+    (T >~ 1.34e154) or underflows to 0 (T <~ 1.57e-162) and the value need
+    not."""
     try:
         return (omega / T**2) * x
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return (omega / T) * (x / T)
 
 

@@ -16,7 +16,8 @@ the photon-number populations, is propagated and differenced alone. From
   coherences is the number basis itself.
 
 For number-diagonal states the two coincide; for states with coherences
-the quantum value can only be larger.
+the quantum value can only be larger. A time curve is taken one time at a
+time, with the five stencil generators built once for all of its times.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .bath import BathParams, rates
 from .dynamics import BandGenerator, evolve
-from .errors import DomainError, FockThermoError, SingularSupportError
+from .errors import DomainError, SingularSupportError
 from .fockspace import EIGENVALUE_FLOOR, BandState
 from .probes import ProbeSpec, default_dim, make_state
 
@@ -107,8 +108,6 @@ def d_dT_state(
     """Evolved state rho(t; T) and its central-difference d rho/dT, to be
     reduced to the Fisher ``methods``: :func:`d_dT_curve` at the one time t.
     """
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
     (deriv,) = d_dT_curve(probe, bath, [t], dim=dim, methods=methods)
     return deriv
 
@@ -124,20 +123,23 @@ def d_dT_curve(
     """The derivative of :func:`d_dT_state` at each t of ``t_grid``, in order.
 
     The probe itself is temperature independent; only the bath rates move.
-    The truncation is sized and the probe prepared once. Each of the five
-    stencil temperatures T, T +- h, T +- h/2 builds its band generator once
-    and propagates the probe to every t under it, one temperature after
-    the other. The h and h/2 estimates combine by one Richardson step as
-    (4 D_{h/2} - D_h) / 3, on the populations and on the stacked coherence
-    bands alike. When ``methods`` is the CFI alone, only the populations are
-    propagated and differenced.
+    The grid is checked, the truncation sized and the probe prepared once.
+    At each t the probe is propagated under the five stencil temperatures
+    T, T +- h, T +- h/2, each of whose band generators is built the first
+    time it is needed and reused at every later t. The h and h/2 estimates
+    combine by one Richardson step as (4 D_{h/2} - D_h) / 3, on the
+    populations and on the stacked coherence bands alike. When ``methods``
+    is the CFI alone, only the populations are propagated and differenced.
 
-    Every value has the bits of :func:`d_dT_state` at its t, and an error is
-    raised where a loop over the times would raise it: the derivatives
-    before the first failing t are yielded first, then the error of the
-    first failing stencil temperature at that t.
+    Each t runs exactly what :func:`d_dT_state` runs there, so every value,
+    and every error, is that of a loop over the times.
     """
     t_grid = list(t_grid)
+    if not t_grid:
+        raise DomainError("t_grid must be nonempty")
+    if (not all(t >= 0.0 and math.isfinite(t) for t in t_grid)
+            or any(b <= a for a, b in zip(t_grid, t_grid[1:]))):
+        raise DomainError("t_grid must be finite, nonnegative and strictly ascending")
     dim = default_dim(probe) if dim is None else dim
     state = make_state(probe, dim)
     cfi_only = {FisherMethod(m) for m in methods} == {FisherMethod.CFI_NUMBER}
@@ -151,24 +153,6 @@ def d_dT_curve(
         if bath.T + h == bath.T or math.isinf(1.0 / h):
             raise DomainError(f"derivative step underflowed at T={bath.T!r}")
 
-    # evolved[j][k] is the state at stencil temperature j and time t_grid[k];
-    # each temperature stops at the first failing time, later ones stop
-    # before it, so every state the first ``end`` times need exists
-    evolved = []
-    end, failure = len(t_grid), None
-    for T_shifted in (bath.T, bath.T + h, bath.T - h, bath.T + h / 2.0, bath.T - h / 2.0):
-        if end == 0:
-            break
-        row: list[BandState] = []
-        try:
-            gen = BandGenerator.build(state, rates(bath.with_temperature(T_shifted)))
-            for t in t_grid[:end]:
-                row.append(evolve(state, gen, t))
-        except FockThermoError as exc:  # raised below, in its place in the order of the times
-            end, failure = len(row), exc
-        gen = None  # one generator alive at a time
-        evolved.append(row)
-
     def difference(plus, minus, plus2, minus2):
         # numpy divides a complex array by a real scalar as a product with the
         # reciprocal; the explicit products give the populations the same bits
@@ -176,8 +160,15 @@ def d_dT_curve(
         half = (plus2 - minus2) * (1.0 / h)
         return (4.0 * half - full) * (1.0 / 3.0)
 
-    for k in range(end):
-        states = [row[k] for row in evolved]
+    temperatures = (bath.T, bath.T + h, bath.T - h, bath.T + h / 2.0, bath.T - h / 2.0)
+    generators: list[BandGenerator] = []
+    for t in t_grid:
+        states = []
+        for j, T_shifted in enumerate(temperatures):
+            if j == len(generators):  # at the first t, where a single point builds it
+                generators.append(
+                    BandGenerator.build(state, rates(bath.with_temperature(T_shifted))))
+            states.append(evolve(state, generators[j], t))
         dp = difference(*(s.populations for s in states[1:]))
         dv = difference(*(s.coherences for s in states[1:]))
         yield TemperatureDerivative(
@@ -187,8 +178,6 @@ def d_dT_curve(
             leakage=max(float(s.populations[-1]) for s in states),
             coherences_dropped=dropped,
         )
-    if failure is not None:
-        raise failure
 
 
 def cfi_number_basis(p: np.ndarray, dp: np.ndarray, *, p_floor: float = P_FLOOR) -> float:
@@ -309,11 +298,5 @@ def qfi_curve(
 ) -> list[QfiRecord]:
     """Fisher information along an ascending time grid: :func:`qfi_point` at
     each t, bit for bit, from one :func:`d_dT_curve`."""
-    t_grid = list(t_grid)
-    if not t_grid:
-        raise DomainError("t_grid must be nonempty")
-    if (not all(t >= 0.0 and math.isfinite(t) for t in t_grid)
-            or any(b <= a for a, b in zip(t_grid, t_grid[1:]))):
-        raise DomainError("t_grid must be finite, nonnegative and strictly ascending")
     derivs = d_dT_curve(probe, bath, t_grid, dim=dim, methods=(method,))
     return [fisher_record(deriv, method) for deriv in derivs]

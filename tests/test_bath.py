@@ -70,6 +70,20 @@ class TestOccupationDerivative:
     def test_finite_beyond_the_overflow_of_T_squared(self):
         assert thermal_occupation_dT(1.0, 1e160) == pytest.approx(1.0, rel=1e-12)
 
+    def test_zero_wherever_the_occupation_underflows(self):
+        # omega/T^2 overflows at 1e-155 and T^2 underflows to 0 below it;
+        # nbar is exactly 0 at all three, and so is its derivative
+        for T in (1e-155, 1e-162, 1e-300):
+            assert thermal_occupation_dT(1.0, T) == 0.0
+        for T in np.logspace(-2, 2, 25):
+            T = float(T)
+            n = thermal_occupation(1.0, T)
+            assert thermal_occupation_dT(1.0, T) == (1.0 / T**2) * n * (n + 1.0)
+
+    def test_finite_below_the_underflow_of_T_squared(self):
+        # omega/T = 1e-130 keeps nbar finite; dnbar/dT -> 1/omega
+        assert thermal_occupation_dT(1e-300, 1e-170) == pytest.approx(1e300, rel=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(logT=st.floats(min_value=-1.0, max_value=1.5))
     def test_finite_difference_grid(self, logT):

@@ -148,6 +148,14 @@ def test_a_curve_sizes_and_prepares_its_probe_once(monkeypatch, fig_bath, spec, 
     assert seen == [{"dim": records[0].dim}] * evolutions
 
 
+def test_a_curve_yields_each_derivative_before_evolving_the_next_time(monkeypatch, fig_bath):
+    calls = _count_site_calls(monkeypatch)
+    curve = fisher.d_dT_curve(ProbeSpec.coherent(1.0), fig_bath, [k / 3.0 for k in range(1, 10)],
+                              methods=tuple(FisherMethod))
+    next(curve)
+    assert calls["dynamics.evolve"] == 5  # the five stencil temperatures of the first t
+
+
 def test_benchmark_cross_check_path(fig_bath):
     # perfbench/workload.py recomputes the CFI of a number-diagonal point
     # from the derivative's state and matrix, with the QFI's eigenvalue floor
