@@ -53,29 +53,34 @@ class ProbeKind(str, Enum):
     THERMAL = "thermal"
 
 
+# The type of each kind's value: the excitation number n, the amplitude
+# alpha, the squeezing parameter r, the thermal occupation nbar.
+_VALUE_TYPE = {ProbeKind.FOCK: int, ProbeKind.COHERENT: complex,
+              ProbeKind.SQUEEZED: float, ProbeKind.THERMAL: float}
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Tagged description of an initial state.
-
-    Exactly one of the payload fields is meaningful, selected by ``kind``:
-    ``n`` (Fock), ``alpha`` (coherent), ``r`` (squeezed vacuum),
-    ``nbar`` (thermal).
-    """
+    """Tagged description of an initial state: its ``kind`` and one
+    ``value``, an ``int`` n (Fock), a ``complex`` alpha (coherent), or a
+    ``float`` r (squeezed vacuum) or nbar (thermal). A Fock value that is
+    a bool or not an integer is refused, not truncated."""
 
     kind: ProbeKind
-    n: int = 0
-    alpha: complex = 0j
-    r: float = 0.0
-    nbar: float = 0.0
+    value: int | complex | float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", ProbeKind(self.kind))
-        if self.kind is ProbeKind.FOCK:
-            if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-                raise DomainError(f"Fock excitation must be an integer >= 0, got {self.n!r}")
-        elif self.kind is ProbeKind.THERMAL and not self.nbar >= 0.0:
-            raise DomainError(f"thermal occupation must be >= 0, got {self.nbar!r}")
-        # a payload that is not finite, or whose sinh(r)^2 or |alpha|^2 leaves
+        kind, value = ProbeKind(self.kind), self.value
+        if kind is ProbeKind.FOCK and (
+            isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0
+        ):
+            raise DomainError(f"Fock excitation must be an integer >= 0, got {value!r}")
+        value = _VALUE_TYPE[kind](value)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        if kind is ProbeKind.THERMAL and not value >= 0.0:
+            raise DomainError(f"thermal occupation must be >= 0, got {value!r}")
+        # a value that is not finite, or whose sinh(r)^2 or |alpha|^2 leaves
         # double range, has no representable mean photon number to size it by
         try:
             finite = math.isfinite(self.mean_photon)
@@ -86,19 +91,19 @@ class ProbeSpec:
 
     @classmethod
     def fock(cls, n: int) -> "ProbeSpec":
-        return cls(kind=ProbeKind.FOCK, n=int(n))
+        return cls(ProbeKind.FOCK, n)
 
     @classmethod
     def coherent(cls, alpha: complex) -> "ProbeSpec":
-        return cls(kind=ProbeKind.COHERENT, alpha=complex(alpha))
+        return cls(ProbeKind.COHERENT, alpha)
 
     @classmethod
     def squeezed(cls, r: float) -> "ProbeSpec":
-        return cls(kind=ProbeKind.SQUEEZED, r=float(r))
+        return cls(ProbeKind.SQUEEZED, r)
 
     @classmethod
     def thermal(cls, nbar: float) -> "ProbeSpec":
-        return cls(kind=ProbeKind.THERMAL, nbar=float(nbar))
+        return cls(ProbeKind.THERMAL, nbar)
 
     @classmethod
     def matched(cls, kind: ProbeKind | str, n: float) -> "ProbeSpec":
@@ -121,13 +126,11 @@ class ProbeSpec:
 
     @property
     def mean_photon(self) -> float:
-        if self.kind is ProbeKind.FOCK:
-            return float(self.n)
         if self.kind is ProbeKind.COHERENT:
-            return abs(self.alpha) ** 2
+            return abs(self.value) ** 2
         if self.kind is ProbeKind.SQUEEZED:
-            return math.sinh(self.r) ** 2
-        return self.nbar
+            return math.sinh(self.value) ** 2
+        return float(self.value)
 
     @property
     def is_number_diagonal(self) -> bool:
@@ -135,15 +138,10 @@ class ProbeSpec:
 
     def canonical(self) -> str:
         """Canonical text form, e.g. ``fock:3`` or ``squeezed:0.8813735870195429``."""
-        if self.kind is ProbeKind.FOCK:
-            return f"fock:{self.n}"
-        if self.kind is ProbeKind.COHERENT:
-            a = complex(self.alpha)
-            payload = repr(a.real) if a.imag == 0.0 else repr(a).strip("()")
-            return f"coherent:{payload}"
-        if self.kind is ProbeKind.SQUEEZED:
-            return f"squeezed:{self.r!r}"
-        return f"thermal:{self.nbar!r}"
+        value = self.value
+        if self.kind is ProbeKind.COHERENT and value.imag == 0.0:
+            value = value.real
+        return f"{self.kind.value}:{repr(value).strip('()')}"
 
     @classmethod
     def parse(cls, text: str) -> "ProbeSpec":
@@ -156,17 +154,11 @@ class ProbeSpec:
         except ValueError:
             valid = ", ".join(k.value for k in ProbeKind)
             raise DomainError(f"unknown probe kind {head!r} (expected one of: {valid})") from None
-        payload = payload.strip()
         try:
-            if kind is ProbeKind.FOCK:
-                return cls.fock(int(payload))
-            if kind is ProbeKind.COHERENT:
-                return cls.coherent(complex(payload))
-            if kind is ProbeKind.SQUEEZED:
-                return cls.squeezed(float(payload))
-            return cls.thermal(float(payload))
+            value = _VALUE_TYPE[kind](payload.strip())
         except ValueError as exc:
             raise DomainError(f"bad probe payload in {text!r}: {exc}") from None
+        return cls(kind, value)
 
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -217,13 +209,11 @@ def _truncated(spec: ProbeSpec, dim: int) -> tuple[np.ndarray, float]:
     """The amplitudes (coherent, squeezed) or populations (thermal) of the
     probe on dim levels, renormalized, and the tail mass they leave out."""
     if spec.kind is ProbeKind.THERMAL:
-        values = thermal_populations(spec.nbar, dim)
+        values = thermal_populations(spec.value, dim)
         mass = scale = float(values.sum())
     else:
-        if spec.kind is ProbeKind.COHERENT:
-            values = coherent_amplitudes(spec.alpha, dim)
-        else:
-            values = squeezed_amplitudes(spec.r, dim)
+        amplitudes = coherent_amplitudes if spec.kind is ProbeKind.COHERENT else squeezed_amplitudes
+        values = amplitudes(spec.value, dim)
         mass = float(np.vdot(values, values).real)
         scale = math.sqrt(mass)
     if not 0.0 < mass < math.inf:
@@ -245,18 +235,19 @@ def make_state(spec: ProbeSpec, dim: int) -> BandState:
     """
     check_dim(dim)
     if spec.kind is ProbeKind.FOCK:
-        if spec.n >= dim:
-            raise InvalidDimensionError(f"Fock excitation n={spec.n} needs dim > n, got dim={dim}")
-        return BandState((np.arange(dim) == spec.n).astype(float))
+        n = spec.value
+        if n >= dim:
+            raise InvalidDimensionError(f"Fock excitation n={n} needs dim > n, got dim={dim}")
+        return BandState((np.arange(dim) == n).astype(float))
 
     values, tail = _truncated(spec, dim)
     if spec.kind is ProbeKind.THERMAL:
-        _check_truncation(tail, float(values[-1]), f"thermal nbar={spec.nbar}", dim)
+        _check_truncation(tail, float(values[-1]), f"thermal nbar={spec.value}", dim)
         return BandState(values)
     if spec.kind is ProbeKind.COHERENT:
-        what, bands = f"coherent |alpha|={abs(spec.alpha)}", np.arange(1, dim)
+        what, bands = f"coherent |alpha|={abs(spec.value)}", np.arange(1, dim)
     else:
-        what, bands = f"squeezed r={spec.r}", np.arange(2, dim, 2)
+        what, bands = f"squeezed r={spec.value}", np.arange(2, dim, 2)
     _check_truncation(tail, float(abs(values[-1]) ** 2), what, dim)
     _, m, k = band_entries(dim, bands)
     return BandState((values * values.conj()).real, bands, values[m] * values[m + k].conj())
@@ -278,11 +269,12 @@ def default_dim(spec: ProbeSpec) -> int:
     # past the cap the floor is the cap, so 8 n is never formed beyond it
     base = max(40, int(math.ceil(8 * min(spec.mean_photon, max_dim) + 20)))
     if spec.kind is ProbeKind.FOCK:
-        if spec.n + 2 > max_dim:
+        n = spec.value
+        if n + 2 > max_dim:
             raise TruncationError(
-                f"Fock n={spec.n} needs at least {spec.n + 2} levels, above the cap {max_dim}"
+                f"Fock n={n} needs at least {n + 2} levels, above the cap {max_dim}"
             )
-        return min(max(base, spec.n + 2), max_dim)
+        return min(max(base, n + 2), max_dim)
     dims = range(min(base, max_dim), max_dim + 1, 4)
     refusals: dict[int, TruncationError] = {}
 

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -423,6 +424,25 @@ class TestCommands:
             f"numerical failure: DomainError: derivative step underflowed at T={T}\n")
         assert main(["qfi", "--T", "1e-308"]) == 0  # 1/h is finite here
         assert "qfi=0 " in capsys.readouterr().out
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="evolve refuses a trace drift past 1e-9 at large Gamma0 t")
+    @pytest.mark.parametrize("argv", [pytest.param(["--t", "3e6"], id="t-3e6"),
+                                      pytest.param(["--g", "1e10", "--rate-model", "purcell"],
+                                                   id="purcell-g-1e10")])
+    def test_a_relaxed_probe_has_the_fisher_information_of_the_bath(self, argv, capsys):
+        # at Gamma0 t >> 1 the probe relaxes to the thermal state of the bath,
+        # whose Fisher information is nbar'^2/(nbar (nbar + 1)): 2.896246643865242
+        # at omega = 1, T = 0.5; today both points exit 2 with a PositivityError
+        omega, T = 1.0, 0.5
+        x = omega / T
+        nbar = 1.0 / math.expm1(x)
+        dnbar = x / T * math.exp(x) / math.expm1(x) ** 2
+        thermal = dnbar**2 / (nbar * (nbar + 1.0))
+        assert main(["qfi", *argv]) == 0
+        value = float(re.search(r"qfi=(\S+)", capsys.readouterr().out).group(1))
+        # within 1e-9 relative, plus the rounding of the 9 digits printed
+        assert abs(value - thermal) <= 1e-9 * thermal + 5e-9
 
     def test_sweep_marks_the_row_whose_derivative_step_overflows(self, tmp_path, capsys):
         out_csv = tmp_path / "T.csv"

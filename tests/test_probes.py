@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,17 +34,17 @@ class TestEnergyMatch:
     """``ProbeSpec.matched``: each probe kind at a target mean photon number."""
 
     def test_zero_energy(self):
-        assert ProbeSpec.matched(ProbeKind.SQUEEZED, 0.0).r == 0.0
-        assert ProbeSpec.matched(ProbeKind.COHERENT, 0.0).alpha == 0.0
+        assert ProbeSpec.matched(ProbeKind.SQUEEZED, 0.0).value == 0.0
+        assert ProbeSpec.matched(ProbeKind.COHERENT, 0.0).value == 0.0
         assert ProbeSpec.matched(ProbeKind.FOCK, 0.0) == ProbeSpec.fock(0)
 
     def test_unit_energy(self):
-        assert ProbeSpec.matched(ProbeKind.SQUEEZED, 1.0).r == pytest.approx(ASINH_1, rel=1e-15)
-        assert ProbeSpec.matched(ProbeKind.COHERENT, 1.0).alpha == 1.0
+        assert ProbeSpec.matched(ProbeKind.SQUEEZED, 1.0).value == pytest.approx(ASINH_1, rel=1e-15)
+        assert ProbeSpec.matched(ProbeKind.COHERENT, 1.0).value == 1.0
         assert ProbeSpec.matched(ProbeKind.THERMAL, 1.0) == ProbeSpec.thermal(1.0)
 
     def test_three_quanta_round_trip(self):
-        r = ProbeSpec.matched(ProbeKind.SQUEEZED, 3.0).r
+        r = ProbeSpec.matched(ProbeKind.SQUEEZED, 3.0).value
         assert r == pytest.approx(1.3169578969248166, rel=1e-15)
         assert math.sinh(r) ** 2 == pytest.approx(3.0, abs=1e-12)
         assert ProbeSpec.matched("fock", 3) == ProbeSpec.fock(3)
@@ -127,7 +129,7 @@ class TestMakeState:
         np.testing.assert_array_equal(mat, mat.conj().T)
         if kind is ProbeKind.FOCK:
             want = np.zeros((dim, dim), dtype=complex)
-            want[spec.n, spec.n] = 1.0
+            want[spec.value, spec.value] = 1.0
             np.testing.assert_array_equal(mat, want)
         elif kind is ProbeKind.THERMAL:
             want = np.diag(_truncated(spec, dim)[0]).astype(complex)
@@ -241,7 +243,19 @@ class TestDefaultDim:
         assert default_dim(spec) == dim
 
 
+# every kind, with a value whose mean photon number is a finite float
+PROBE_SPECS = st.one_of(
+    st.integers(min_value=0).map(ProbeSpec.fock),
+    st.complex_numbers(max_magnitude=1e150, allow_infinity=False, allow_nan=False)
+    .map(ProbeSpec.coherent),
+    st.floats(-350.0, 350.0).map(ProbeSpec.squeezed),
+    st.floats(min_value=0.0, allow_infinity=False).map(ProbeSpec.thermal),
+)
+
+
 class TestProbeSpecText:
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=PROBE_SPECS)
     @pytest.mark.parametrize(
         "spec",
         [
@@ -252,8 +266,9 @@ class TestProbeSpecText:
             ProbeSpec.thermal(0.5),
         ],
     )
-    def test_canonical_round_trip(self, spec):
+    def test_canonical_round_trip(self, spec, drawn):
         assert ProbeSpec.parse(spec.canonical()) == spec
+        assert ProbeSpec.parse(drawn.canonical()) == drawn
 
     def test_parse_examples(self):
         assert ProbeSpec.parse("fock:3") == ProbeSpec.fock(3)
@@ -291,4 +306,18 @@ class TestProbeSpecText:
         with pytest.raises(DomainError):
             ProbeSpec.thermal(-0.5)
         with pytest.raises(DomainError):
-            ProbeSpec(kind=ProbeKind.SQUEEZED, r=math.inf)
+            ProbeSpec(ProbeKind.SQUEEZED, math.inf)
+
+    def test_a_spec_is_its_kind_and_one_value(self):
+        assert [f.name for f in dataclasses.fields(ProbeSpec)] == ["kind", "value"]
+        # the value is converted once, to the type of its kind
+        for spec, kind in [(ProbeSpec.fock(np.int64(3)), int), (ProbeSpec.coherent(1), complex),
+                           (ProbeSpec.squeezed(1), float), (ProbeSpec.thermal(1), float)]:
+            assert type(spec.value) is kind
+
+    @pytest.mark.parametrize("n", [1.7, True, 2.0])
+    def test_fock_refuses_a_value_that_is_not_an_integer(self, n):
+        # int(n) used to truncate 1.7 to fock:1, and True spelled fock:True
+        for make in (ProbeSpec.fock, partial(ProbeSpec, ProbeKind.FOCK)):
+            with pytest.raises(DomainError, match="Fock excitation must be an integer >= 0"):
+                make(n)

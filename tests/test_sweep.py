@@ -37,9 +37,13 @@ class TestFitScalingExponent:
         assert fit.n_used == 4
         assert fit.slope == pytest.approx(1.0, abs=1e-9)
 
-    def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
-            fit_scaling_exponent([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("times, values, error, message", [
+        ([0.1, 0.2, 0.3], [1.0, 2.0, 3.0], InsufficientDataError, "need >= 4 positive points"),
+        ([1.0, 2.0], [1.0], DomainError, "times and values must have equal length"),
+    ])
+    def test_unfittable_data_refused(self, times, values, error, message):
+        with pytest.raises(error, match=message):
+            fit_scaling_exponent(times, values)
 
 
 class TestSpecValidation:
@@ -112,19 +116,24 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="t must be finite and >= 0"):
             SweepSpec(axis=axis, axis_values=(value,), probes=(probe,), bath=fig_bath, t=t)
 
-    @pytest.mark.parametrize("axis, probes, methods, message", [
-        (SweepAxis.TIME, (ProbeSpec.fock(1), ProbeSpec.parse("fock:1")), ("cfi",),
+    @pytest.mark.parametrize("axis, values, probes, methods, message", [
+        (SweepAxis.TIME, (), (ProbeSpec.fock(1),), ("cfi",), "axis_values must be nonempty"),
+        (SweepAxis.TIME, (1.0,), (), ("cfi",), "probes and methods must be nonempty"),
+        (SweepAxis.TIME, (1.0,), (ProbeSpec.fock(1),), (), "probes and methods must be nonempty"),
+        (SweepAxis.TIME, (1.0,), (ProbeSpec.fock(1), ProbeSpec.parse("fock:1")), ("cfi",),
          "probe 'fock:1' is repeated"),
-        (SweepAxis.TIME, (ProbeSpec.coherent(1), ProbeSpec.parse("coherent:1.0")), ("cfi",),
-         "probe 'coherent:1.0' is repeated"),
-        (SweepAxis.EXCITATION_N, ("fock", ProbeKind.FOCK), ("cfi",), "probe 'fock' is repeated"),
-        (SweepAxis.TIME, (ProbeSpec.fock(1),), ("cfi", "qfi", SweepMethod.CFI),
+        (SweepAxis.TIME, (1.0,), (ProbeSpec.coherent(1), ProbeSpec.parse("coherent:1.0")),
+         ("cfi",), "probe 'coherent:1.0' is repeated"),
+        (SweepAxis.EXCITATION_N, (1.0,), ("fock", ProbeKind.FOCK), ("cfi",),
+         "probe 'fock' is repeated"),
+        (SweepAxis.TIME, (1.0,), (ProbeSpec.fock(1),), ("cfi", "qfi", SweepMethod.CFI),
          "method 'cfi' is repeated"),
     ])
-    def test_repeated_probe_or_method_refused(self, fig_bath, axis, probes, methods, message):
-        # a repeat would be evaluated, and written, twice
+    def test_empty_or_repeated_entry_refused(self, fig_bath, axis, values, probes, methods,
+                                             message):
+        # an empty list has no row to write; a repeat would be evaluated, and written, twice
         with pytest.raises(DomainError, match=message):
-            SweepSpec(axis=axis, axis_values=(1.0,), probes=probes, methods=methods,
+            SweepSpec(axis=axis, axis_values=values, probes=probes, methods=methods,
                       bath=fig_bath)
 
     def test_empty_plan_refused_on_construction(self, fig_bath):
@@ -334,6 +343,25 @@ class TestOutputs:
         )
         assert len(lines) == 3
         assert not list(tmp_path.glob(".sweep.csv.*"))  # no temp litter
+
+    def test_a_failed_replace_keeps_the_old_file_and_no_temp(self, fig_bath, tmp_path,
+                                                              monkeypatch):
+        spec = SweepSpec(
+            axis=SweepAxis.TIME, axis_values=(0.01,),
+            probes=(ProbeSpec.fock(1),), methods=(SweepMethod.BOUND_FOCK_LINEAR,),
+            bath=fig_bath,
+        )
+        out = tmp_path / "sweep.csv"
+        out.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            run_sweep(spec, workers=1).write_csv(out)
+        assert out.read_text() == "old\n"
+        assert not list(tmp_path.glob(".sweep.csv.*.tmp"))
 
     @pytest.mark.parametrize(
         "value, text",
