@@ -57,7 +57,8 @@ def _closed_form(bound):
         try:
             value = bound(excitation, bath, t)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"{bound.__name__} is not representable here: {exc}") from None
+            why = "it overflows double precision" if isinstance(exc, OverflowError) else exc
+            raise DomainError(f"{bound.__name__} is not representable here: {why}") from None
         if not math.isfinite(value):
             raise DomainError(f"bound value is not representable, got {value!r}")
         if value < 0.0:

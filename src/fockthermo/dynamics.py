@@ -26,6 +26,7 @@ monitors the genuinely physical truncation error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +194,11 @@ def population_vector(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _check_time(t: float) -> None:
+    if not (t >= 0.0) or not math.isfinite(t):
+        raise DomainError(f"t must be finite and >= 0, got {t!r}")
+
+
 def _check_finite(values: np.ndarray, propagator: str, rates: Rates, t: float) -> None:
     if not np.all(np.isfinite(values)):
         raise DomainError(
@@ -240,8 +246,8 @@ def evolve(
     leakage_budget: float = LEAKAGE_BUDGET,
 ) -> BandState:
     """Propagate a state for a time t with the exact exponential of its bands,
-    under the bath ``rates`` or a :class:`BandGenerator` built from them for
-    this state's dim and bands (the same bits, without rebuilding it per t).
+    under the bath ``rates`` or a :class:`BandGenerator` built from them (the
+    same bits either way).
 
     Band 0, the populations, goes through :func:`dense_action`; a population
     below -NEGATIVE_CLIP raises :class:`PositivityError`, and smaller
@@ -252,24 +258,20 @@ def evolve(
     state carries the same bands. Trace is preserved within 1e-9, and the
     top-level population at t is checked against the leakage budget; a
     violation raises :class:`TruncationError` with a raise-dim diagnostic.
-    A propagator output that is not finite raises :class:`DomainError`.
+    A generator of another dim or other bands than the state's, and a
+    propagator output that is not finite, raise :class:`DomainError`.
     """
-    if not (t >= 0.0) or not math.isfinite(t):
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    _check_time(t)
     if t == 0.0:
         return state
-    if isinstance(rates, BandGenerator):
-        generator = rates
-        if not generator.fits(state):
-            raise DomainError(f"the generator was built for other bands than those of "
-                              f"this dim-{state.dim} state")
-    else:
-        generator = BandGenerator.build(state, rates)
-    rates = generator.rates
+    generator = rates if isinstance(rates, BandGenerator) else BandGenerator.build(state, rates)
+    if not generator.fits(state):
+        raise DomainError(f"the generator was built for other bands than those of "
+                          f"this dim-{state.dim} state")
     p0 = population_vector(state.populations)
     with np.errstate(all="ignore"):
         p = dense_action(generator.populations, p0, t)
-    _check_finite(p, "dense population exponential", rates, t)
+    _check_finite(p, "dense population exponential", generator.rates, t)
     low = float(p.min())
     if low < -NEGATIVE_CLIP:
         raise PositivityError(f"population {low:.3e} from the exponential propagator")
@@ -291,7 +293,7 @@ def evolve(
             else:
                 kernel, name = dense_action, "dense exponential of the coherence bands"
             v = kernel(stack, v, t)
-        _check_finite(v, name, rates, t)
+        _check_finite(v, name, generator.rates, t)
     return BandState(p, state.bands, v)
 
 
@@ -301,8 +303,7 @@ def mean_photon_analytic(n0: float, rates: Rates, t: float) -> float:
     The mean obeys d<n>/dt = -Gamma0 <n> + Gamma+ for every initial state,
     so this serves as a state-independent oracle for the propagator.
     """
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    _check_time(t)
     decay = math.exp(-rates.gamma0 * t)
     return n0 * decay + rates.nbar * (-math.expm1(-rates.gamma0 * t))
 
@@ -322,8 +323,9 @@ def short_time_populations(n: int, rates: Rates, t: float) -> ShortTimePopulatio
     Clipped to [0, 1]. Whether first-order leakage still describes the state
     at t is ``fockthermo.bounds.short_time_valid``.
     """
-    if n < 0 or t < 0.0:
-        raise DomainError(f"need n >= 0 and t >= 0, got n={n!r}, t={t!r}")
+    _check_time(t)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise DomainError(f"the Fock excitation n must be an integer >= 0, got {n!r}")
     p_above = rates.gamma_plus * t * (n + 1)
     p_below = rates.gamma_minus * t * n
     p_stay = 1.0 - p_above - p_below

@@ -17,7 +17,7 @@ the photon-number populations, is propagated and differenced alone. From
 
 For number-diagonal states the two coincide; for states with coherences
 the quantum value can only be larger. A time curve is taken one time at a
-time, with the five stencil generators built once for all of its times.
+time, with the five stencil generators built once, before its first time.
 """
 
 from __future__ import annotations
@@ -78,22 +78,19 @@ class TemperatureDerivative:
         """The photon-number distribution p and dp/dT."""
         return self.state.populations, self.dstate.populations
 
-    def _require_whole_state(self) -> None:
+    @property
+    def rho(self) -> BandState:
+        """The evolved state, every band the probe carries."""
         if self.coherences_dropped:
             raise DomainError(
                 "the coherences of this probe were not propagated; only the CFI can be reduced"
             )
-
-    @property
-    def rho(self) -> BandState:
-        """The evolved state, every band the probe carries."""
-        self._require_whole_state()
         return self.state
 
     @property
     def drho(self) -> np.ndarray:
         """d rho/dT as a d x d matrix."""
-        self._require_whole_state()
+        self.rho  # refuses a derivative whose coherences were dropped
         return self.dstate.matrix()
 
 
@@ -123,13 +120,13 @@ def d_dT_curve(
     """The derivative of :func:`d_dT_state` at each t of ``t_grid``, in order.
 
     The probe itself is temperature independent; only the bath rates move.
-    The grid is checked, the truncation sized and the probe prepared once.
-    At each t the probe is propagated under the five stencil temperatures
-    T, T +- h, T +- h/2, each of whose band generators is built the first
-    time it is needed and reused at every later t. The h and h/2 estimates
-    combine by one Richardson step as (4 D_{h/2} - D_h) / 3, on the
-    populations and on the stacked coherence bands alike. When ``methods``
-    is the CFI alone, only the populations are propagated and differenced.
+    The grid is checked, the truncation sized, the probe prepared and the
+    band generators of the five stencil temperatures T, T +- h, T +- h/2
+    built once, before the first t; at each t the probe is propagated under
+    those five generators. The h and h/2 estimates combine by one Richardson
+    step as (4 D_{h/2} - D_h) / 3, on the populations and on the stacked
+    coherence bands alike. When ``methods`` is the CFI alone, only the
+    populations are propagated and differenced.
 
     Each t runs exactly what :func:`d_dT_state` runs there, so every value,
     and every error, is that of a loop over the times.
@@ -160,15 +157,10 @@ def d_dT_curve(
         half = (plus2 - minus2) * (1.0 / h)
         return (4.0 * half - full) * (1.0 / 3.0)
 
-    temperatures = (bath.T, bath.T + h, bath.T - h, bath.T + h / 2.0, bath.T - h / 2.0)
-    generators: list[BandGenerator] = []
+    generators = [BandGenerator.build(state, rates(bath.with_temperature(T)))
+                  for T in (bath.T, bath.T + h, bath.T - h, bath.T + h / 2.0, bath.T - h / 2.0)]
     for t in t_grid:
-        states = []
-        for j, T_shifted in enumerate(temperatures):
-            if j == len(generators):  # at the first t, where a single point builds it
-                generators.append(
-                    BandGenerator.build(state, rates(bath.with_temperature(T_shifted))))
-            states.append(evolve(state, generators[j], t))
+        states = [evolve(state, generator, t) for generator in generators]
         dp = difference(*(s.populations for s in states[1:]))
         dv = difference(*(s.coherences for s in states[1:]))
         yield TemperatureDerivative(
@@ -263,8 +255,7 @@ def fisher_record(deriv: TemperatureDerivative, method: FisherMethod) -> QfiReco
     if method is FisherMethod.CFI_NUMBER:
         value = cfi_number_basis(*deriv.populations)
     else:
-        deriv._require_whole_state()
-        value, dropped = qfi_sld_detailed(deriv.state, deriv.dstate)
+        value, dropped = qfi_sld_detailed(deriv.rho, deriv.dstate)
     return QfiRecord(
         value=value,
         method=method.value,

@@ -10,6 +10,7 @@ geometric distribution with ratio nbar/(nbar+1).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -53,28 +54,32 @@ class ProbeKind(str, Enum):
     THERMAL = "thermal"
 
 
-# The type of each kind's value: the excitation number n, the amplitude
-# alpha, the squeezing parameter r, the thermal occupation nbar.
+# The type of each kind's value (the excitation number n, the amplitude
+# alpha, the squeezing parameter r, the thermal occupation nbar), and the
+# numbers it holds: numpy registers its scalars there, but not its bool.
 _VALUE_TYPE = {ProbeKind.FOCK: int, ProbeKind.COHERENT: complex,
               ProbeKind.SQUEEZED: float, ProbeKind.THERMAL: float}
+_HOLDS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}
 
 
 @dataclass(frozen=True)
 class ProbeSpec:
     """Tagged description of an initial state: its ``kind`` and one
     ``value``, an ``int`` n (Fock), a ``complex`` alpha (coherent), or a
-    ``float`` r (squeezed vacuum) or nbar (thermal). A Fock value that is
-    a bool or not an integer is refused, not truncated."""
+    ``float`` r (squeezed vacuum) or nbar (thermal). Any other value, a bool
+    or text included, is refused, not truncated or converted."""
 
     kind: ProbeKind
     value: int | complex | float
 
     def __post_init__(self) -> None:
         kind, value = ProbeKind(self.kind), self.value
-        if kind is ProbeKind.FOCK and (
-            isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0
-        ):
-            raise DomainError(f"Fock excitation must be an integer >= 0, got {value!r}")
+        holds = _HOLDS[_VALUE_TYPE[kind]]
+        if isinstance(value, bool) or not isinstance(value, holds) or (
+                kind is ProbeKind.FOCK and value < 0):
+            what = ("Fock excitation must be an integer >= 0" if kind is ProbeKind.FOCK
+                    else f"a {kind.value} value must be a {holds.__name__.lower()} number")
+            raise DomainError(f"{what}, got {value!r}")
         value = _VALUE_TYPE[kind](value)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)

@@ -356,15 +356,19 @@ class TestCommands:
         assert "T must be > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, reason",
         [
-            pytest.param(["--T", "1e-200", "--t", "0.01"], id="T-squared-underflows"),
-            pytest.param(["--t", "1e300"], id="t-squared-overflows"),
+            pytest.param(["--T", "1e-200", "--t", "0.01"],
+                         "bound value is not representable, got inf", id="T-squared-underflows"),
+            pytest.param(["--t", "1e300"], "bound_fock_quadratic is not representable here: "
+                         "it overflows double precision", id="t-squared-overflows"),
+            pytest.param(["--t", "1e200"], "bound_fock_quadratic is not representable here: "
+                         "it overflows double precision", id="t-squared-overflows-at-1e200"),
         ],
     )
-    def test_bounds_unrepresentable_value_is_a_numerical_failure(self, argv, capsys):
+    def test_bounds_unrepresentable_value_is_a_numerical_failure(self, argv, reason, capsys):
         assert main(["bounds", *argv, "--axis-values", "1"]) == 2
-        assert "numerical failure: DomainError" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"numerical failure: DomainError: {reason}\n"
 
     def test_underflowing_omega_over_T_is_a_numerical_failure(self, capsys):
         assert main(["qfi", "--omega", "1e-309", "--T", "1e20"]) == 2

@@ -236,6 +236,21 @@ class TestShortTimePopulations:
         pops = short_time_populations(3, fig_rates, 0.05)
         assert pops.p_below + pops.p_stay + pops.p_above == 1.0
 
+    @pytest.mark.parametrize(
+        "n, t, message",
+        [
+            pytest.param(-1, 0.1, "n must be an integer >= 0", id="negative-n"),
+            pytest.param(1.5, 0.1, "n must be an integer >= 0", id="fractional-n"),
+            pytest.param(True, 0.1, "n must be an integer >= 0", id="bool-n"),
+            pytest.param(1, -0.1, "t must be finite and >= 0", id="negative-t"),
+            pytest.param(1, math.nan, "t must be finite and >= 0", id="nan-t"),
+            pytest.param(1, math.inf, "t must be finite and >= 0", id="infinite-t"),
+        ],
+    )
+    def test_refuses_what_evolve_refuses(self, fig_rates, n, t, message):
+        with pytest.raises(DomainError, match=message):
+            short_time_populations(n, fig_rates, t)
+
 
 class TestMeanPhotonAnalytic:
     def test_initial_value(self, fig_rates):
@@ -251,9 +266,12 @@ class TestMeanPhotonAnalytic:
             0.9197320410429429, rel=1e-12
         )
 
-    def test_negative_time_rejected(self, fig_rates):
-        with pytest.raises(DomainError):
-            mean_photon_analytic(1.0, fig_rates, -0.1)
+    @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+    def test_time_that_evolve_refuses_is_refused(self, fig_rates, t):
+        with pytest.raises(DomainError, match="t must be finite and >= 0"):
+            mean_photon_analytic(1.0, fig_rates, t)
+        with pytest.raises(DomainError, match="t must be finite and >= 0"):
+            evolve(make_state(ProbeSpec.fock(1), 8), fig_rates, t)
 
 
 class TestPopulations:

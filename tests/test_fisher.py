@@ -327,6 +327,26 @@ class TestQfiCurve:
         assert points[0] is TruncationError and "by t=0.014967" in points[1]
         assert _outcome(lambda: qfi_curve(ProbeSpec.fock(1), bath, grid, method, dim=6)) == points
 
+    @pytest.mark.parametrize("methods", [(FisherMethod.CFI_NUMBER,), (FisherMethod.QFI_SLD,),
+                                         tuple(FisherMethod)], ids=["cfi", "qfi", "both"])
+    def test_a_curve_builds_its_five_generators_before_its_first_time(self, monkeypatch,
+                                                                      methods):
+        calls = []
+        build, evolve = fisher.BandGenerator.build, fisher.evolve
+
+        def recorded(name, call):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return call(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fisher.BandGenerator, "build", recorded("build", build))
+        monkeypatch.setattr(fisher, "evolve", recorded("evolve", evolve))
+        derivs = fisher.d_dT_curve(ProbeSpec.coherent(1.0), BathParams(), [0.1, 0.2, 0.3],
+                                   methods=methods)
+        assert len(list(derivs)) == 3
+        assert calls == ["build"] * 5 + ["evolve"] * 15
+
 
 def _outcome(evaluate):
     """The fields of each record ``evaluate`` returns, or the type and message it raises."""

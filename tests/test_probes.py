@@ -321,3 +321,40 @@ class TestProbeSpecText:
         for make in (ProbeSpec.fock, partial(ProbeSpec, ProbeKind.FOCK)):
             with pytest.raises(DomainError, match="Fock excitation must be an integer >= 0"):
                 make(n)
+
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            pytest.param(ProbeSpec.squeezed, True, id="squeezed-bool"),
+            pytest.param(ProbeSpec.thermal, False, id="thermal-bool"),
+            pytest.param(ProbeSpec.coherent, True, id="coherent-bool"),
+            pytest.param(ProbeSpec.coherent, np.True_, id="coherent-numpy-bool"),
+            pytest.param(ProbeSpec.thermal, np.False_, id="thermal-numpy-bool"),
+            pytest.param(ProbeSpec.fock, np.True_, id="fock-numpy-bool"),
+            pytest.param(ProbeSpec.coherent, "1", id="coherent-text"),
+            pytest.param(ProbeSpec.thermal, "0.5", id="thermal-text"),
+            pytest.param(ProbeSpec.squeezed, "abc", id="squeezed-bad-text"),
+            pytest.param(ProbeSpec.coherent, None, id="coherent-none"),
+            pytest.param(ProbeSpec.squeezed, 1j, id="squeezed-complex"),
+            pytest.param(ProbeSpec.thermal, np.complex128(0.5), id="thermal-numpy-complex"),
+        ],
+    )
+    def test_a_value_is_a_number_its_kind_holds(self, make, value):
+        with pytest.raises(DomainError, match=r"must be an? (integer|real|complex)"):
+            make(value)
+        with pytest.raises(DomainError, match=r"must be an? (integer|real|complex)"):
+            ProbeSpec(make(1).kind, value)
+
+    @pytest.mark.parametrize(
+        "make, value, stored",
+        [
+            pytest.param(ProbeSpec.fock, np.uint8(3), 3, id="fock-numpy-int"),
+            pytest.param(ProbeSpec.coherent, np.float32(0.5), 0.5 + 0j, id="coherent-numpy-float"),
+            pytest.param(ProbeSpec.coherent, np.complex64(0.5j), 0.5j, id="coherent-numpy-complex"),
+            pytest.param(ProbeSpec.squeezed, np.int64(1), 1.0, id="squeezed-numpy-int"),
+            pytest.param(ProbeSpec.thermal, 2, 2.0, id="thermal-int"),
+        ],
+    )
+    def test_every_number_its_kind_holds_keeps_its_value(self, make, value, stored):
+        spec = make(value)
+        assert spec.value == stored and type(spec.value) is type(stored)
