@@ -60,9 +60,9 @@ def _closed_form(bound):
             why = "it overflows double precision" if isinstance(exc, OverflowError) else exc
             raise DomainError(f"{bound.__name__} is not representable here: {why}") from None
         if not math.isfinite(value):
-            raise DomainError(f"bound value is not representable, got {value!r}")
+            raise DomainError(f"{bound.__name__} value is not representable, got {value!r}")
         if value < 0.0:
-            raise DomainError(f"bound value must be >= 0, got {value!r}")
+            raise DomainError(f"{bound.__name__} value must be >= 0, got {value!r}")
         return value
 
     return checked

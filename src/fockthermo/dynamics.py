@@ -97,7 +97,7 @@ class BandStack:
         sup[starts[1:] - 1] = 0.0  # each block's last row
         return cls(starts=starts, diag=diag, sub=sub, sup=sup)
 
-    def dense_block(self, i: int, t: float = 1.0) -> np.ndarray:
+    def dense_block(self, i: int, t: float) -> np.ndarray:
         """t G of block i as a dense matrix, for t > 0. Each entry is (x + 0.0) * t,
         the bits of the sum of three np.diag matrices times t, signed zeros included.
         Strided writes into one zero matrix build it about five times faster than
@@ -238,13 +238,7 @@ class BandGenerator:
             self.bands is state.bands or np.array_equal(self.bands, state.bands))
 
 
-def evolve(
-    state: BandState,
-    rates: Rates | BandGenerator,
-    t: float,
-    *,
-    leakage_budget: float = LEAKAGE_BUDGET,
-) -> BandState:
+def evolve(state: BandState, rates: Rates | BandGenerator, t: float) -> BandState:
     """Propagate a state for a time t with the exact exponential of its bands,
     under the bath ``rates`` or a :class:`BandGenerator` built from them (the
     same bits either way).
@@ -256,7 +250,7 @@ def evolve(
     by :func:`taylor_action`, or by :func:`dense_action` where ||t G||_1 is
     too large for the action (``BandStack.uses_taylor_action``). The evolved
     state carries the same bands. Trace is preserved within 1e-9, and the
-    top-level population at t is checked against the leakage budget; a
+    top-level population at t is checked against ``LEAKAGE_BUDGET``; a
     violation raises :class:`TruncationError` with a raise-dim diagnostic.
     A generator of another dim or other bands than the state's, and a
     propagator output that is not finite, raise :class:`DomainError`.
@@ -276,10 +270,10 @@ def evolve(
     if low < -NEGATIVE_CLIP:
         raise PositivityError(f"population {low:.3e} from the exponential propagator")
     p[p < 0.0] = 0.0
-    if p[-1] > leakage_budget:
+    if p[-1] > LEAKAGE_BUDGET:
         raise TruncationError(
             f"top-level population {p[-1]:.3e} exceeded the leakage budget "
-            f"{leakage_budget:.0e} by t={t:.6g}; raise dim"
+            f"{LEAKAGE_BUDGET:.0e} by t={t:.6g}; raise dim"
         )
     trace_defect = abs(p.sum() - 1.0)
     if trace_defect > 1e-9:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -93,6 +94,11 @@ def refuse_repeats(what: str, items: Sequence, label: Callable[[object], str] = 
             raise DomainError(f"{what} {label(item)} is repeated")
 
 
+def _name(probe: ProbeSpec | ProbeKind) -> str:
+    """A sweep entry's text: a spec's canonical form, or a bare kind's value."""
+    return probe.canonical() if isinstance(probe, ProbeSpec) else probe.value
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A sweep and its plan: the tasks it evaluates, built once here, so a
@@ -122,48 +128,34 @@ class SweepSpec:
             raise DomainError("axis_values must be strictly ascending")
         if not self.probes or not self.methods:
             raise DomainError("probes and methods must be nonempty")
-        probes = []
+        object.__setattr__(self, "probes", tuple(
+            p if isinstance(p, ProbeSpec) else ProbeKind(p) for p in self.probes))
+        excitation = self.axis is SweepAxis.EXCITATION_N
         for p in self.probes:
-            if isinstance(p, ProbeSpec):
-                if self.axis is SweepAxis.EXCITATION_N:
-                    raise DomainError(
-                        "the excitation axis instantiates probes per axis value; "
-                        f"pass probe kinds, not {p.canonical()!r}"
-                    )
-                probes.append(p)
-            else:
-                kind = ProbeKind(p)
-                if self.axis is not SweepAxis.EXCITATION_N:
-                    raise DomainError(
-                        f"bare probe kind {kind.value!r} is only valid on the excitation axis"
-                    )
-                probes.append(kind)
-        refuse_repeats("probe", probes,
-                       lambda p: repr(p.canonical() if isinstance(p, ProbeSpec) else p.value))
+            if excitation and isinstance(p, ProbeSpec):
+                raise DomainError("the excitation axis instantiates probes per axis value; "
+                                  f"pass probe kinds, not {p.canonical()!r}")
+            if not excitation and isinstance(p, ProbeKind):
+                raise DomainError(
+                    f"bare probe kind {p.value!r} is only valid on the excitation axis")
+        refuse_repeats("probe", self.probes, lambda p: repr(_name(p)))
         refuse_repeats("method", self.methods, lambda m: repr(m.value))
-        object.__setattr__(self, "probes", tuple(probes))
-        self._validate_axis_domain()
-        object.__setattr__(self, "plan", _plan(self))
-        if not self.plan:
-            raise DomainError("sweep plan is empty (no probe/method combination applies)")
-
-    def _validate_axis_domain(self) -> None:
-        """The rules no constructor states; BathParams checks T, gamma and g."""
-        if self.axis is SweepAxis.EXCITATION_N:
-            if any(v != int(v) or v < 0 for v in self.axis_values):
-                raise DomainError("excitation axis values must be integers >= 0")
-        elif self.axis is SweepAxis.TIME and self.axis_values[0] < 0.0:
+        # The rules no constructor states; BathParams checks T, gamma and g.
+        if excitation and any(v != int(v) or v < 0 for v in self.axis_values):
+            raise DomainError("excitation axis values must be integers >= 0")
+        if self.axis is SweepAxis.TIME and self.axis_values[0] < 0.0:
             raise DomainError("time values must be >= 0")
         if AXIS_OVERRIDES[self.axis][0] != "t" and not 0.0 <= self.t < math.inf:
             raise DomainError(f"t must be finite and >= 0, got {self.t!r}")
+        object.__setattr__(self, "plan", _plan(self))
+        if not self.plan:
+            raise DomainError("sweep plan is empty (no probe/method combination applies)")
 
     def echo(self) -> dict:
         return {
             "axis": self.axis.value,
             "axis_values": list(self.axis_values),
-            "probes": [
-                p.canonical() if isinstance(p, ProbeSpec) else p.value for p in self.probes
-            ],
+            "probes": [_name(p) for p in self.probes],
             "methods": [m.value for m in self.methods],
             "bath": {**dataclasses.asdict(self.bath), "rate_model": self.bath.rate_model.value},
             "t": self.t,
@@ -264,14 +256,13 @@ def _plan(spec: SweepSpec) -> tuple[_Task, ...]:
 
 
 def _evaluate_task(task: _Task) -> list[SweepRow]:
-    deriv: TemperatureDerivative | FockThermoError | None = None
     methods = [_FISHER[method] for method in task.methods if method in _FISHER]
-    if methods:
-        try:
-            # through the module, where a tracer of fisher.d_dT_state sees it
-            deriv = fisher.d_dT_state(task.probe, task.bath, task.t, dim=task.dim, methods=methods)
-        except FockThermoError as exc:
-            deriv = exc  # reported on every Fisher row of the task
+    try:
+        # through the module, where a tracer of fisher.d_dT_state sees it
+        deriv = fisher.d_dT_state(task.probe, task.bath, task.t, dim=task.dim,
+                                  methods=methods) if methods else None
+    except FockThermoError as exc:
+        deriv = exc  # reported on every Fisher row of the task
     return [_evaluate_row(task, method, deriv) for method in task.methods]
 
 
@@ -315,9 +306,10 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """
     started = time.monotonic()
     tasks = spec.plan
-    workers = os.cpu_count() or 1 if workers is None else int(workers)
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers!r}")
+    if workers is None:
+        workers = os.cpu_count() or 1
+    elif isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     if workers == 1 or len(tasks) == 1:
         per_task = list(map(_evaluate_task, tasks))
     else:
@@ -360,14 +352,14 @@ class ScalingFit:
 def fit_scaling_exponent(times: Sequence[float], values: Sequence[float]) -> ScalingFit:
     """Least-squares slope of log(value) against log(t).
 
-    Nonpositive values are excluded; at least four usable points are
-    required.
+    Points whose time or value is nonpositive or not finite are excluded;
+    at least four usable points are required.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape:
         raise DomainError("times and values must have equal length")
-    keep = (times > 0.0) & (values > 0.0) & np.isfinite(values)
+    keep = (times > 0.0) & np.isfinite(times) & (values > 0.0) & np.isfinite(values)
     if int(keep.sum()) < 4:
         raise InsufficientDataError(
             f"need >= 4 positive points for a power-law fit, have {int(keep.sum())}"

@@ -359,7 +359,8 @@ class TestCommands:
         "argv, reason",
         [
             pytest.param(["--T", "1e-200", "--t", "0.01"],
-                         "bound value is not representable, got inf", id="T-squared-underflows"),
+                         "bound_squeezed value is not representable, got inf",
+                         id="T-squared-underflows"),
             pytest.param(["--t", "1e300"], "bound_fock_quadratic is not representable here: "
                          "it overflows double precision", id="t-squared-overflows"),
             pytest.param(["--t", "1e200"], "bound_fock_quadratic is not representable here: "

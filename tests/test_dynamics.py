@@ -32,7 +32,7 @@ GAMMA_MINUS = 0.11565176427496657
 
 def band_generator(dim: int, k: int, rates) -> np.ndarray:
     """The dense tridiagonal generator of coherence band k."""
-    return BandStack.build(dim, np.array([k]), rates).dense_block(0)
+    return BandStack.build(dim, np.array([k]), rates).dense_block(0, 1.0)
 
 
 def test_oracle_imports_nothing_from_dynamics():
@@ -133,7 +133,9 @@ class TestEvolve:
             rho = make_state(spec, dim)
         except (InvalidDimensionError, TruncationError):
             reject()  # the drawn dim cannot hold the drawn probe
-        got = evolve(rho, r, t, leakage_budget=1.0)  # the oracle has the same truncation
+        with pytest.MonkeyPatch.context() as mp:  # the oracle has the same truncation
+            mp.setattr("fockthermo.dynamics.LEAKAGE_BUDGET", 1.0)
+            got = evolve(rho, r, t)
         want = apply(propagator(dim, r, t), rho.matrix())
         assert np.max(np.abs(got.matrix() - want)) <= 1e-8
 
@@ -288,7 +290,7 @@ class TestPopulations:
         np.testing.assert_array_equal(evolve(BandState(p0), fig_rates, 0.5).populations, p)
 
     @pytest.mark.parametrize("spec", ["fock:3", "thermal:0.5", "coherent:1.0", "squeezed:0.6"])
-    def test_population_vector_evolves_alone(self, fig_rates, spec):
+    def test_population_vector_evolves_alone(self, fig_rates, spec, monkeypatch):
         # band 0 never mixes with the coherences: band 0 alone evolves to the
         # populations of the whole state bit for bit, and fails alike
         state = make_state(ProbeSpec.parse(spec), 40)
@@ -296,10 +298,11 @@ class TestPopulations:
         assert alone.bands.size == alone.coherences.size == 0
         np.testing.assert_array_equal(alone.populations, evolve(state, fig_rates, 0.7).populations)
         # every top-level population exceeds a negative budget
+        monkeypatch.setattr("fockthermo.dynamics.LEAKAGE_BUDGET", -1.0)
         with pytest.raises(TruncationError) as vector_error:
-            evolve(BandState(state.populations), fig_rates, 0.7, leakage_budget=-1.0)
+            evolve(BandState(state.populations), fig_rates, 0.7)
         with pytest.raises(TruncationError) as matrix_error:
-            evolve(state, fig_rates, 0.7, leakage_budget=-1.0)
+            evolve(state, fig_rates, 0.7)
         assert str(vector_error.value) == str(matrix_error.value)
 
     @pytest.mark.parametrize("spec", ["fock:3", "coherent:1.0"])

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import fockthermo
-from fockthermo import cli, probes, sweep
+from fockthermo import cli, dynamics, probes, sweep
 
 
 def test_every_public_name_resolves():
@@ -38,3 +39,10 @@ def test_retired_probe_conversions_are_gone():
                         (sweep, "_instantiate_probe"), (cli.RunConfig, "probe_spec"),
                         (cli.RunConfig, "resolved_dim"), (cli, "_sweep_probes")]:
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+
+
+def test_retired_sweep_and_evolve_options_are_gone():
+    # SweepSpec states its domain rules in __post_init__, and evolve reads
+    # the one leakage budget no caller changed
+    assert not hasattr(sweep.SweepSpec, "_validate_axis_domain")
+    assert "leakage_budget" not in inspect.signature(dynamics.evolve).parameters

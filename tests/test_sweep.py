@@ -45,6 +45,12 @@ class TestFitScalingExponent:
         with pytest.raises(error, match=message):
             fit_scaling_exponent(times, values)
 
+    def test_non_finite_times_excluded(self):
+        # an infinite time used to reach polyfit, which raised a bare LinAlgError
+        fit = fit_scaling_exponent([1.0, 2.0, 3.0, math.inf, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert fit.n_used == 4
+        assert fit.slope == pytest.approx(1.0, abs=1e-9)
+
 
 class TestSpecValidation:
     def test_axis_values_must_ascend(self, fig_bath):
@@ -135,6 +141,18 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match=message):
             SweepSpec(axis=axis, axis_values=values, probes=probes, methods=methods,
                       bath=fig_bath)
+
+    def test_probes_stored_and_echoed_by_name(self, fig_bath):
+        # a kind given as text is stored as its ProbeKind; echo names a spec
+        # by canonical() and a kind by its value
+        kinds = SweepSpec(axis=SweepAxis.EXCITATION_N, axis_values=(1.0,),
+                          probes=("fock", ProbeKind.COHERENT), bath=fig_bath)
+        assert kinds.probes == (ProbeKind.FOCK, ProbeKind.COHERENT)
+        assert kinds.echo()["probes"] == ["fock", "coherent"]
+        specs = SweepSpec(axis=SweepAxis.TIME, axis_values=(1.0,),
+                          probes=(ProbeSpec.coherent(0.5 + 0.8j), ProbeSpec.fock(3)),
+                          bath=fig_bath)
+        assert specs.echo()["probes"] == ["coherent:0.5+0.8j", "fock:3"]
 
     def test_empty_plan_refused_on_construction(self, fig_bath):
         with pytest.raises(DomainError, match="sweep plan is empty"):
@@ -401,6 +419,16 @@ class TestOutputs:
         assert len(result.rows) == 3
         with pytest.raises(DomainError):
             run_sweep(spec, workers=0)
+
+    @pytest.mark.parametrize("workers", [True, 2.7, 0])
+    def test_worker_count_not_a_positive_integer_refused(self, fig_bath, workers):
+        # a bool or a fractional count used to be truncated by int()
+        spec = SweepSpec(
+            axis=SweepAxis.TIME, axis_values=(0.01,), probes=(ProbeSpec.fock(1),),
+            methods=(SweepMethod.BOUND_FOCK_LINEAR,), bath=fig_bath,
+        )
+        with pytest.raises(DomainError, match=f"workers must be an integer >= 1, got {workers!r}"):
+            run_sweep(spec, workers=workers)
 
     def test_excitation_sweep_leaves_scipy_sparse_unimported(self):
         # importing scipy.sparse alone adds ~4 MiB of resident memory
