@@ -81,7 +81,7 @@ def bound_fock_linear(n: int, bath: BathParams, t: float) -> float:
 
 @_closed_form
 def bound_fock_quadratic(n: int, bath: BathParams, t: float) -> float:
-    """Quadratic-in-time form weighted by the log-derivatives of both rates.
+    """Quadratic-in-time form scaled by the log-derivatives of both rates.
 
     Both rate derivatives equal Gamma0 * dT nbar, so the log-derivatives
     reduce to dT nbar / nbar and dT nbar / (nbar + 1).
@@ -166,7 +166,7 @@ def scaling_table(
             e_lin = e_sq = e_coh = math.nan
         numerics = {}
         if methods:
-            deriv = d_dT_state(ProbeSpec.fock(n), bath, t, dim=dim, methods=methods)
+            deriv = d_dT_state(ProbeSpec.fock(n), bath, t, dim=dim)
             numerics = {m: fisher_record(deriv, m).value for m in methods}
         out.append(
             ScalingRow(

@@ -61,6 +61,23 @@ def _integer(text: str) -> int:
         raise ValueError("must be an integer") from None
 
 
+def _at_least(parse: Callable[[str], float], low: float, *, strict: bool = False):
+    """``parse``, then refuse a value below ``low`` (or at it, when ``strict``):
+    the domain of the key, checked wherever its text comes from."""
+    rule = f"must be {'>' if strict else '>='} {low:g}"
+
+    def parse_in_domain(text: str):
+        value = parse(text)
+        if value < low or strict and value == low:
+            raise ValueError(rule)
+        return value
+
+    return parse_in_domain
+
+
+_positive = _at_least(_number, 0.0, strict=True)
+
+
 def _path(text: str) -> str:
     if not text:
         raise ValueError("must not be empty")
@@ -133,12 +150,12 @@ class RunConfig:
     """Every parameter of one invocation, as the type the program reads;
     :func:`parse_args` converts and checks each value once."""
 
-    omega: float = _param(1.0, "bath", _number, _COMPUTE)
-    T: float = _param(0.5, "bath", _number, _COMPUTE)
-    gamma: float = _param(0.1, "bath", _number, _COMPUTE)
-    g: float = _param(0.05, "bath", _number, _COMPUTE)
+    omega: float = _param(1.0, "bath", _positive, _COMPUTE)
+    T: float = _param(0.5, "bath", _positive, _COMPUTE)
+    gamma: float = _param(0.1, "bath", _positive, _COMPUTE)
+    g: float = _param(0.05, "bath", _at_least(_number, 0.0), _COMPUTE)
     rate_model: RateModel = _param(RateModel.MARKOVIAN, "bath", _rate_model, _COMPUTE)
-    t: float = _param(0.5, "run", _number, _COMPUTE)
+    t: float = _param(0.5, "run", _at_least(_number, 0.0), _COMPUTE)
     probe: ProbeSpec = _param(ProbeSpec.fock(1), "run", partial(_usage, ProbeSpec.parse), ("qfi",))
     probes: tuple[ProbeSpec | ProbeKind, ...] = _param(
         (ProbeSpec.fock(1),), "sweep", _probes, ("sweep",), "comma-separated probe list")
@@ -148,8 +165,8 @@ class RunConfig:
     axis: SweepAxis | None = _param(None, "sweep", _axis, ("sweep",))
     axis_values: tuple[float, ...] = _param((), "sweep", _numbers, ("bounds", "sweep"),
                                             "comma-separated axis values")
-    dim: int | None = _param(None, "run", _integer, _COMPUTE)  # within the cap
-    workers: int | None = _param(None, "sweep", _integer, ("sweep",))
+    dim: int | None = _param(None, "run", _at_least(_integer, 2), _COMPUTE)  # within the cap
+    workers: int | None = _param(None, "sweep", _at_least(_integer, 1), ("sweep",))
     out: str | None = _param(None, "output", _path, ("bounds", "sweep"))
 
     def bath(self) -> BathParams:
@@ -246,13 +263,6 @@ def _build_config(command: str, updates: dict, given: dict[str, str]) -> RunConf
     if command in ("qfi", "sweep") and not updates.get("method"):
         updates["method"] = (SweepMethod.QFI,)
     cfg = RunConfig(**updates)
-    _usage(cfg.bath)  # BathParams checks omega, T, gamma and g
-    if cfg.t < 0:
-        raise ConfigError(f"t must be >= 0, got {cfg.t!r}")
-    if cfg.dim is not None and cfg.dim < 2:
-        raise ConfigError(f"dim must be >= 2, got {cfg.dim!r}")
-    if cfg.workers is not None and cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers!r}")
     rate_model = cfg.rate_model
     if command == "sweep" and cfg.axis is not None:
         rate_model = _refuse_axis_overrides(cfg, given) or rate_model
@@ -317,7 +327,7 @@ def _refuse_directories(out: Path, *mirrors: Path) -> None:
 def cmd_qfi(cfg: RunConfig) -> int:
     """single-point Fisher information"""
     bath = cfg.bath()
-    deriv = d_dT_state(cfg.probe, bath, cfg.t, dim=cfg.dim, methods=cfg.method)
+    deriv = d_dT_state(cfg.probe, bath, cfg.t, dim=cfg.dim)
     for method in cfg.method:
         record = fisher_record(deriv, method)
         print(
@@ -327,8 +337,7 @@ def cmd_qfi(cfg: RunConfig) -> int:
         )
         print(
             f"  qfi={fmt(record.value)} delta_t_min={fmt(record.delta_t_min)} "
-            f"h_used={fmt(record.h_used)} leakage={fmt(record.leakage)} "
-            f"dropped_pairs={record.dropped_pairs} dim={record.dim}"
+            f"h_used={fmt(record.h_used)} leakage={fmt(record.leakage)} dim={record.dim}"
         )
     return 0
 

@@ -1,19 +1,16 @@
 """Temperature-sensitivity measures of the evolved probe.
 
-The state derivative is taken end to end: the evolution is run at
-shifted bath temperatures and differenced centrally with one Richardson
-step, so a single code path covers every probe class. The state is the
-:class:`~fockthermo.fockspace.BandState` of the coherence bands the probe
-carries, and its derivative is the difference of those stacked vectors;
-where the result cannot depend on the coherences (the CFI alone) band 0,
-the photon-number populations, is propagated and differenced alone. From
-(rho, d rho/dT) two figures of merit follow:
+The state derivative is taken end to end: the photon-number populations
+(band 0, :class:`~fockthermo.fockspace.BandState`) are evolved at shifted
+bath temperatures and differenced centrally with one Richardson step. From
+(p, dp/dT) two figures of merit follow:
 
-* number-basis classical Fisher information sum_m (dp_m)^2 / p_m, and
-* the full quantum Fisher information
-  2 sum_{ij} |<i| d rho |j>|^2 / (lambda_i + lambda_j)
-  over the eigendecomposition of rho, which for a state without
-  coherences is the number basis itself.
+* the number-basis classical Fisher information sum_m (dp_m)^2 / p_m, and
+* the quantum Fisher information. A number-diagonal probe (Fock, thermal)
+  stays number diagonal, so its populations are the eigenvalues of rho and
+  its QFI is the same sum, with the eigenvalue floor in place of the CFI's.
+  The channel keeps a coherent or squeezed probe Gaussian, so its QFI is
+  the closed form of :func:`gaussian_qfi` in the 2x2 covariance matrix.
 
 For number-diagonal states the two coincide; for states with coherences
 the quantum value can only be larger. A time curve is taken one time at a
@@ -25,15 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bath import BathParams, rates
+from .bath import BathParams, base_rate, rates, thermal_occupation, thermal_occupation_dT
 from .dynamics import BandGenerator, evolve
 from .errors import DomainError, SingularSupportError
 from .fockspace import EIGENVALUE_FLOOR, BandState
-from .probes import ProbeSpec, default_dim, make_state
+from .probes import ProbeKind, ProbeSpec, default_dim, make_state
 
 # Populations below this are excluded from classical Fisher sums: they add
 # at most numerical noise but can explode by division.
@@ -55,43 +52,30 @@ class FisherMethod(str, Enum):
 
 @dataclass(frozen=True)
 class TemperatureDerivative:
-    """The evolved :class:`BandState`, its temperature derivative ``dstate``,
-    the temperature step and the leakage. ``rho`` is that state and ``drho``
-    the d x d matrix of its derivative, float64 for a probe whose coherences
-    are real and complex128 otherwise; both refuse when ``coherences_dropped``.
-    Then ``state`` and ``dstate`` hold band 0 alone: the probe's coherences
-    were never propagated, and only the CFI can be reduced.
-    """
+    """The populations ``rho`` of ``probe`` evolved under ``bath`` for a
+    time ``t``, their temperature derivative ``dp``, the temperature step
+    and the leakage. ``drho`` is d rho/dT as the d x d diagonal matrix of dp."""
 
-    state: BandState
-    dstate: BandState
+    probe: ProbeSpec
+    bath: BathParams
+    t: float
+    rho: BandState
+    dp: np.ndarray
     h_used: float
     leakage: float
-    coherences_dropped: bool = False
 
     @property
     def dim(self) -> int:
-        return self.state.dim
+        return self.rho.dim
 
     @property
     def populations(self) -> tuple[np.ndarray, np.ndarray]:
         """The photon-number distribution p and dp/dT."""
-        return self.state.populations, self.dstate.populations
-
-    @property
-    def rho(self) -> BandState:
-        """The evolved state, every band the probe carries."""
-        if self.coherences_dropped:
-            raise DomainError(
-                "the coherences of this probe were not propagated; only the CFI can be reduced"
-            )
-        return self.state
+        return self.rho.populations, self.dp
 
     @property
     def drho(self) -> np.ndarray:
-        """d rho/dT as a d x d matrix."""
-        self.rho  # refuses a derivative whose coherences were dropped
-        return self.dstate.matrix()
+        return np.diag(self.dp)
 
 
 def d_dT_state(
@@ -100,12 +84,11 @@ def d_dT_state(
     t: float,
     *,
     dim: int | None = None,
-    methods: Iterable[FisherMethod] = tuple(FisherMethod),
 ) -> TemperatureDerivative:
-    """Evolved state rho(t; T) and its central-difference d rho/dT, to be
-    reduced to the Fisher ``methods``: :func:`d_dT_curve` at the one time t.
+    """Evolved populations p(t; T) and their central-difference dp/dT:
+    :func:`d_dT_curve` at the one time t.
     """
-    (deriv,) = d_dT_curve(probe, bath, [t], dim=dim, methods=methods)
+    (deriv,) = d_dT_curve(probe, bath, [t], dim=dim)
     return deriv
 
 
@@ -115,18 +98,15 @@ def d_dT_curve(
     t_grid: Sequence[float],
     *,
     dim: int | None = None,
-    methods: Iterable[FisherMethod] = tuple(FisherMethod),
 ) -> Iterator[TemperatureDerivative]:
     """The derivative of :func:`d_dT_state` at each t of ``t_grid``, in order.
 
     The probe itself is temperature independent; only the bath rates move.
     The grid is checked, the truncation sized, the probe prepared and the
-    band generators of the five stencil temperatures T, T +- h, T +- h/2
-    built once, before the first t; at each t the probe is propagated under
-    those five generators. The h and h/2 estimates combine by one Richardson
-    step as (4 D_{h/2} - D_h) / 3, on the populations and on the stacked
-    coherence bands alike. When ``methods`` is the CFI alone, only the
-    populations are propagated and differenced.
+    population generators of the five stencil temperatures T, T +- h,
+    T +- h/2 built once, before the first t; at each t the populations are
+    propagated under those five generators. The h and h/2 estimates combine
+    by one Richardson step as (4 D_{h/2} - D_h) / 3.
 
     Each t runs exactly what :func:`d_dT_state` runs there, so every value,
     and every error, is that of a loop over the times.
@@ -139,9 +119,6 @@ def d_dT_curve(
         raise DomainError("t_grid must be finite, nonnegative and strictly ascending")
     dim = default_dim(probe) if dim is None else dim
     state = make_state(probe, dim)
-    cfi_only = {FisherMethod(m) for m in methods} == {FisherMethod.CFI_NUMBER}
-    dropped = cfi_only and state.bands.size > 0
-    state = BandState(state.populations) if dropped else state
 
     h = max(H_REL * bath.T, H_ABS_FLOOR)
     while bath.T - h <= 0.0:
@@ -151,24 +128,24 @@ def d_dT_curve(
             raise DomainError(f"derivative step underflowed at T={bath.T!r}")
 
     def difference(plus, minus, plus2, minus2):
-        # numpy divides a complex array by a real scalar as a product with the
-        # reciprocal; the explicit products give the populations the same bits
+        # products with the reciprocals, not quotients, which would move the
+        # last bits of every recorded CFI
         full = (plus - minus) * (1.0 / (2.0 * h))
         half = (plus2 - minus2) * (1.0 / h)
         return (4.0 * half - full) * (1.0 / 3.0)
 
-    generators = [BandGenerator.build(state, rates(bath.with_temperature(T)))
+    generators = [BandGenerator.build(dim, rates(bath.with_temperature(T)))
                   for T in (bath.T, bath.T + h, bath.T - h, bath.T + h / 2.0, bath.T - h / 2.0)]
     for t in t_grid:
         states = [evolve(state, generator, t) for generator in generators]
-        dp = difference(*(s.populations for s in states[1:]))
-        dv = difference(*(s.coherences for s in states[1:]))
         yield TemperatureDerivative(
-            state=states[0],
-            dstate=BandState(dp, state.bands, dv),
+            probe=probe,
+            bath=bath,
+            t=t,
+            rho=states[0],
+            dp=difference(*(s.populations for s in states[1:])),
             h_used=h,
             leakage=max(float(s.populations[-1]) for s in states),
-            coherences_dropped=dropped,
         )
 
 
@@ -188,33 +165,48 @@ def cfi_number_basis(p: np.ndarray, dp: np.ndarray, *, p_floor: float = P_FLOOR)
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
-def qfi_sld_detailed(state: BandState, dstate: BandState) -> tuple[float, int]:
-    """Quantum Fisher information from the symmetric logarithmic derivative,
-    plus the number of eigenpairs dropped by the spectral floor.
+def gaussian_qfi(probe: ProbeSpec, bath: BathParams, t: float) -> float:
+    """QFI for T of a coherent or squeezed probe after a time t.
 
-    Eigenvalues with |lambda| < EIGENVALUE_FLOOR are treated as exact zeros,
-    and pairs with lambda_i + lambda_j <= EIGENVALUE_FLOOR are excluded from
-    the sum. A state without coherence bands is diagonal in the number basis,
-    so its populations are the eigenvalues and no matrix is assembled; a state
-    with real coherences is reduced by a real symmetric eigendecomposition.
+    The channel keeps the probe Gaussian. In units where the vacuum
+    covariance is the identity, the squeezed vacuum's covariance
+    diag(e^{-2r}, e^{2r}) becomes sigma = eta diag(e^{-2r}, e^{2r}) + c I,
+    with eta = e^{-Gamma0 t}, q = 1 - eta and c = q (2 nbar + 1); the
+    displacement of a coherent probe (r = 0) decays as sqrt(eta) whatever T
+    is, so it carries no information. With s = d sigma/dT = 2 nbar' q and
+    D = det sigma, the single-mode formula (Pinel et al., PRA 88, 040102(R),
+    2013; Safranek, Lee & Fuentes, PRA 92, 032314, 2015) reads
+
+        F = s^2 (sigma11^-2 + sigma22^-2) D / (2 (D + 1))
+            + s^2 (sigma11 + sigma22)^2 / (2 D (D - 1) (D + 1)),
+
+    with D - 1 = q (4 q nbar (nbar + 1) + 4 eta sinh^2 r + 4 eta nbar cosh 2r)
+    formed without cancellation. F is 0 where s is (t = 0, or nbar' = 0);
+    a value that is not finite raises :class:`DomainError`.
     """
-    if dstate.dim != state.dim:
-        raise DomainError(f"state and derivative dims differ: {state.dim} vs {dstate.dim}")
-    coherent = state.bands.size > 0
-    lam, vecs = np.linalg.eigh(state.matrix()) if coherent else (state.populations, None)
-    # below the floor, and roundoff negatives, are zeros: no denominator can
-    # sit near zero with the wrong sign (positivity is checked upstream)
-    lam = np.where(lam < EIGENVALUE_FLOOR, 0.0, lam)
-    denom = lam[:, None] + lam[None, :]
-    keep = denom > EIGENVALUE_FLOOR
-    if coherent:
-        m = vecs.conj().T @ dstate.matrix() @ vecs
-        value = 2.0 * float(np.sum(np.abs(m[keep]) ** 2 / denom[keep]))
-    else:  # only the diagonal pairs carry weight
-        on = keep.diagonal()
-        value = 2.0 * float(np.sum(dstate.populations[on] ** 2 / denom.diagonal()[on]))
-    dropped = int(keep.size - int(keep.sum()))
-    return value, dropped
+    if probe.kind not in (ProbeKind.COHERENT, ProbeKind.SQUEEZED):
+        raise DomainError(f"{probe.canonical()} is not a Gaussian probe")
+    r = probe.value if probe.kind is ProbeKind.SQUEEZED else 0.0
+    nbar, dnbar = thermal_occupation(bath.omega, bath.T), thermal_occupation_dT(bath.omega, bath.T)
+    g0t = base_rate(bath) * t
+    eta, q = math.exp(-g0t), -math.expm1(-g0t)
+    s = 2.0 * dnbar * q
+    if s == 0.0:
+        return 0.0
+    try:
+        c = q * (2.0 * nbar + 1.0)
+        s11, s22 = eta * math.exp(-2.0 * r) + c, eta * math.exp(2.0 * r) + c
+        d = s11 * s22
+        d1 = q * (4.0 * q * nbar * (nbar + 1.0) + 4.0 * eta * math.sinh(r) ** 2
+                  + 4.0 * eta * nbar * math.cosh(2.0 * r))
+        value = (s * s * (s11**-2 + s22**-2) * d / (2.0 * (d + 1.0))
+                 + s * s * (s11 + s22) ** 2 / (2.0 * d * d1 * (d + 1.0)))
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"the Gaussian QFI of {probe.canonical()} is not finite at "
+                          f"T={bath.T!r}, Gamma0*t={g0t:.3e}")
+    return value
 
 
 def delta_t_min(fisher_value: float) -> float:
@@ -229,15 +221,13 @@ def delta_t_min(fisher_value: float) -> float:
 @dataclass(frozen=True)
 class QfiRecord:
     """One Fisher-information value and the facts of the derivative it
-    was reduced from: its dimension, leakage and temperature step, and the
-    eigenpairs the QFI's spectral floor dropped (0 for the CFI)."""
+    was reduced from: its dimension, leakage and temperature step."""
 
     value: float
     method: str
     dim: int
     leakage: float
     h_used: float
-    dropped_pairs: int
 
     @property
     def delta_t_min(self) -> float:
@@ -248,21 +238,25 @@ def fisher_record(deriv: TemperatureDerivative, method: FisherMethod) -> QfiReco
     """Reduce a temperature derivative to the Fisher information of ``method``.
 
     Every method reduces the same derivative, so a caller wanting several
-    evaluates :func:`d_dT_state` once, for all of them.
+    evaluates :func:`d_dT_state` once, for all of them. The QFI of a
+    number-diagonal probe is the sum of the CFI over the populations above
+    ``EIGENVALUE_FLOOR``, and that of a coherent or squeezed probe
+    :func:`gaussian_qfi`; the record's dim, leakage and step are those of
+    the derivative either way.
     """
     method = FisherMethod(method)
-    dropped = 0
     if method is FisherMethod.CFI_NUMBER:
         value = cfi_number_basis(*deriv.populations)
+    elif deriv.probe.is_number_diagonal:
+        value = cfi_number_basis(*deriv.populations, p_floor=EIGENVALUE_FLOOR)
     else:
-        value, dropped = qfi_sld_detailed(deriv.rho, deriv.dstate)
+        value = gaussian_qfi(deriv.probe, deriv.bath, deriv.t)
     return QfiRecord(
         value=value,
         method=method.value,
         dim=deriv.dim,
         leakage=deriv.leakage,
         h_used=deriv.h_used,
-        dropped_pairs=dropped,
     )
 
 
@@ -275,8 +269,7 @@ def qfi_point(
     dim: int | None = None,
 ) -> QfiRecord:
     """Single Fisher-information evaluation at time t."""
-    deriv = d_dT_state(probe, bath, t, dim=dim, methods=(method,))
-    return fisher_record(deriv, method)
+    return fisher_record(d_dT_state(probe, bath, t, dim=dim), method)
 
 
 def qfi_curve(
@@ -289,5 +282,4 @@ def qfi_curve(
 ) -> list[QfiRecord]:
     """Fisher information along an ascending time grid: :func:`qfi_point` at
     each t, bit for bit, from one :func:`d_dT_curve`."""
-    derivs = d_dT_curve(probe, bath, t_grid, dim=dim, methods=(method,))
-    return [fisher_record(deriv, method) for deriv in derivs]
+    return [fisher_record(deriv, method) for deriv in d_dT_curve(probe, bath, t_grid, dim=dim)]

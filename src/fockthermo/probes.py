@@ -1,10 +1,11 @@
 """Initial probe states: Fock, coherent, squeezed vacuum, and thermal.
 
-Coherent and squeezed amplitude vectors are built by stable two-term
-recurrences and renormalized after truncation, so the trace is exactly 1
-while the discarded tail is bounded by the truncation budget. The
-squeezed vacuum occupies even levels only; the thermal state is the
-geometric distribution with ratio nbar/(nbar+1).
+A probe is prepared as its photon-number populations. Coherent and
+squeezed amplitude vectors are built by stable two-term recurrences and
+renormalized after truncation, so the populations |c_m|^2 sum to 1 while
+the discarded tail is bounded by the truncation budget. The squeezed
+vacuum occupies even levels only; the thermal state is the geometric
+distribution with ratio nbar/(nbar+1).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InvalidDimensionError, TruncationError
-from .fockspace import BandState, band_entries, check_dim
+from .fockspace import BandState, check_dim
 
 # A freshly constructed state must keep its renormalized top-level
 # population below this; the discarded tail mass gets a looser hard cap
@@ -230,9 +231,8 @@ def _truncated(spec: ProbeSpec, dim: int) -> tuple[np.ndarray, float]:
 
 
 def make_state(spec: ProbeSpec, dim: int) -> BandState:
-    """The probe on a dim-level space, as the coherence bands it carries:
-    none for Fock and thermal probes, the even ones for the squeezed vacuum,
-    all for a coherent state. A pure probe psi has entries psi_m psi*_{m+k}.
+    """The photon-number populations of the probe on a dim-level space:
+    |c_m|^2 of its amplitudes c_m for a coherent or squeezed probe.
 
     Raises :class:`TruncationError` when the truncated tail or the top-level
     population exceeds the construction budget, and
@@ -249,13 +249,10 @@ def make_state(spec: ProbeSpec, dim: int) -> BandState:
     if spec.kind is ProbeKind.THERMAL:
         _check_truncation(tail, float(values[-1]), f"thermal nbar={spec.value}", dim)
         return BandState(values)
-    if spec.kind is ProbeKind.COHERENT:
-        what, bands = f"coherent |alpha|={abs(spec.value)}", np.arange(1, dim)
-    else:
-        what, bands = f"squeezed r={spec.value}", np.arange(2, dim, 2)
+    what = (f"coherent |alpha|={abs(spec.value)}" if spec.kind is ProbeKind.COHERENT
+            else f"squeezed r={spec.value}")
     _check_truncation(tail, float(abs(values[-1]) ** 2), what, dim)
-    _, m, k = band_entries(dim, bands)
-    return BandState((values * values.conj()).real, bands, values[m] * values[m + k].conj())
+    return BandState((values * values.conj()).real)
 
 
 def default_dim(spec: ProbeSpec) -> int:

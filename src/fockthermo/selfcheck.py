@@ -8,7 +8,6 @@ registry once, with one test case per check.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from .bath import BathParams, rates, thermal_occupation, thermal_occupation_dT
 from .bounds import bound_coherent, bound_fock_linear, bound_fock_quadratic, bound_squeezed
 from .dynamics import evolve, mean_photon_analytic, short_time_populations
 from .errors import FockThermoError
-from .fisher import FisherMethod, cfi_number_basis, d_dT_state, qfi_point, qfi_sld_detailed
+from .fisher import FisherMethod, qfi_point
 from .fockspace import LEAKAGE_BUDGET
 from .probes import ProbeKind, ProbeSpec, default_dim, make_state
 from .sweep import SweepAxis, SweepMethod, SweepSpec, fit_scaling_exponent, run_sweep
@@ -102,29 +101,26 @@ def _check_derivative_fd() -> tuple[bool, str]:
 
 @_register("probes", "states_validate")
 def _check_states_validate() -> tuple[bool, str]:
-    # exactly Hermitian, unit trace within 1e-9, no eigenvalue below -1e-9
-    # and the top level within the leakage budget, at the automatic dim
-    herm, trace, low, top = 0.0, 0.0, math.inf, 0.0
+    # nonnegative populations, unit trace within 1e-9 and the top level
+    # within the leakage budget, at the automatic dim
+    trace, low, top = 0.0, math.inf, 0.0
     for spec in (ProbeSpec.fock(2), ProbeSpec.fock(3), ProbeSpec.coherent(1.0),
                  ProbeSpec.coherent(1.0 + 0.5j), ProbeSpec.squeezed(0.6), ProbeSpec.squeezed(0.8),
                  ProbeSpec.squeezed(0.8814), ProbeSpec.thermal(0.5), ProbeSpec.thermal(1.0)):
-        state = make_state(spec, default_dim(spec))
-        mat = state.matrix()
-        herm = max(herm, float(np.max(np.abs(mat - mat.conj().T))))
-        trace = max(trace, abs(float(state.populations.sum()) - 1.0))
-        low = min(low, float(np.linalg.eigvalsh(mat).min()))
-        top = max(top, float(state.populations[-1]))
-    ok = herm == 0.0 and trace <= 1e-9 and low >= -1e-9 and top <= LEAKAGE_BUDGET
-    return ok, (f"hermiticity defect {herm:.1e}, max |tr - 1| {trace:.1e}, "
-                f"smallest eigenvalue {low:.1e}, max top-level population {top:.1e}")
+        p = make_state(spec, default_dim(spec)).populations
+        trace = max(trace, abs(float(p.sum()) - 1.0))
+        low = min(low, float(p.min()))
+        top = max(top, float(p[-1]))
+    ok = trace <= 1e-9 and low >= 0.0 and top <= LEAKAGE_BUDGET
+    return ok, (f"max |tr - 1| {trace:.1e}, smallest population {low:.1e}, "
+                f"max top-level population {top:.1e}")
 
 
 @_register("probes", "squeezed_odd_levels")
 def _check_squeezed_parity() -> tuple[bool, str]:
     states = [make_state(ProbeSpec.squeezed(r), dim) for r, dim in ((0.7, 50), (0.8814, 60))]
     odd = max(float(np.max(s.populations[1::2])) for s in states)
-    odd_k = [int(k) for s in states for k in s.bands if k % 2]
-    return odd == 0.0 and not odd_k, f"max odd-level population {odd:.1e}, odd bands {odd_k}"
+    return odd == 0.0, f"max odd-level population {odd:.1e}"
 
 
 @_register("probes", "thermal_geometric")
@@ -141,40 +137,21 @@ def _check_thermal_geometric() -> tuple[bool, str]:
 # dynamics
 # --------------------------------------------------------------------------
 
-@functools.cache
-def _evolved_probes() -> tuple:
-    """Fock, coherent and squeezed probes at their automatic dim after t = 0.5,
-    and two at a fixed dim: coherent after t = 1 and squeezed after t = 0.5.
-    Computed once and shared by the trace and positivity checks."""
+@_register("dynamics", "trace_preservation")
+def _check_trace() -> tuple[bool, str]:
+    # Fock, coherent and squeezed probes at their automatic dim after t = 0.5,
+    # coherent after t = 1 and squeezed after t = 0.5 at a fixed dim, and |3>
+    # at dim 20 after t = 2
     r = rates(FIG_BATH)
     cases = [(spec, default_dim(spec), 0.5)
              for spec in (ProbeSpec.fock(1), ProbeSpec.coherent(1.0), SQUEEZED_ONE)]
     cases += [(ProbeSpec.coherent(1.0), 40, 1.0), (ProbeSpec.squeezed(0.6), 50, 0.5)]
-    return tuple(evolve(make_state(spec, dim), r, t) for spec, dim, t in cases)
-
-
-@_register("dynamics", "trace_preservation")
-def _check_trace() -> tuple[bool, str]:
-    defect = max(abs(float(out.matrix().trace().real) - 1.0) for out in _evolved_probes())
-    p = evolve(make_state(ProbeSpec.fock(3), 20), rates(FIG_BATH), 2.0).populations
+    defect = max(abs(float(evolve(make_state(spec, dim), r, t).populations.sum()) - 1.0)
+                 for spec, dim, t in cases)
+    p = evolve(make_state(ProbeSpec.fock(3), 20), r, 2.0).populations
     ok = defect <= 1e-9 and abs(p.sum() - 1.0) <= 1e-12 and p.min() >= 0.0
     return ok, (f"max |tr - 1| = {defect:.1e}; |3> at dim 20, t=2: |sum p - 1| = "
                 f"{abs(p.sum() - 1.0):.1e}, min p {p.min():.1e}")
-
-
-@_register("dynamics", "positivity")
-def _check_positivity() -> tuple[bool, str]:
-    low = min(float(np.linalg.eigvalsh(out.matrix()).min()) for out in _evolved_probes())
-    return low >= -1e-9, f"smallest eigenvalue {low:.1e}"
-
-
-@_register("dynamics", "diagonality_preservation")
-def _check_diagonality() -> tuple[bool, str]:
-    outs = [evolve(make_state(spec, 40), rates(FIG_BATH), 0.5)
-            for spec in (ProbeSpec.fock(1), ProbeSpec.fock(2), ProbeSpec.thermal(0.5))]
-    carried = [out.bands.size for out in outs]
-    exact = all(np.array_equal(out.matrix(), np.diag(out.populations)) for out in outs)
-    return not any(carried) and exact, f"coherence bands carried: {carried}, diagonal: {exact}"
 
 
 @_register("dynamics", "thermal_stationarity")
@@ -234,21 +211,11 @@ def _check_cfi_qfi_equal() -> tuple[bool, str]:
 
 @_register("fisher", "qfi_at_least_cfi")
 def _check_qfi_dominates() -> tuple[bool, str]:
-    deriv = d_dT_state(ProbeSpec.coherent(1.0), FIG_BATH, 0.05)
-    q, _ = qfi_sld_detailed(deriv.state, deriv.dstate)
-    c = cfi_number_basis(*deriv.populations)
+    # the closed-form Gaussian QFI against the CFI of the propagated populations
+    spec = ProbeSpec.coherent(1.0)
+    q, c = (qfi_point(spec, FIG_BATH, 0.05, method).value
+            for method in (FisherMethod.QFI_SLD, FisherMethod.CFI_NUMBER))
     return q >= c - 1e-9, f"QFI {q:.6e} vs CFI {c:.6e}"
-
-
-@_register("fisher", "phase_invariance")
-def _check_phase_invariance() -> tuple[bool, str]:
-    a = qfi_point(ProbeSpec.coherent(1.0), FIG_BATH, 0.05, FisherMethod.QFI_SLD).value
-    rel = max(
-        abs(qfi_point(ProbeSpec.coherent(np.exp(1j * phase)), FIG_BATH, 0.05,
-                      FisherMethod.QFI_SLD).value - a) / a
-        for phase in (0.7, 1.1)
-    )
-    return rel < 1e-8, f"relative phase sensitivity {rel:.1e}"
 
 
 @_register("fisher", "truncation_convergence")
@@ -270,7 +237,8 @@ def _check_cramer_rao() -> tuple[bool, str]:
 
 @_register("fisher", "displacement_covariance")
 def _check_displacement_covariance() -> tuple[bool, str]:
-    # |alpha> relaxes to a displaced thermal state, and Gamma0 does not depend on T
+    # |alpha> relaxes to a displaced thermal state, and Gamma0 does not depend on T:
+    # the closed-form QFI of |alpha> against the band-0 QFI of the vacuum
     worst = max(abs(qfi_point(ProbeSpec.coherent(alpha), FIG_BATH, t, FisherMethod.QFI_SLD).value
                     / qfi_point(ProbeSpec.fock(0), FIG_BATH, t, FisherMethod.QFI_SLD).value - 1.0)
                 for t in (0.05, 0.5, 2.0) for alpha in (1.0, 1.5 * np.exp(0.7j), -1.2j))

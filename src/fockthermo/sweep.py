@@ -256,11 +256,10 @@ def _plan(spec: SweepSpec) -> tuple[_Task, ...]:
 
 
 def _evaluate_task(task: _Task) -> list[SweepRow]:
-    methods = [_FISHER[method] for method in task.methods if method in _FISHER]
     try:
         # through the module, where a tracer of fisher.d_dT_state sees it
-        deriv = fisher.d_dT_state(task.probe, task.bath, task.t, dim=task.dim,
-                                  methods=methods) if methods else None
+        deriv = (fisher.d_dT_state(task.probe, task.bath, task.t, dim=task.dim)
+                 if any(method in _FISHER for method in task.methods) else None)
     except FockThermoError as exc:
         deriv = exc  # reported on every Fisher row of the task
     return [_evaluate_row(task, method, deriv) for method in task.methods]

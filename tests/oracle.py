@@ -1,18 +1,28 @@
 """Independent reference dynamics for the tests.
 
 The oracle builds its own dense ladder operators and forms the dissipator
-from them, never from the band generators the package propagates with, so
-agreement between the two is a real check. It imports nothing from
-:mod:`fockthermo.dynamics`; ``test_dynamics.py`` asserts that.
+from them, never from the band generator the package propagates with, so
+agreement between the two is a real check. It propagates the whole density
+matrix, coherences included, and reduces it to the QFI by an
+eigendecomposition: the reference for the package's band-0 and
+closed-form QFIs. It imports nothing from :mod:`fockthermo.dynamics`;
+``test_dynamics.py`` asserts that.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
-from fockthermo.bath import Rates
+from fockthermo.bath import BathParams, Rates, rates
 from fockthermo.fockspace import check_dim
+from fockthermo.probes import ProbeSpec, _truncated, make_state
+
+# Pairs of eigenvalues of rho whose sum is at or below this are left out of
+# the QFI sum: below it they are roundoff of the evolved matrix.
+QFI_FLOOR = 1e-12
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -43,22 +53,26 @@ def lindblad_rhs(mat: np.ndarray, rates: Rates) -> np.ndarray:
     return rates.gamma_plus * up + rates.gamma_minus * down
 
 
-def liouvillian(dim: int, rates: Rates) -> np.ndarray:
+def liouvillian(dim: int, rates: Rates) -> sparse.csr_array:
     """The dim^2 x dim^2 superoperator of the master equation acting on the
-    row-major vectorisation of rho, from vec(A X B) = (A kron B^T) vec(X)."""
-    a = annihilation(dim)
-    eye = np.eye(dim)
+    row-major vectorisation of rho, from vec(A X B) = (A kron B^T) vec(X).
+    It is held sparse: at dim = 60 the dense matrix alone would take 207 MB."""
+    a = sparse.csr_array(annihilation(dim))
+    eye = sparse.eye_array(dim, format="csr")
 
-    def dissipator(op: np.ndarray) -> np.ndarray:
+    def dissipator(op: sparse.csr_array) -> sparse.csr_array:
         opd_op = op.conj().T @ op
-        return np.kron(op, op.conj()) - 0.5 * np.kron(opd_op, eye) - 0.5 * np.kron(eye, opd_op.T)
+        return (sparse.kron(op, op.conj()) - 0.5 * sparse.kron(opd_op, eye)
+                - 0.5 * sparse.kron(eye, opd_op.T))
 
-    return rates.gamma_plus * dissipator(a.conj().T) + rates.gamma_minus * dissipator(a)
+    return sparse.csr_array(rates.gamma_plus * dissipator(a.conj().T)
+                            + rates.gamma_minus * dissipator(a))
 
 
 def propagator(dim: int, rates: Rates, t: float) -> np.ndarray:
-    """exp(L t) of the full Liouvillian; apply it with :func:`apply`."""
-    return expm(liouvillian(dim, rates) * t)
+    """exp(L t) of the full Liouvillian as a dense matrix; apply it with
+    :func:`apply`. For small dims."""
+    return expm(liouvillian(dim, rates).toarray() * t)
 
 
 def apply(prop: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -93,3 +107,40 @@ def cfi_quadratic_coefficient(p0: np.ndarray, drates: Rates) -> float:
     dflow = lindblad_rhs(np.diag(p0).astype(complex), drates).diagonal().real
     held = p0 > 0.0
     return float(np.sum(dflow[held] ** 2 / p0[held]))
+
+
+def density_matrix(spec: ProbeSpec, dim: int) -> np.ndarray:
+    """The probe's dim x dim density matrix: the outer product of its
+    truncated amplitudes for a coherent or squeezed probe, the diagonal of
+    its populations for a Fock or thermal one."""
+    if spec.is_number_diagonal:
+        return np.diag(make_state(spec, dim).populations).astype(complex)
+    psi = _truncated(spec, dim)[0]
+    return np.outer(psi, psi.conj())
+
+
+def evolved(rho0: np.ndarray, bath: BathParams, t: float) -> np.ndarray:
+    """exp(L t) rho0, by the action of the sparse Liouvillian on vec(rho0)."""
+    generator = liouvillian(rho0.shape[0], rates(bath)) * t
+    return expm_multiply(generator, rho0.reshape(-1)).reshape(rho0.shape)
+
+
+def sld_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
+    """The QFI 2 sum_ij |<i| d rho |j>|^2 / (lambda_i + lambda_j) of the
+    symmetric logarithmic derivative, over the eigendecomposition of rho.
+    Eigenvalues below ``QFI_FLOOR`` are zeros, and pairs whose sum is at or
+    below it are left out."""
+    lam, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    lam = np.where(lam < QFI_FLOOR, 0.0, lam)
+    denom = lam[:, None] + lam[None, :]
+    keep = denom > QFI_FLOOR
+    m = vecs.conj().T @ drho @ vecs
+    return 2.0 * float(np.sum(np.abs(m[keep]) ** 2 / denom[keep]))
+
+
+def evolved_qfi(rho0: np.ndarray, bath: BathParams, t: float, h_rel: float = 1e-4) -> float:
+    """:func:`sld_qfi` of exp(L t) rho0, with d rho/dT a central difference
+    in T of step h_rel T."""
+    h = h_rel * bath.T
+    plus, minus = (evolved(rho0, bath.with_temperature(bath.T + s), t) for s in (h, -h))
+    return sld_qfi(evolved(rho0, bath, t), (plus - minus) / (2.0 * h))

@@ -138,6 +138,16 @@ class TestParsing:
                      "unknown method 'bogus'", id="method"),
         pytest.param(["sweep", "--axis", "time", "--axis-values", "0.1", "--probes", "fock:1"],
                      "sweep", "axis", "bogus", "unknown axis 'bogus'", id="axis"),
+        # a number outside its key's domain is malformed too
+        pytest.param(["qfi", "--t", "0.5"], "run", "t", "-1", "[run] t must be >= 0, got '-1'",
+                     id="t"),
+        pytest.param(["qfi", "--dim", "40"], "run", "dim", "1", "[run] dim must be >= 2, got '1'",
+                     id="dim"),
+        pytest.param(["qfi", "--T", "0.5"], "bath", "T", "-3", "[bath] T must be > 0, got '-3'",
+                     id="T"),
+        pytest.param(["sweep", "--axis", "time", "--axis-values", "0.1", "--probes", "fock:1",
+                      "--workers", "1"], "sweep", "workers", "0",
+                     "[sweep] workers must be >= 1, got '0'", id="workers"),
     ])
     def test_malformed_config_value_refused_under_its_flag(self, argv, section, key, value,
                                                            message, tmp_path, monkeypatch,
@@ -149,6 +159,16 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
         assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_config_values_outside_their_domain_refused_under_their_flags(self, tmp_path,
+                                                                         capsys):
+        # every flag overrides a file value outside its domain; the first is named
+        (tmp_path / "c.ini").write_text("[run]\nt = -1\ndim = 1\n[bath]\nT = -3\n")
+        assert main(["qfi", "--config", str(tmp_path / "c.ini"), "--t", "0.5", "--dim", "40",
+                     "--T", "0.5", "--method", "cfi"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [run] t must be >= 0, got '-1'\n"
 
 
 class TestCommands:

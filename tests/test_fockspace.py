@@ -56,30 +56,14 @@ class TestOperators:
 
 
 class TestBandState:
-    def test_arrays_are_immutable(self):
-        state = BandState(np.array([0.5, 0.5]), np.array([1]), np.array([0.5j]))
-        for array in (state.populations, state.bands, state.coherences):
-            with pytest.raises(ValueError):
-                array[0] = 0
+    def test_populations_are_immutable(self):
+        state = BandState(np.array([0.5, 0.5]))
+        assert state.populations.dtype == np.float64
+        with pytest.raises(ValueError):
+            state.populations[0] = 0
 
-    def test_coherences_are_real_where_every_imaginary_part_is_zero(self):
-        populations, bands = np.array([0.5, 0.5]), np.array([1])
-        assert BandState(populations).coherences.dtype == np.float64
-        assert BandState(populations).matrix().dtype == np.float64
-        for given, dtype in (([0.5 + 0j], np.float64), ([0.5], np.float64),
-                             ([0.5j], np.complex128), ([0.5 - 1e-300j], np.complex128)):
-            state = BandState(populations, bands, np.array(given))
-            assert state.coherences.dtype == state.matrix().dtype == dtype
-            np.testing.assert_array_equal(state.coherences, given)
-
-    def test_mismatched_shapes_rejected(self):
-        # a matrix for populations, a band short of entries, a band past the
-        # top level, and an entry too many
-        for populations, bands, coherences in (
-            ([[1.0, 0.0], [0.0, 0.0]], [], []),
-            ([1.0, 0.0], [1], []),
-            ([1.0, 0.0], [2], []),
-            ([1.0, 0.0, 0.0], [1], [0.0, 0.0, 0.0]),
-        ):
-            with pytest.raises(InvalidDimensionError):
-                BandState(np.array(populations), np.array(bands, dtype=int), np.array(coherences))
+    @pytest.mark.parametrize("populations", [[[1.0, 0.0], [0.0, 0.0]], [1.0], []],
+                             ids=["matrix", "one-level", "empty"])
+    def test_mismatched_shapes_rejected(self, populations):
+        with pytest.raises(InvalidDimensionError):
+            BandState(np.array(populations))

@@ -4,7 +4,7 @@ import dataclasses
 import inspect
 
 import fockthermo
-from fockthermo import cli, dynamics, probes, sweep
+from fockthermo import cli, dynamics, fisher, fockspace, probes, sweep
 
 
 def test_every_public_name_resolves():
@@ -26,8 +26,8 @@ def test_retired_writer_and_record_fields_are_gone():
     assert not hasattr(cli, "parse_config_text")
     assert not hasattr(cli.RunConfig, "to_text")
     fields = {f.name for f in dataclasses.fields(fockthermo.QfiRecord)}
-    assert fields == {"value", "method", "dim", "leakage", "h_used", "dropped_pairs"}
-    assert not {"diagnostics", "probe", "bath", "t"} & fields
+    assert fields == {"value", "method", "dim", "leakage", "h_used"}
+    assert not {"diagnostics", "probe", "bath", "t", "dropped_pairs"} & fields
 
 
 def test_retired_probe_conversions_are_gone():
@@ -46,3 +46,21 @@ def test_retired_sweep_and_evolve_options_are_gone():
     # the one leakage budget no caller changed
     assert not hasattr(sweep.SweepSpec, "_validate_axis_domain")
     assert "leakage_budget" not in inspect.signature(dynamics.evolve).parameters
+
+
+def test_retired_coherence_machinery_is_gone():
+    # the package propagates band 0 alone, and a Gaussian QFI is a closed
+    # form: no coherence band, Taylor action or eigendecomposition is left
+    for owner, name in [(fisher, "qfi_sld_detailed"), (fockspace, "band_entries"),
+                        (fockspace.BandState, "matrix"), (fockspace.BandState, "bands"),
+                        (fockspace.BandState, "coherences"), (dynamics, "taylor_action"),
+                        (dynamics, "TAYLOR_THETA"), (dynamics, "TAYLOR_TOL"),
+                        (dynamics, "ACTION_COST"), (dynamics, "BandStack"),
+                        (dynamics, "dense_action"), (dynamics.BandGenerator, "coherences"),
+                        (dynamics.BandGenerator, "bands")]:
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    assert {f.name for f in dataclasses.fields(fockspace.BandState)} == {"populations"}
+    for entry in (fisher.d_dT_state, fisher.d_dT_curve):
+        assert "methods" not in inspect.signature(entry).parameters
+    assert "coherences_dropped" not in {
+        f.name for f in dataclasses.fields(fisher.TemperatureDerivative)}

@@ -333,15 +333,17 @@ class TestSharedDerivative:
         def singular(*args, **kwargs):
             raise SingularSupportError("forced")
 
+        # the QFI of a coherent probe is a closed form, not a CFI sum
         monkeypatch.setattr(fisher, "cfi_number_basis", singular)
         spec = SweepSpec(
-            axis=SweepAxis.TIME, axis_values=(0.1,), probes=(ProbeSpec.fock(1),),
+            axis=SweepAxis.TIME, axis_values=(0.1,), probes=(ProbeSpec.coherent(1.0),),
             methods=(SweepMethod.CFI, SweepMethod.QFI), bath=fig_bath,
         )
         cfi, qfi = run_sweep(spec, workers=1).rows
         assert cfi.error == "SingularSupportError: forced"
         assert qfi.error is None
-        assert qfi.qfi == qfi_point(ProbeSpec.fock(1), fig_bath, 0.1, FisherMethod.QFI_SLD).value
+        assert qfi.qfi == qfi_point(ProbeSpec.coherent(1.0), fig_bath, 0.1,
+                                    FisherMethod.QFI_SLD).value
 
 
 class TestOutputs:

