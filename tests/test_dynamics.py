@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from oracle import apply, density_matrix, lindblad_rhs, propagator
+from oracle import apply, density_matrix, evolved, lindblad_rhs, propagator
 
 from fockthermo.bath import BathParams, rates, thermal_occupation
 from fockthermo.dynamics import (
@@ -141,6 +141,21 @@ class TestEvolve:
         if spec.is_number_diagonal:
             assert np.max(np.abs(want - np.diag(want.diagonal()))) <= 1e-12
 
+    @pytest.mark.parametrize("spec", ["squeezed:0.6", "coherent:1.0", "coherent:1j", "fock:2"])
+    def test_evolve_returns_read_only_populations(self, fig_rates, spec):
+        # the evolved state is band 0 alone, real whatever the amplitude's
+        # phase, with unit trace and the mean photon number of the closed form
+        rho = make_state(ProbeSpec.parse(spec), 40)
+        for t in (1e-3, 30.0):
+            out = evolve(rho, fig_rates, t)
+            assert isinstance(out, BandState) and out.dim == 40
+            assert out.populations.dtype == np.float64
+            with pytest.raises(ValueError):
+                out.populations[0] = 0.0
+            assert abs(out.populations.sum() - 1.0) <= 1e-12
+            assert out.mean_photon() == pytest.approx(
+                mean_photon_analytic(rho.mean_photon(), fig_rates, t), rel=1e-10)
+
     def test_leakage_budget_aborts(self, fig_rates):
         rho = make_state(ProbeSpec.fock(8), 10)
         with pytest.raises(TruncationError, match="raise dim"):
@@ -222,6 +237,17 @@ class TestPopulations:
                                           evolve(state, fig_rates, t).populations)
         with pytest.raises(DomainError, match="generator was built for dim 40, not for this dim-41"):
             evolve(make_state(ProbeSpec.parse(spec), 41), generator, 0.7)
+
+    @pytest.mark.parametrize("spec", ["fock:3", "thermal:0.5", "coherent:1.0", "squeezed:0.6"])
+    def test_population_vector_evolves_alone(self, fig_bath, fig_rates, spec):
+        # band 0 never mixes with the coherences: the populations alone
+        # evolve to the diagonal of the oracle's whole density matrix
+        probe = ProbeSpec.parse(spec)
+        state = make_state(probe, 40)
+        want = evolved(density_matrix(probe, 40), fig_bath, 0.7).diagonal()
+        assert np.max(np.abs(want.imag)) <= 1e-15
+        np.testing.assert_allclose(evolve(state, fig_rates, 0.7).populations, want.real,
+                                   rtol=0.0, atol=1e-12)
 
     def test_population_vector_validation(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from oracle import density_matrix, evolved_qfi, sld_qfi
+from oracle import density_matrix, evolved, evolved_qfi, sld_qfi
 
 from fockthermo import fisher
 from fockthermo.bath import BathParams, RateModel, rates, thermal_occupation_dT
@@ -99,6 +99,32 @@ class TestStateDerivative:
                 tol = 1e-5 * abs(law) + fd_roundoff(float(m @ p), deriv.h_used)
                 assert abs(float(m @ dp) - law) <= tol, (T, t, float(m @ dp), law, tol)
 
+    @pytest.mark.parametrize("spec", ["coherent:1.0", "coherent:0.5+0.5j", "squeezed:0.6",
+                                      "fock:2", "thermal:0.5"])
+    @pytest.mark.parametrize("t", [1e-3, 0.5])
+    def test_cfi_reads_the_populations_alone(self, fig_bath, spec, t):
+        # the populations and their derivative are the diagonal of the
+        # oracle's whole density matrix, coherences included, and of its
+        # central difference in T; the CFI is their sum, bit for bit, and so
+        # is a number-diagonal probe's QFI, over the eigenvalue floor
+        probe = ProbeSpec.parse(spec)
+        deriv = d_dT_state(probe, fig_bath, t)
+        rho0 = density_matrix(probe, deriv.dim)
+        h = 1e-4 * fig_bath.T
+        plus, minus = (evolved(rho0, fig_bath.with_temperature(fig_bath.T + s), t).diagonal()
+                       for s in (h, -h))
+        p, dp = deriv.populations
+        np.testing.assert_allclose(p, evolved(rho0, fig_bath, t).diagonal().real,
+                                   rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(dp - (plus - minus).real / (2.0 * h))) <= 1e-6 * np.max(np.abs(dp))
+        cfi = fisher_record(deriv, FisherMethod.CFI_NUMBER).value
+        assert cfi == cfi_number_basis(p, dp)
+        qfi = fisher_record(deriv, FisherMethod.QFI_SLD).value
+        if probe.is_number_diagonal:
+            assert qfi == cfi_number_basis(p, dp, p_floor=EIGENVALUE_FLOOR)
+        else:
+            assert qfi >= cfi * (1.0 - 1e-9)
+
 
 class TestCfi:
     def test_two_outcome_closed_form(self):
@@ -171,6 +197,24 @@ class TestQfiSld:
         p, dp = deriv.populations
         cfi = cfi_number_basis(p, dp, p_floor=EIGENVALUE_FLOOR)
         assert fisher_record(deriv, FisherMethod.QFI_SLD).value >= cfi * (1.0 - 1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        size=st.floats(0.3, 2.0),
+        phase=st.floats(0.0, 2 * np.pi),
+        T=st.floats(0.5, 3.0),
+        t=st.floats(0.05, 3.0),
+    )
+    def test_real_and_complex_paths_agree(self, size, phase, T, t):
+        # the channel is phase covariant: a real amplitude and its rotation
+        # have the same populations, so the same CFI, and the same QFI
+        bath = BathParams(T=T)
+        real, rotated = (d_dT_state(ProbeSpec.coherent(alpha), bath, t)
+                         for alpha in (size, size * np.exp(1j * phase)))
+        assert real.dim == rotated.dim
+        for method in FisherMethod:
+            a, b = (fisher_record(d, method).value for d in (real, rotated))
+            assert abs(a - b) <= 1e-8 * a, method
 
     def test_coherent_linear_coefficient_matches_channel_theory(self, fig_bath, fig_rates):
         # For a pure coherent probe the only state component appearing at

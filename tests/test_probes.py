@@ -94,6 +94,25 @@ class TestMakeState:
         rho = make_state(spec, default_dim(spec))
         assert mean_photon_direct(rho) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("spec", ["squeezed:0.6", "squeezed:-0.6", "coherent:1.5",
+                                      "coherent:-1.5", "coherent:1j", "coherent:0.5+0.5j"])
+    def test_populations_are_blind_to_the_phase(self, spec):
+        # |c_m|^2 is the Poisson law of |alpha|^2, or the squeezed vacuum's
+        # (2k choose k) tanh^2k(r) / (4^k cosh r) on even levels, whatever
+        # the sign or phase of the amplitude
+        probe = ProbeSpec.parse(spec)
+        p = make_state(probe, 40).populations
+        assert p.dtype == np.float64
+        if probe.kind is ProbeKind.COHERENT:
+            n = abs(probe.value) ** 2
+            want = np.array([math.exp(-n) * n**m / math.factorial(m) for m in range(40)])
+        else:
+            r = abs(probe.value)
+            want = np.zeros(40)
+            want[::2] = [math.comb(2 * k, k) * math.tanh(r) ** (2 * k) / (4**k * math.cosh(r))
+                         for k in range(20)]
+        np.testing.assert_allclose(p, want / want.sum(), rtol=1e-12, atol=0.0)
+
     def test_trace_exactly_one_after_renormalization(self):
         rho = make_state(ProbeSpec.coherent(2.0), 60)
         assert abs(rho.populations.sum() - 1.0) < 1e-15
