@@ -26,7 +26,7 @@ from . import __version__
 from .bath import BathParams, RateModel
 from .bounds import ScalingRow, scaling_table
 from .errors import ConfigError, FockThermoError
-from .fisher import d_dT_state, fisher_record
+from .fisher import d_dT_state, fisher_record, gaussian_record, reads_populations
 from .probes import DIM_MAX_ENV, ProbeKind, ProbeSpec, dim_ceiling
 from .selfcheck import run_selfcheck
 from .sweep import (
@@ -327,9 +327,10 @@ def _refuse_directories(out: Path, *mirrors: Path) -> None:
 def cmd_qfi(cfg: RunConfig) -> int:
     """single-point Fisher information"""
     bath = cfg.bath()
-    deriv = d_dT_state(cfg.probe, bath, cfg.t, dim=cfg.dim)
-    for method in cfg.method:
-        record = fisher_record(deriv, method)
+    reads = [reads_populations(cfg.probe, method) for method in cfg.method]
+    deriv = d_dT_state(cfg.probe, bath, cfg.t, dim=cfg.dim) if any(reads) else None
+    for method, read in zip(cfg.method, reads):
+        record = fisher_record(deriv, method) if read else gaussian_record(cfg.probe, bath, cfg.t)
         print(
             f"method={record.method} probe={cfg.probe.canonical()} "
             f"omega={fmt(bath.omega)} T={fmt(bath.T)} gamma={fmt(bath.gamma)} "

@@ -9,8 +9,10 @@ bath temperatures and differenced centrally with one Richardson step. From
 * the quantum Fisher information. A number-diagonal probe (Fock, thermal)
   stays number diagonal, so its populations are the eigenvalues of rho and
   its QFI is the same sum, with the eigenvalue floor in place of the CFI's.
-  The channel keeps a coherent or squeezed probe Gaussian, so its QFI is
-  the closed form of :func:`gaussian_qfi` in the 2x2 covariance matrix.
+  The channel keeps a coherent or squeezed probe Gaussian, so its QFI reads
+  no populations (:func:`reads_populations` is the one rule): it is the
+  closed form of :func:`gaussian_qfi` in the 2x2 covariance matrix, taken
+  with no truncation or state, and its record holds dim 0, leakage 0, step 0.
 
 For number-diagonal states the two coincide; for states with coherences
 the quantum value can only be larger. A time curve is taken one time at a
@@ -57,8 +59,6 @@ class TemperatureDerivative:
     and the leakage. ``drho`` is d rho/dT as the d x d diagonal matrix of dp."""
 
     probe: ProbeSpec
-    bath: BathParams
-    t: float
     rho: BandState
     dp: np.ndarray
     h_used: float
@@ -76,6 +76,21 @@ class TemperatureDerivative:
     @property
     def drho(self) -> np.ndarray:
         return np.diag(self.dp)
+
+
+def reads_populations(probe: ProbeSpec, method: FisherMethod) -> bool:
+    """Whether ``method`` of ``probe`` reduces the populations: all but a Gaussian QFI."""
+    return FisherMethod(method) is FisherMethod.CFI_NUMBER or probe.is_number_diagonal
+
+
+def _checked_grid(t_grid: Sequence[float]) -> list[float]:
+    t_grid = list(t_grid)
+    if not t_grid:
+        raise DomainError("t_grid must be nonempty")
+    if (not all(t >= 0.0 and math.isfinite(t) for t in t_grid)
+            or any(b <= a for a, b in zip(t_grid, t_grid[1:]))):
+        raise DomainError("t_grid must be finite, nonnegative and strictly ascending")
+    return t_grid
 
 
 def d_dT_state(
@@ -111,12 +126,7 @@ def d_dT_curve(
     Each t runs exactly what :func:`d_dT_state` runs there, so every value,
     and every error, is that of a loop over the times.
     """
-    t_grid = list(t_grid)
-    if not t_grid:
-        raise DomainError("t_grid must be nonempty")
-    if (not all(t >= 0.0 and math.isfinite(t) for t in t_grid)
-            or any(b <= a for a, b in zip(t_grid, t_grid[1:]))):
-        raise DomainError("t_grid must be finite, nonnegative and strictly ascending")
+    t_grid = _checked_grid(t_grid)
     dim = default_dim(probe) if dim is None else dim
     state = make_state(probe, dim)
 
@@ -140,8 +150,6 @@ def d_dT_curve(
         states = [evolve(state, generator, t) for generator in generators]
         yield TemperatureDerivative(
             probe=probe,
-            bath=bath,
-            t=t,
             rho=states[0],
             dp=difference(*(s.populations for s in states[1:])),
             h_used=h,
@@ -181,11 +189,12 @@ def gaussian_qfi(probe: ProbeSpec, bath: BathParams, t: float) -> float:
             + s^2 (sigma11 + sigma22)^2 / (2 D (D - 1) (D + 1)),
 
     with D - 1 = q (4 q nbar (nbar + 1) + 4 eta sinh^2 r + 4 eta nbar cosh 2r)
-    formed without cancellation. F is 0 where s is (t = 0, or nbar' = 0);
-    a value that is not finite raises :class:`DomainError`.
+    formed without cancellation. F is 0 where s is (t = 0, or nbar' = 0); a
+    t or a value outside [0, inf) raises :class:`DomainError`.
     """
     if probe.kind not in (ProbeKind.COHERENT, ProbeKind.SQUEEZED):
         raise DomainError(f"{probe.canonical()} is not a Gaussian probe")
+    _checked_grid([t])  # refused as d_dT_state refuses it
     r = probe.value if probe.kind is ProbeKind.SQUEEZED else 0.0
     nbar, dnbar = thermal_occupation(bath.omega, bath.T), thermal_occupation_dT(bath.omega, bath.T)
     g0t = base_rate(bath) * t
@@ -237,27 +246,24 @@ class QfiRecord:
 def fisher_record(deriv: TemperatureDerivative, method: FisherMethod) -> QfiRecord:
     """Reduce a temperature derivative to the Fisher information of ``method``.
 
-    Every method reduces the same derivative, so a caller wanting several
+    Both methods reduce the same derivative, so a caller wanting several
     evaluates :func:`d_dT_state` once, for all of them. The QFI of a
     number-diagonal probe is the sum of the CFI over the populations above
-    ``EIGENVALUE_FLOOR``, and that of a coherent or squeezed probe
-    :func:`gaussian_qfi`; the record's dim, leakage and step are those of
-    the derivative either way.
+    ``EIGENVALUE_FLOOR``. The QFI of a coherent or squeezed probe reads no
+    populations (:func:`reads_populations`) and is refused here: it is
+    :func:`gaussian_record`.
     """
     method = FisherMethod(method)
-    if method is FisherMethod.CFI_NUMBER:
-        value = cfi_number_basis(*deriv.populations)
-    elif deriv.probe.is_number_diagonal:
-        value = cfi_number_basis(*deriv.populations, p_floor=EIGENVALUE_FLOOR)
-    else:
-        value = gaussian_qfi(deriv.probe, deriv.bath, deriv.t)
-    return QfiRecord(
-        value=value,
-        method=method.value,
-        dim=deriv.dim,
-        leakage=deriv.leakage,
-        h_used=deriv.h_used,
-    )
+    if not reads_populations(deriv.probe, method):
+        raise DomainError(f"the QFI of {deriv.probe.canonical()} reads no populations")
+    p_floor = P_FLOOR if method is FisherMethod.CFI_NUMBER else EIGENVALUE_FLOOR
+    return QfiRecord(cfi_number_basis(*deriv.populations, p_floor=p_floor), method.value,
+                     deriv.dim, deriv.leakage, deriv.h_used)
+
+
+def gaussian_record(probe: ProbeSpec, bath: BathParams, t: float) -> QfiRecord:
+    """:func:`gaussian_qfi` as a record, with dim 0, leakage 0 and step 0."""
+    return QfiRecord(gaussian_qfi(probe, bath, t), FisherMethod.QFI_SLD.value, 0, 0.0, 0.0)
 
 
 def qfi_point(
@@ -269,6 +275,8 @@ def qfi_point(
     dim: int | None = None,
 ) -> QfiRecord:
     """Single Fisher-information evaluation at time t."""
+    if not reads_populations(probe, method):
+        return gaussian_record(probe, bath, t)
     return fisher_record(d_dT_state(probe, bath, t, dim=dim), method)
 
 
@@ -281,5 +289,7 @@ def qfi_curve(
     dim: int | None = None,
 ) -> list[QfiRecord]:
     """Fisher information along an ascending time grid: :func:`qfi_point` at
-    each t, bit for bit, from one :func:`d_dT_curve`."""
+    each t, bit for bit, from at most one :func:`d_dT_curve`."""
+    if not reads_populations(probe, method):
+        return [gaussian_record(probe, bath, t) for t in _checked_grid(t_grid)]
     return [fisher_record(deriv, method) for deriv in d_dT_curve(probe, bath, t_grid, dim=dim)]

@@ -220,12 +220,13 @@ def _check_qfi_dominates() -> tuple[bool, str]:
 
 @_register("fisher", "truncation_convergence")
 def _check_truncation_convergence() -> tuple[bool, str]:
-    worst = 0.0
-    for spec in (ProbeSpec.fock(2), ProbeSpec.coherent(1.0)):
-        v40, v60 = (qfi_point(spec, FIG_BATH, 0.5, FisherMethod.QFI_SLD, dim=d).value
-                    for d in (40, 60))
+    worst = 0.0  # a Gaussian QFI reads no dim; the coherent probe's CFI does
+    for spec, method in ((ProbeSpec.fock(2), FisherMethod.QFI_SLD),
+                         (ProbeSpec.coherent(1.0), FisherMethod.CFI_NUMBER)):
+        v40, v60 = (qfi_point(spec, FIG_BATH, 0.5, method, dim=d).value for d in (40, 60))
         worst = max(worst, abs(v60 - v40) / v60)
-    return worst <= 1e-6, f"max relative QFI change from dim 40 to 60: {worst:.1e}"
+    return worst <= 1e-6, ("max relative change from dim 40 to 60 of the fock:2 QFI and "
+                           f"the coherent:1.0 CFI: {worst:.1e}")
 
 
 @_register("fisher", "cramer_rao_identity")

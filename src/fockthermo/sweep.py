@@ -2,13 +2,13 @@
 rate, or time, evaluated point by point with deterministic aggregation.
 
 Every point is a pure computation, so results are identical for any worker
-count. The rows of one (axis value, probe) pair form a task, whose Fisher
-rows reduce one shared temperature derivative; a process pool maps the
-tasks, and its map returns their rows in task order. A bound method
-gets rows only for the probe class its closed form was derived for. The CSV
-header is the field order of :class:`SweepRow`; files are written
-atomically (temp file + rename), and a JSON mirror adds each row's error
-and a metadata block.
+count. The rows of one (axis value, probe) pair form a task, whose rows
+that read the populations reduce one shared temperature derivative; a
+process pool maps the tasks, and its map returns their rows in task order.
+A bound method gets rows only for the probe class its closed form was
+derived for. The CSV header is the field order of :class:`SweepRow`; files
+are written atomically (temp file + rename), and a JSON mirror adds each
+row's error and a metadata block.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _atomic_write(path: Path, text: str) -> None:
 @dataclass(frozen=True)
 class _Task:
     """One (axis value, probe) pair and the methods of its rows, in the order
-    they were requested. The Fisher rows share one derivative."""
+    they were requested. The rows that read the populations share one derivative."""
 
     axis: SweepAxis
     axis_value: float
@@ -259,9 +259,10 @@ def _evaluate_task(task: _Task) -> list[SweepRow]:
     try:
         # through the module, where a tracer of fisher.d_dT_state sees it
         deriv = (fisher.d_dT_state(task.probe, task.bath, task.t, dim=task.dim)
-                 if any(method in _FISHER for method in task.methods) else None)
+                 if any(fisher.reads_populations(task.probe, _FISHER[method])
+                        for method in task.methods if method in _FISHER) else None)
     except FockThermoError as exc:
-        deriv = exc  # reported on every Fisher row of the task
+        deriv = exc  # reported on every row of the task that reads the populations
     return [_evaluate_row(task, method, deriv) for method in task.methods]
 
 
@@ -269,13 +270,14 @@ def _evaluate_row(
     task: _Task, method: SweepMethod, deriv: TemperatureDerivative | FockThermoError | None
 ) -> SweepRow:
     try:
-        if method in _FISHER:
+        if method in _FISHER and fisher.reads_populations(task.probe, _FISHER[method]):
             if isinstance(deriv, FockThermoError):
                 raise deriv
             record = fisher_record(deriv, _FISHER[method])
             value, leakage, h_used, dim = record.value, record.leakage, record.h_used, record.dim
-        else:
-            value = _BOUNDS[method][1](task.probe.mean_photon, task.bath, task.t)
+        else:  # a closed form: a Gaussian QFI or a bound
+            value = (fisher.gaussian_qfi(task.probe, task.bath, task.t) if method in _FISHER
+                     else _BOUNDS[method][1](task.probe.mean_photon, task.bath, task.t))
             leakage, h_used, dim = 0.0, 0.0, 0
         valid = short_time_valid(task.bath, task.t, task.probe.mean_photon)
         floor, error = delta_t_min(value), None

@@ -176,13 +176,16 @@ class TestCommands:
         "squeezed:400", "coherent:1e200", "thermal:1e308", "coherent:1e154", "squeezed:355",
     ])
     def test_probe_beyond_every_dim_refused(self, probe, capsys):
-        # its mean photon number, or 8 n + 20, leaves double range
-        assert main(["qfi", "--probe", probe]) in (1, 2)
+        # its mean photon number, or 8 n + 20, leaves double range; a coherent
+        # QFI reads no dim, so the CFI is the point that sizes coherent:1e154
+        method = ["--method", "cfi"] if probe == "coherent:1e154" else []
+        assert main(["qfi", "--probe", probe, *method]) in (1, 2)
         assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_unrepresentable_amplitudes_refused(self, capsys):
-        # coherent:40 has NaN amplitudes on the cap's 4096 levels
-        assert main(["qfi", "--probe", "coherent:40"]) == 2
+        # coherent:40 has NaN amplitudes on the cap's 4096 levels, which its
+        # CFI reads
+        assert main(["qfi", "--probe", "coherent:40", "--method", "cfi"]) == 2
         assert capsys.readouterr().err == (
             "numerical failure: TruncationError: the amplitudes of coherent:40.0 on "
             "dim=4096 levels are not representable: their mass is nan\n"
@@ -195,6 +198,16 @@ class TestCommands:
         value = float(re.search(r"qfi=([0-9.e+-]+)", out).group(1))
         assert value == pytest.approx(0.007152434380288741, rel=0.05)
         assert "delta_t_min=" in out
+
+    def test_gaussian_qfi_needs_no_truncation(self, capsys):
+        # at T = 5, t = 5 the populations outgrow the automatic dim, but the
+        # closed-form QFI reads none of them
+        point = ["qfi", "--probe", "coherent:1.0", "--T", "5", "--t", "5"]
+        assert main([*point, "--method", "qfi"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"  qfi=0\.0311600275 .* h_used=0 leakage=0 dim=0$", out, re.M), out
+        assert main([*point, "--method", "cfi"]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: TruncationError: ")
 
     def test_qfi_rejects_bound_methods(self, capsys):
         assert main(["qfi", "--method", "bound_squeezed"]) == 1
@@ -334,8 +347,9 @@ class TestCommands:
         assert all(float(r.split(",")[4]) > 0 for r in rows)
 
     def test_numerical_failure_exit_code(self, capsys):
-        # squeezing this hard cannot be resolved at dim=40
-        code = main(["qfi", "--probe", "squeezed:2.0", "--dim", "40", "--t", "0.01"])
+        # squeezing this hard cannot be resolved at dim=40, where its CFI reads it
+        code = main(["qfi", "--probe", "squeezed:2.0", "--dim", "40", "--t", "0.01",
+                     "--method", "cfi"])
         assert code == 2
         assert "raise dim" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,7 +107,8 @@ class TestStateDerivative:
         # the populations and their derivative are the diagonal of the
         # oracle's whole density matrix, coherences included, and of its
         # central difference in T; the CFI is their sum, bit for bit, and so
-        # is a number-diagonal probe's QFI, over the eigenvalue floor
+        # is a number-diagonal probe's QFI, over the eigenvalue floor; a
+        # Gaussian QFI is the closed form, which reads no populations
         probe = ProbeSpec.parse(spec)
         deriv = d_dT_state(probe, fig_bath, t)
         rho0 = density_matrix(probe, deriv.dim)
@@ -119,10 +121,11 @@ class TestStateDerivative:
         assert np.max(np.abs(dp - (plus - minus).real / (2.0 * h))) <= 1e-6 * np.max(np.abs(dp))
         cfi = fisher_record(deriv, FisherMethod.CFI_NUMBER).value
         assert cfi == cfi_number_basis(p, dp)
-        qfi = fisher_record(deriv, FisherMethod.QFI_SLD).value
         if probe.is_number_diagonal:
+            qfi = fisher_record(deriv, FisherMethod.QFI_SLD).value
             assert qfi == cfi_number_basis(p, dp, p_floor=EIGENVALUE_FLOOR)
         else:
+            qfi = qfi_point(probe, fig_bath, t, FisherMethod.QFI_SLD).value
             assert qfi >= cfi * (1.0 - 1e-9)
 
 
@@ -161,7 +164,7 @@ class TestQfiSld:
     def test_dominates_cfi_for_coherent_probe(self, fig_bath):
         deriv = d_dT_state(ProbeSpec.coherent(1.0), fig_bath, 0.01)
         c = cfi_number_basis(deriv.rho.populations, deriv.drho.diagonal())
-        q = fisher_record(deriv, FisherMethod.QFI_SLD).value
+        q = qfi_point(ProbeSpec.coherent(1.0), fig_bath, 0.01, FisherMethod.QFI_SLD).value
         assert q >= c - 1e-9
         # coherences carry extra temperature information here
         assert q > 100 * c
@@ -179,24 +182,24 @@ class TestQfiSld:
         # the CFI is taken over the levels the number-diagonal QFI keeps, so
         # that the property holds for the vacuum (x = y = 0) too
         probe = ProbeSpec.squeezed(x) if squeezed else ProbeSpec.coherent(complex(x, y))
+        bath = BathParams(T=T, rate_model=model)
         try:
-            deriv = d_dT_state(probe, BathParams(T=T, rate_model=model), t)
+            deriv = d_dT_state(probe, bath, t)
         except TruncationError:
             reject()
         p, dp = deriv.populations
         cfi = cfi_number_basis(p, dp, p_floor=EIGENVALUE_FLOOR)
-        assert fisher_record(deriv, FisherMethod.QFI_SLD).value >= cfi * (1.0 - 1e-9)
+        assert qfi_point(probe, bath, t, FisherMethod.QFI_SLD).value >= cfi * (1.0 - 1e-9)
 
     def test_qfi_bounds_the_cfi_where_the_floor_drops_pairs(self):
         # a deterministic point of the property above: Gamma+ t sits below
         # the eigenvalue floor there, so an eigendecomposition with that
         # floor dropped 1521 pairs and gave 1.06e-19, below the CFI on its
         # support, 3.39e-19
-        deriv = d_dT_state(ProbeSpec.coherent(1j), BathParams(T=math.exp(-2.96875)),
-                           math.exp(-6.0))
-        p, dp = deriv.populations
+        probe, bath, t = ProbeSpec.coherent(1j), BathParams(T=math.exp(-2.96875)), math.exp(-6.0)
+        p, dp = d_dT_state(probe, bath, t).populations
         cfi = cfi_number_basis(p, dp, p_floor=EIGENVALUE_FLOOR)
-        assert fisher_record(deriv, FisherMethod.QFI_SLD).value >= cfi * (1.0 - 1e-9)
+        assert qfi_point(probe, bath, t, FisherMethod.QFI_SLD).value >= cfi * (1.0 - 1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -209,11 +212,12 @@ class TestQfiSld:
         # the channel is phase covariant: a real amplitude and its rotation
         # have the same populations, so the same CFI, and the same QFI
         bath = BathParams(T=T)
-        real, rotated = (d_dT_state(ProbeSpec.coherent(alpha), bath, t)
-                         for alpha in (size, size * np.exp(1j * phase)))
+        probes = [ProbeSpec.coherent(alpha) for alpha in (size, size * np.exp(1j * phase))]
+        real, rotated = (d_dT_state(probe, bath, t) for probe in probes)
         assert real.dim == rotated.dim
-        for method in FisherMethod:
-            a, b = (fisher_record(d, method).value for d in (real, rotated))
+        cfis = [fisher_record(d, FisherMethod.CFI_NUMBER).value for d in (real, rotated)]
+        qfis = [qfi_point(probe, bath, t, FisherMethod.QFI_SLD).value for probe in probes]
+        for method, (a, b) in zip(FisherMethod, (cfis, qfis)):
             assert abs(a - b) <= 1e-8 * a, method
 
     def test_coherent_linear_coefficient_matches_channel_theory(self, fig_bath, fig_rates):
@@ -283,16 +287,43 @@ class TestGaussianQfi:
         with pytest.raises(DomainError, match="not a Gaussian probe"):
             gaussian_qfi(ProbeSpec.thermal(0.5), fig_bath, 0.5)
 
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("spec", ["coherent:1.0", "squeezed:0.6"])
+    def test_a_negative_or_non_finite_time_is_refused(self, fig_bath, spec, t):
+        # with the message d_dT_state gives for the populations
+        with pytest.raises(DomainError,
+                           match="^t_grid must be finite, nonnegative and strictly ascending$"):
+            gaussian_qfi(ProbeSpec.parse(spec), fig_bath, t)
+
 
 class TestQfiPoint:
     def test_diagnostics_fields(self, fig_bath):
-        # the record carries the facts of the derivative it was reduced from
-        deriv = d_dT_state(ProbeSpec.coherent(1.0), fig_bath, 0.1)
-        cfi, qfi = (fisher_record(deriv, method) for method in FisherMethod)
-        for rec in (cfi, qfi):
-            assert (rec.dim, rec.leakage, rec.h_used) == (deriv.dim, deriv.leakage, deriv.h_used)
+        # a CFI record carries the facts of the derivative it was reduced
+        # from; a Gaussian QFI is reduced from none, so it has none
+        probe = ProbeSpec.coherent(1.0)
+        deriv = d_dT_state(probe, fig_bath, 0.1)
+        cfi = fisher_record(deriv, FisherMethod.CFI_NUMBER)
+        qfi = qfi_point(probe, fig_bath, 0.1, FisherMethod.QFI_SLD)
+        assert (cfi.dim, cfi.leakage, cfi.h_used) == (deriv.dim, deriv.leakage, deriv.h_used)
+        assert (qfi.dim, qfi.leakage, qfi.h_used) == (0, 0.0, 0.0)
         assert (cfi.method, qfi.method) == ("cfi", "qfi")
-        assert qfi.value == gaussian_qfi(ProbeSpec.coherent(1.0), fig_bath, 0.1)
+        assert qfi.value == gaussian_qfi(probe, fig_bath, 0.1)
+
+    @pytest.mark.parametrize("spec", ["coherent:1.0", "coherent:0.5+0.5j", "squeezed:0.6"])
+    def test_a_gaussian_qfi_is_not_reduced_from_the_populations(self, fig_bath, spec):
+        deriv = d_dT_state(ProbeSpec.parse(spec), fig_bath, 0.1)
+        with pytest.raises(DomainError, match=re.escape(f"the QFI of {spec} reads no populations")):
+            fisher_record(deriv, FisherMethod.QFI_SLD)
+
+    def test_a_gaussian_qfi_needs_no_truncation(self):
+        # the populations outgrow the automatic dim here; the closed form
+        # reads none of them, at a point or along a curve
+        probe, bath = ProbeSpec.coherent(1.0), BathParams(T=5.0)
+        with pytest.raises(TruncationError):
+            qfi_point(probe, bath, 5.0, FisherMethod.CFI_NUMBER)
+        record = qfi_point(probe, bath, 5.0, FisherMethod.QFI_SLD)
+        assert record.value == gaussian_qfi(probe, bath, 5.0) == 0.03116002752754838
+        assert qfi_curve(probe, bath, [0.5, 5.0], FisherMethod.QFI_SLD)[1] == record
 
 
 class TestQfiCurve:
@@ -320,6 +351,9 @@ class TestQfiCurve:
             qfi_curve(ProbeSpec.fock(1), fig_bath, [0.2, 0.1], FisherMethod.CFI_NUMBER)
         with pytest.raises(DomainError):
             qfi_curve(ProbeSpec.fock(1), fig_bath, [], FisherMethod.CFI_NUMBER)
+        for grid in ([0.2, 0.1], [], [0.1, 0.1], [-0.1, 0.1]):
+            with pytest.raises(DomainError):
+                qfi_curve(ProbeSpec.coherent(1.0), fig_bath, grid, FisherMethod.QFI_SLD)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_time_refused_at_the_entry(self, fig_bath, monkeypatch, bad):
@@ -327,9 +361,11 @@ class TestQfiCurve:
             raise AssertionError("a refused grid must not be sized")
 
         monkeypatch.setattr(fisher, "default_dim", no_sizing)
-        with pytest.raises(DomainError,
-                           match="^t_grid must be finite, nonnegative and strictly ascending$"):
-            qfi_curve(ProbeSpec.fock(1), BathParams(), [0.1, bad], FisherMethod.CFI_NUMBER)
+        for probe, method in ((ProbeSpec.fock(1), FisherMethod.CFI_NUMBER),
+                              (ProbeSpec.coherent(1.0), FisherMethod.QFI_SLD)):
+            with pytest.raises(DomainError,
+                               match="^t_grid must be finite, nonnegative and strictly ascending$"):
+                qfi_curve(probe, BathParams(), [0.1, bad], method)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -62,5 +62,6 @@ def test_retired_coherence_machinery_is_gone():
     assert {f.name for f in dataclasses.fields(fockspace.BandState)} == {"populations"}
     for entry in (fisher.d_dT_state, fisher.d_dT_curve):
         assert "methods" not in inspect.signature(entry).parameters
-    assert "coherences_dropped" not in {
-        f.name for f in dataclasses.fields(fisher.TemperatureDerivative)}
+    # a Gaussian QFI reads (probe, bath, t) directly, not off a derivative
+    assert {"coherences_dropped", "bath", "t"}.isdisjoint(
+        f.name for f in dataclasses.fields(fisher.TemperatureDerivative))

@@ -16,7 +16,7 @@ from fockthermo import fisher
 from fockthermo.bath import BathParams, RateModel
 from fockthermo.bounds import bound_fock_linear, short_time_valid
 from fockthermo.errors import DomainError, InsufficientDataError, SingularSupportError, SweepError
-from fockthermo.fisher import FisherMethod, d_dT_state, qfi_point
+from fockthermo.fisher import FisherMethod, d_dT_state, gaussian_qfi, qfi_point
 from fockthermo.probes import ProbeKind, ProbeSpec
 from fockthermo.sweep import (
     CSV_HEADER,
@@ -328,6 +328,37 @@ class TestSharedDerivative:
             assert qfi.error == cfi.error
             assert bound.error is None
             assert bound.qfi == bound_fock_linear(30, fig_bath, t)
+
+    def test_derivative_failure_spares_a_gaussian_qfi_row(self, fig_bath):
+        # at T = 5, t = 5 the populations of coherent:1.0 outgrow the automatic
+        # dim; its QFI is the closed form, which reads none of them
+        bath, probe = dataclasses.replace(fig_bath, T=5.0), ProbeSpec.coherent(1.0)
+        spec = SweepSpec(axis=SweepAxis.TIME, axis_values=(5.0,), probes=(probe,),
+                         methods=(SweepMethod.CFI, SweepMethod.QFI), bath=bath)
+        cfi, qfi = run_sweep(spec, workers=1).rows
+        assert cfi.error.startswith("TruncationError: top-level population")
+        assert qfi.error is None
+        assert (qfi.qfi, qfi.leakage, qfi.h_used, qfi.dim) == (
+            gaussian_qfi(probe, bath, 5.0), 0.0, 0.0, 0)
+
+    def test_a_task_of_gaussian_qfis_and_bounds_evaluates_no_derivative(self, fig_bath,
+                                                                        monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("no row of this sweep reads the populations")
+
+        monkeypatch.setattr(fisher, "d_dT_state", refused)
+        spec = SweepSpec(
+            axis=SweepAxis.EXCITATION_N, axis_values=(1, 2),
+            probes=(ProbeKind.SQUEEZED, ProbeKind.COHERENT),
+            methods=(SweepMethod.QFI, SweepMethod.BOUND_SQUEEZED, SweepMethod.BOUND_COHERENT),
+            bath=fig_bath,
+        )
+        rows = run_sweep(spec, workers=1).rows
+        assert len(rows) == 8 and not any(r.error for r in rows)
+        for row in rows:
+            if row.method == "qfi":
+                probe = ProbeSpec.parse(row.probe)
+                assert (row.qfi, row.dim) == (gaussian_qfi(probe, fig_bath, spec.t), 0)
 
     def test_failed_reduction_marks_only_its_row(self, fig_bath, monkeypatch):
         def singular(*args, **kwargs):

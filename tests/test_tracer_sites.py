@@ -70,8 +70,11 @@ def _count_site_calls(monkeypatch) -> Counter:
         # a number-diagonal QFI is the CFI sum with the eigenvalue floor
         ("fock:1", FisherMethod.QFI_SLD, {"fisher.cfi": 1}),
         ("coherent:1.0", FisherMethod.CFI_NUMBER, {"fisher.cfi": 1}),
-        # a Gaussian QFI is a closed form, reduced from no sum
-        ("coherent:1.0", FisherMethod.QFI_SLD, {"fisher.cfi": 0}),
+        # a Gaussian QFI is a closed form, reduced from no sum and from no
+        # derivative: nothing is sized, prepared or propagated
+        ("coherent:1.0", FisherMethod.QFI_SLD,
+         {"fisher.cfi": 0, "fisher.d_dT_state": 0, "probes.default_dim": 0,
+          "probes.make_state": 0, "dynamics.evolve": 0, "dynamics.expm": 0}),
     ],
 )
 def test_a_point_calls_through_the_sites_of_its_stages(monkeypatch, fig_bath, spec, method, expected):
