@@ -13,6 +13,13 @@ matrix exponential. No coherence band is propagated: the package reads
 nothing off the evolved probe but its populations
 (:mod:`fockthermo.fockspace`).
 
+The exponential exp(t G) depends on nothing but (dim, Gamma+, Gamma-, t),
+so each distinct such key is exponentiated once per process and shared by
+every probe, curve and sweep task that propagates under it: ``PROPAGATORS``
+keeps the read-only matrices, least recently used first out, within a
+1 MiB budget. A hit returns exactly the bits that a recomputation would;
+every check of :func:`evolve` still runs on every call.
+
 On the truncated space the top Fock level has no upward channel (the
 matrix element to the discarded level |dim> does not exist), so the
 truncated generator is exactly trace preserving; the leakage budget then
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +43,10 @@ from .fockspace import LEAKAGE_BUDGET, BandState
 # Populations inside this band of zero are roundoff and are clipped;
 # anything more negative aborts the run.
 NEGATIVE_CLIP = 1e-12
+
+# Bytes of propagators kept for reuse: four d = 180 matrices, or the 45
+# d = 40 matrices (five stencil temperatures at nine times) of a curve.
+PROPAGATOR_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,9 @@ class BandGenerator:
     * G[m, m+1] = Gamma- (m+1),      emission from level m+1.
 
     Its columns sum exactly to zero. ``sub[m]`` is G[m, m-1] and ``sup[m]``
-    is G[m, m+1]; both are zero where they would leave the space.
+    is G[m, m+1]; both are zero where they would leave the space. It is
+    made by :meth:`build` alone, so its dim and ``rates`` determine it, and
+    :func:`evolve` keys its exponential on them.
     """
 
     rates: Rates
@@ -91,6 +105,59 @@ class BandGenerator:
         return out
 
 
+class PropagatorCache:
+    """The matrices exp(t G) keyed by (dim, Gamma+, Gamma-, t), least
+    recently used first, holding at most ``budget`` bytes in all. A matrix
+    larger than the budget is not kept."""
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> np.ndarray | None:
+        matrix = self._entries.get(key)
+        if matrix is not None:
+            self._entries.move_to_end(key)
+        return matrix
+
+    def put(self, key: tuple, matrix: np.ndarray) -> None:
+        if matrix.nbytes > self.budget:
+            return
+        self._entries[key] = matrix
+        self.nbytes += matrix.nbytes
+        while self.nbytes > self.budget:
+            self.nbytes -= self._entries.popitem(last=False)[1].nbytes
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+
+PROPAGATORS = PropagatorCache(PROPAGATOR_BUDGET)
+
+
+def _propagator(dim: int, rates: Rates, t: float, generator: BandGenerator | None) -> np.ndarray:
+    """The read-only exp(t G) of the populations at ``rates``, from
+    ``PROPAGATORS`` or exponentiated and kept there. The generator is built
+    only on a miss, unless the caller already holds it. Called under
+    :func:`evolve`'s ``np.errstate``: a non-finite exponential is refused
+    there."""
+    key = (dim, rates.gamma_plus, rates.gamma_minus, t)
+    matrix = PROPAGATORS.get(key)
+    if matrix is None:
+        if generator is None:
+            generator = BandGenerator.build(dim, rates)
+        # looked up at call time, so that a wrapped expm sees every miss
+        matrix = expm(generator.dense(t))
+        matrix.flags.writeable = False
+        PROPAGATORS.put(key, matrix)
+    return matrix
+
+
 def population_vector(p: np.ndarray) -> np.ndarray:
     """Validate a photon-number distribution and clip its roundoff negatives."""
     p = np.asarray(p, dtype=float).copy()
@@ -108,6 +175,14 @@ def _check_time(t: float) -> None:
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
 
 
+def _check_leakage(p: np.ndarray, t: float) -> None:
+    if p[-1] > LEAKAGE_BUDGET:
+        raise TruncationError(
+            f"top-level population {p[-1]:.3e} exceeded the leakage budget "
+            f"{LEAKAGE_BUDGET:.0e} by t={t:.6g}; raise dim"
+        )
+
+
 def evolve(state: BandState, rates: Rates | BandGenerator, t: float) -> BandState:
     """Propagate the populations for a time t by the dense exponential of
     their generator, under the bath ``rates`` or a :class:`BandGenerator`
@@ -119,33 +194,33 @@ def evolve(state: BandState, rates: Rates | BandGenerator, t: float) -> BandStat
     ``LEAKAGE_BUDGET``; a violation raises :class:`TruncationError` with a
     raise-dim diagnostic. A generator of another dim than the state's, and
     a propagated population that is not finite, raise :class:`DomainError`.
+    At t = 0 the state is returned as it is, after the dim and leakage
+    checks. The exponential comes from ``PROPAGATORS`` when its (dim,
+    Gamma+, Gamma-, t) was exponentiated before; every check runs anyway.
     """
     _check_time(t)
+    generator = rates if isinstance(rates, BandGenerator) else None
+    if generator is not None:
+        if generator.dim != state.dim:
+            raise DomainError(f"the generator was built for dim {generator.dim}, not for this "
+                              f"dim-{state.dim} state")
+        rates = generator.rates
     if t == 0.0:
+        _check_leakage(state.populations, t)
         return state
-    generator = (rates if isinstance(rates, BandGenerator)
-                 else BandGenerator.build(state.dim, rates))
-    if generator.dim != state.dim:
-        raise DomainError(f"the generator was built for dim {generator.dim}, not for this "
-                          f"dim-{state.dim} state")
     p0 = population_vector(state.populations)
     with np.errstate(all="ignore"):
-        p = expm(generator.dense(t)) @ p0
+        p = _propagator(state.dim, rates, t, generator) @ p0
     if not np.all(np.isfinite(p)):
-        r = generator.rates
         raise DomainError(
-            f"the dense population exponential is not finite at Gamma0*t={r.gamma0 * t:.3e} "
-            f"(Gamma-*t={r.gamma_minus * t:.3e})"
+            f"the dense population exponential is not finite at Gamma0*t={rates.gamma0 * t:.3e} "
+            f"(Gamma-*t={rates.gamma_minus * t:.3e})"
         )
     low = float(p.min())
     if low < -NEGATIVE_CLIP:
         raise PositivityError(f"population {low:.3e} from the exponential propagator")
     p[p < 0.0] = 0.0
-    if p[-1] > LEAKAGE_BUDGET:
-        raise TruncationError(
-            f"top-level population {p[-1]:.3e} exceeded the leakage budget "
-            f"{LEAKAGE_BUDGET:.0e} by t={t:.6g}; raise dim"
-        )
+    _check_leakage(p, t)
     trace_defect = abs(p.sum() - 1.0)
     if trace_defect > 1e-9:
         raise PositivityError(f"trace drifted by {trace_defect:.3e} during evolution")

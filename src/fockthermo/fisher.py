@@ -17,6 +17,9 @@ bath temperatures and differenced centrally with one Richardson step. From
 For number-diagonal states the two coincide; for states with coherences
 the quantum value can only be larger. A time curve is taken one time at a
 time, with the five stencil generators built once, before its first time.
+Their exponentials are kept by :mod:`fockthermo.dynamics` under a 1 MiB
+bound, one per distinct (dim, Gamma+, Gamma-, t) per process, so points and
+curves of several probes at one truncation, bath and time share them.
 """
 
 from __future__ import annotations

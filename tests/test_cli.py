@@ -209,6 +209,15 @@ class TestCommands:
         assert main([*point, "--method", "cfi"]) == 2
         assert capsys.readouterr().err.startswith("numerical failure: TruncationError: ")
 
+    def test_leakage_at_zero_time_is_refused(self, capsys):
+        # fock:39 fills the top level of dim 40 from the start, as at t = 1e-12
+        for t in ("0", "1e-12"):
+            assert main(["qfi", "--probe", "fock:39", "--dim", "40", "--t", t,
+                         "--method", "cfi"]) == 2
+            assert capsys.readouterr().err.startswith(
+                "numerical failure: TruncationError: top-level population 1.000e+00 exceeded "
+                "the leakage budget 1e-08")
+
     def test_qfi_rejects_bound_methods(self, capsys):
         assert main(["qfi", "--method", "bound_squeezed"]) == 1
         assert "error" in capsys.readouterr().err

@@ -11,17 +11,22 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from oracle import apply, density_matrix, evolved, lindblad_rhs, propagator
 
+from fockthermo import dynamics
 from fockthermo.bath import BathParams, rates, thermal_occupation
 from fockthermo.dynamics import (
+    PROPAGATORS,
     BandGenerator,
+    PropagatorCache,
     evolve,
     mean_photon_analytic,
     population_vector,
     short_time_populations,
 )
 from fockthermo.errors import DomainError, InvalidDimensionError, PositivityError, TruncationError
+from fockthermo.fisher import FisherMethod, qfi_curve
 from fockthermo.fockspace import BandState
 from fockthermo.probes import ProbeKind, ProbeSpec, make_state
+from fockthermo.sweep import SweepAxis, SweepMethod, SweepSpec, run_sweep
 
 GAMMA_PLUS = 0.015651764274966565
 GAMMA_MINUS = 0.11565176427496657
@@ -30,6 +35,18 @@ GAMMA_MINUS = 0.11565176427496657
 def band_generator(dim: int, rates) -> np.ndarray:
     """The dense tridiagonal generator of the populations."""
     return BandGenerator.build(dim, rates).dense(1.0)
+
+
+def count_expm(monkeypatch) -> list:
+    """The dim of every exponential the propagator takes from here on."""
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counted)
+    return calls
 
 
 def test_oracle_imports_nothing_from_dynamics():
@@ -161,6 +178,15 @@ class TestEvolve:
         with pytest.raises(TruncationError, match="raise dim"):
             evolve(rho, fig_rates, 1.0)
 
+    @pytest.mark.parametrize("t", [0.0, 1e-12, 0.1])
+    def test_zero_time_runs_the_dim_and_leakage_checks(self, fig_rates, t):
+        # the top level of fock:39 at dim 40 holds everything from the start
+        with pytest.raises(TruncationError, match=f"exceeded the leakage budget 1e-08 by t={t:.6g};"):
+            evolve(make_state(ProbeSpec.fock(39), 40), fig_rates, t)
+        generator = BandGenerator.build(52, fig_rates)
+        with pytest.raises(DomainError, match="generator was built for dim 52, not for this dim-40"):
+            evolve(make_state(ProbeSpec.fock(1), 40), generator, t)
+
 
 class TestShortTimePopulations:
     def test_vacuum_has_no_decay_channel(self, fig_rates):
@@ -256,3 +282,78 @@ class TestPopulations:
             population_vector(np.array([1.0 + 1e-6, -1e-6]))
         clipped = population_vector(np.array([1.0, -1e-13, 1e-13]))
         assert clipped[1] == 0.0
+
+
+class TestPropagatorCache:
+    TIMES = tuple(np.geomspace(1e-3, 1e-1, 9))
+
+    def test_short_time_curves_exponentiate_each_key_once(self, fig_bath, monkeypatch):
+        # the criterion-1 curves: three at dim 40 share one bath and one
+        # grid, so only the first of them and the dim-68 squeezed curve
+        # exponentiate, 5 stencil temperatures x 9 times each
+        calls = count_expm(monkeypatch)
+        for probe, dim in ((ProbeSpec.fock(1), 40), (ProbeSpec.fock(3), 40),
+                           (ProbeSpec.coherent(1.0), 40), (ProbeSpec.squeezed(math.asinh(1.0)), None)):
+            qfi_curve(probe, fig_bath, self.TIMES, FisherMethod.CFI_NUMBER, dim=dim)
+        assert calls == [40] * 45 + [68] * 45
+
+    def test_excitation_sweep_exponentiates_each_key_once(self, monkeypatch):
+        # fock:1 and fock:2 both sit at dim 40; the Gaussian QFIs read no
+        # populations
+        calls = count_expm(monkeypatch)
+        spec = SweepSpec(axis=SweepAxis.EXCITATION_N, axis_values=(1, 2, 3),
+                         probes=(ProbeKind.FOCK, ProbeKind.SQUEEZED, ProbeKind.COHERENT),
+                         methods=(SweepMethod.QFI,), t=0.5)
+        assert not any(row.error for row in run_sweep(spec, workers=1).rows)
+        assert len(calls) == 10
+
+    def test_a_kept_propagator_still_refuses(self, fig_rates, monkeypatch):
+        calls = count_expm(monkeypatch)
+        evolve(make_state(ProbeSpec.fock(1), 40), fig_rates, 0.5)
+        with pytest.raises(TruncationError, match="raise dim"):
+            evolve(make_state(ProbeSpec.fock(39), 40), fig_rates, 0.5)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", ["fock:3", "thermal:0.5", "coherent:1.0", "squeezed:0.6"])
+    def test_cold_and_warm_give_the_bits_of_the_exponential(self, fig_rates, spec):
+        state = make_state(ProbeSpec.parse(spec), 40)
+        generator = BandGenerator.build(40, fig_rates)
+        for t in (1e-3, 0.7, 30.0):
+            want = expm(generator.dense(t)) @ state.populations
+            cold = evolve(state, fig_rates, t).populations
+            warm = evolve(state, generator, t).populations
+            np.testing.assert_array_equal(cold, want)
+            np.testing.assert_array_equal(warm, want)
+        assert len(PROPAGATORS) == 3
+
+    def test_kept_propagators_are_read_only(self, fig_rates):
+        evolve(make_state(ProbeSpec.fock(1), 40), fig_rates, 0.5)
+        matrix = PROPAGATORS.get((40, fig_rates.gamma_plus, fig_rates.gamma_minus, 0.5))
+        assert matrix is not None and not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+    def test_a_fock_20_temperature_sweep_stays_within_the_budget(self, fig_bath):
+        # 12 temperatures x 5 stencil temperatures of 259 kB (dim 180)
+        # matrices: four fit in the 1 MiB budget
+        spec = SweepSpec(axis=SweepAxis.TEMPERATURE, axis_values=tuple(np.geomspace(0.05, 5.0, 12)),
+                         probes=(ProbeSpec.fock(20),), methods=(SweepMethod.CFI,), t=0.5,
+                         bath=fig_bath)
+        assert not any(row.error for row in run_sweep(spec, workers=1).rows)
+        assert PROPAGATORS.nbytes <= PROPAGATORS.budget == 1 << 20
+        assert PROPAGATORS.nbytes == len(PROPAGATORS) * 180 * 180 * 8
+        assert len(PROPAGATORS) == 4
+
+    def test_least_recently_used_goes_first_and_oversize_is_not_kept(self):
+        cache = PropagatorCache(budget=3 * 800)
+        matrices = {key: np.zeros((10, 10)) for key in "abcd"}
+        for key in "abc":
+            cache.put(key, matrices[key])
+        assert cache.get("a") is matrices["a"]  # b is now the least recently used
+        cache.put("d", matrices["d"])
+        assert [cache.get(key) is not None for key in "abcd"] == [True, False, True, True]
+        assert cache.nbytes == 3 * 800
+        cache.put("e", np.zeros((20, 20)))
+        assert cache.get("e") is None and len(cache) == 3
+        cache.clear()
+        assert len(cache) == 0 and cache.nbytes == 0
