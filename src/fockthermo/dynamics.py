@@ -17,8 +17,10 @@ The exponential exp(t G) depends on nothing but (dim, Gamma+, Gamma-, t),
 so each distinct such key is exponentiated once per process and shared by
 every probe, curve and sweep task that propagates under it: ``PROPAGATORS``
 keeps the read-only matrices, least recently used first out, within a
-1 MiB budget. A hit returns exactly the bits that a recomputation would;
-every check of :func:`evolve` still runs on every call.
+1 MiB budget. :func:`evolve` therefore takes the bath rates alone, and t G
+is assembled from (dim, rates, t) only where its exponential is not kept.
+A hit returns exactly the bits that a recomputation would; every check of
+:func:`evolve` still runs on every call.
 
 On the truncated space the top Fock level has no upward channel (the
 matrix element to the discarded level |dim> does not exist), so the
@@ -47,62 +49,6 @@ NEGATIVE_CLIP = 1e-12
 # Bytes of propagators kept for reuse: four d = 180 matrices, or the 45
 # d = 40 matrices (five stencil temperatures at nine times) of a curve.
 PROPAGATOR_BUDGET = 1 << 20
-
-
-@dataclass(frozen=True)
-class BandGenerator:
-    """The birth-death generator G of the populations at one pair of
-    ``rates``, built once and applied at any t by :func:`evolve`. Only the
-    tridiagonal is kept; the dense exponential assembles its matrix at its
-    own t. With u[m] = m+1 (the diagonal of a a^dag) and u[dim-1] = 0,
-    because the top level carries no upward channel:
-
-    * G[m, m]   = -Gamma- m - Gamma+ u[m];
-    * G[m, m-1] = Gamma+ m,          absorption from level m-1;
-    * G[m, m+1] = Gamma- (m+1),      emission from level m+1.
-
-    Its columns sum exactly to zero. ``sub[m]`` is G[m, m-1] and ``sup[m]``
-    is G[m, m+1]; both are zero where they would leave the space. It is
-    made by :meth:`build` alone, so its dim and ``rates`` determine it, and
-    :func:`evolve` keys its exponential on them.
-    """
-
-    rates: Rates
-    diag: np.ndarray
-    sub: np.ndarray
-    sup: np.ndarray
-
-    @classmethod
-    def build(cls, dim: int, rates: Rates) -> "BandGenerator":
-        m = np.arange(float(dim))
-        u = m + 1.0
-        u[-1] = 0.0
-        gp, gm = rates.gamma_plus, rates.gamma_minus
-        # rates large enough to overflow the generator are refused by evolve's
-        # finiteness check on the propagated populations
-        with np.errstate(all="ignore"):
-            sup = gm * (m + 1.0)
-            sup[-1] = 0.0
-            return cls(rates=rates, diag=-(gm * m) - gp * u, sub=gp * m, sup=sup)
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size
-
-    def dense(self, t: float) -> np.ndarray:
-        """t G as a dense matrix, for t > 0. Each entry is (x + 0.0) * t,
-        the bits of the sum of three np.diag matrices times t, signed zeros
-        included. Strided writes into one zero matrix build it about five
-        times faster than that sum (17 against 93 us at n = 180 on a Xeon
-        core), and a temperature sweep of fock:20 builds 480 such matrices
-        per 96 temperatures."""
-        n = self.dim
-        out = np.zeros((n, n))
-        flat = out.reshape(-1)
-        flat[::n + 1] = (self.diag + 0.0) * t
-        flat[n::n + 1] = (self.sub[1:] + 0.0) * t
-        flat[1::n + 1] = (self.sup[:-1] + 0.0) * t
-        return out
 
 
 class PropagatorCache:
@@ -140,19 +86,41 @@ class PropagatorCache:
 PROPAGATORS = PropagatorCache(PROPAGATOR_BUDGET)
 
 
-def _propagator(dim: int, rates: Rates, t: float, generator: BandGenerator | None) -> np.ndarray:
+def _propagator(dim: int, rates: Rates, t: float) -> np.ndarray:
     """The read-only exp(t G) of the populations at ``rates``, from
-    ``PROPAGATORS`` or exponentiated and kept there. The generator is built
-    only on a miss, unless the caller already holds it. Called under
-    :func:`evolve`'s ``np.errstate``: a non-finite exponential is refused
-    there."""
-    key = (dim, rates.gamma_plus, rates.gamma_minus, t)
+    ``PROPAGATORS`` or exponentiated and kept there. Called under
+    :func:`evolve`'s ``np.errstate``: rates large enough to overflow t G
+    give a non-finite exponential, which is refused there.
+
+    G is the birth-death generator. With u[m] = m+1 (the diagonal of
+    a a^dag) and u[dim-1] = 0, because the top level carries no upward
+    channel:
+
+    * G[m, m]   = -Gamma- m - Gamma+ u[m];
+    * G[m, m-1] = Gamma+ m,          absorption from level m-1;
+    * G[m, m+1] = Gamma- (m+1),      emission from level m+1.
+
+    Its columns sum exactly to zero. Each entry of t G is (x + 0.0) * t,
+    the bits of the sum of three np.diag matrices times t, signed zeros
+    included. Strided writes into one zero matrix build it about five
+    times faster than that sum (17 against 93 us at n = 180 on a Xeon
+    core), and a temperature sweep of fock:20 builds 480 such matrices
+    per 96 temperatures.
+    """
+    gp, gm = rates.gamma_plus, rates.gamma_minus
+    key = (dim, gp, gm, t)
     matrix = PROPAGATORS.get(key)
     if matrix is None:
-        if generator is None:
-            generator = BandGenerator.build(dim, rates)
+        m = np.arange(float(dim))
+        u = m + 1.0
+        u[-1] = 0.0
+        tg = np.zeros((dim, dim))
+        flat = tg.reshape(-1)
+        flat[::dim + 1] = (-(gm * m) - gp * u + 0.0) * t
+        flat[dim::dim + 1] = (gp * m[1:] + 0.0) * t
+        flat[1::dim + 1] = (gm * m[1:] + 0.0) * t
         # looked up at call time, so that a wrapped expm sees every miss
-        matrix = expm(generator.dense(t))
+        matrix = expm(tg)
         matrix.flags.writeable = False
         PROPAGATORS.put(key, matrix)
     return matrix
@@ -161,6 +129,10 @@ def _propagator(dim: int, rates: Rates, t: float, generator: BandGenerator | Non
 def population_vector(p: np.ndarray) -> np.ndarray:
     """Validate a photon-number distribution and clip its roundoff negatives."""
     p = np.asarray(p, dtype=float).copy()
+    finite = np.isfinite(p)
+    if not finite.all():
+        m = int(np.argmin(finite))
+        raise DomainError(f"populations must be finite, got {float(p[m])!r} at m={m}")
     if abs(p.sum() - 1.0) > 1e-9:
         raise DomainError(f"populations must sum to 1 within 1e-9, defect {abs(p.sum()-1.0):.3e}")
     low = float(p.min())
@@ -183,34 +155,28 @@ def _check_leakage(p: np.ndarray, t: float) -> None:
         )
 
 
-def evolve(state: BandState, rates: Rates | BandGenerator, t: float) -> BandState:
+def evolve(state: BandState, rates: Rates, t: float) -> BandState:
     """Propagate the populations for a time t by the dense exponential of
-    their generator, under the bath ``rates`` or a :class:`BandGenerator`
-    built from them (the same bits either way).
+    their generator under the bath ``rates``.
 
-    A population below -NEGATIVE_CLIP raises :class:`PositivityError`, and
+    The state is checked by :func:`population_vector` first, at every t. A
+    population below -NEGATIVE_CLIP raises :class:`PositivityError`, and
     smaller negatives are clipped to zero. Trace is preserved within 1e-9,
     and the top-level population at t is checked against
     ``LEAKAGE_BUDGET``; a violation raises :class:`TruncationError` with a
-    raise-dim diagnostic. A generator of another dim than the state's, and
-    a propagated population that is not finite, raise :class:`DomainError`.
-    At t = 0 the state is returned as it is, after the dim and leakage
-    checks. The exponential comes from ``PROPAGATORS`` when its (dim,
-    Gamma+, Gamma-, t) was exponentiated before; every check runs anyway.
+    raise-dim diagnostic. A propagated population that is not finite raises
+    :class:`DomainError`. At t = 0 the state is returned as it is, after
+    the state and leakage checks. The exponential comes from
+    ``PROPAGATORS`` when its (dim, Gamma+, Gamma-, t) was exponentiated
+    before; every check runs anyway.
     """
     _check_time(t)
-    generator = rates if isinstance(rates, BandGenerator) else None
-    if generator is not None:
-        if generator.dim != state.dim:
-            raise DomainError(f"the generator was built for dim {generator.dim}, not for this "
-                              f"dim-{state.dim} state")
-        rates = generator.rates
-    if t == 0.0:
-        _check_leakage(state.populations, t)
-        return state
     p0 = population_vector(state.populations)
+    if t == 0.0:
+        _check_leakage(p0, t)
+        return state
     with np.errstate(all="ignore"):
-        p = _propagator(state.dim, rates, t, generator) @ p0
+        p = _propagator(state.dim, rates, t) @ p0
     if not np.all(np.isfinite(p)):
         raise DomainError(
             f"the dense population exponential is not finite at Gamma0*t={rates.gamma0 * t:.3e} "

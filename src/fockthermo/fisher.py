@@ -16,10 +16,11 @@ bath temperatures and differenced centrally with one Richardson step. From
 
 For number-diagonal states the two coincide; for states with coherences
 the quantum value can only be larger. A time curve is taken one time at a
-time, with the five stencil generators built once, before its first time.
-Their exponentials are kept by :mod:`fockthermo.dynamics` under a 1 MiB
-bound, one per distinct (dim, Gamma+, Gamma-, t) per process, so points and
-curves of several probes at one truncation, bath and time share them.
+time, with the rates of the five stencil temperatures computed once,
+before its first time. The exponentials of their generators are kept by
+:mod:`fockthermo.dynamics` under a 1 MiB bound, one per distinct (dim,
+Gamma+, Gamma-, t) per process, so points and curves of several probes at
+one truncation, bath and time share them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bath import BathParams, base_rate, rates, thermal_occupation, thermal_occupation_dT
-from .dynamics import BandGenerator, evolve
+from .dynamics import evolve
 from .errors import DomainError, SingularSupportError
 from .fockspace import EIGENVALUE_FLOOR, BandState
 from .probes import ProbeKind, ProbeSpec, default_dim, make_state
@@ -121,9 +122,9 @@ def d_dT_curve(
 
     The probe itself is temperature independent; only the bath rates move.
     The grid is checked, the truncation sized, the probe prepared and the
-    population generators of the five stencil temperatures T, T +- h,
-    T +- h/2 built once, before the first t; at each t the populations are
-    propagated under those five generators. The h and h/2 estimates combine
+    bath rates of the five stencil temperatures T, T +- h, T +- h/2
+    computed once, before the first t; at each t the populations are
+    propagated under those five rates. The h and h/2 estimates combine
     by one Richardson step as (4 D_{h/2} - D_h) / 3.
 
     Each t runs exactly what :func:`d_dT_state` runs there, so every value,
@@ -147,10 +148,10 @@ def d_dT_curve(
         half = (plus2 - minus2) * (1.0 / h)
         return (4.0 * half - full) * (1.0 / 3.0)
 
-    generators = [BandGenerator.build(dim, rates(bath.with_temperature(T)))
-                  for T in (bath.T, bath.T + h, bath.T - h, bath.T + h / 2.0, bath.T - h / 2.0)]
+    stencil = [rates(bath.with_temperature(T))
+               for T in (bath.T, bath.T + h, bath.T - h, bath.T + h / 2.0, bath.T - h / 2.0)]
     for t in t_grid:
-        states = [evolve(state, generator, t) for generator in generators]
+        states = [evolve(state, r, t) for r in stencil]
         yield TemperatureDerivative(
             probe=probe,
             rho=states[0],

@@ -15,7 +15,6 @@ from fockthermo import dynamics
 from fockthermo.bath import BathParams, rates, thermal_occupation
 from fockthermo.dynamics import (
     PROPAGATORS,
-    BandGenerator,
     PropagatorCache,
     evolve,
     mean_photon_analytic,
@@ -32,9 +31,19 @@ GAMMA_PLUS = 0.015651764274966565
 GAMMA_MINUS = 0.11565176427496657
 
 
-def band_generator(dim: int, rates) -> np.ndarray:
-    """The dense tridiagonal generator of the populations."""
-    return BandGenerator.build(dim, rates).dense(1.0)
+def band_generator(dim: int, rates, t: float = 1.0) -> np.ndarray:
+    """t G, the dense tridiagonal generator of the populations times t, as
+    the sum of three np.diag matrices: G[m, m] = -Gamma- m - Gamma+ (m+1),
+    but -Gamma- m at the top level, which has no upward channel;
+    G[m, m-1] = Gamma+ m and G[m, m+1] = Gamma- (m+1)."""
+    m = np.arange(float(dim))
+    up = m + 1.0
+    up[-1] = 0.0
+    gp, gm = rates.gamma_plus, rates.gamma_minus
+    diag = -(gm * m) - gp * up
+    sub = gp * m[1:]
+    sup = gm * (m[:-1] + 1.0)
+    return (np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)) * t
 
 
 def count_expm(monkeypatch) -> list:
@@ -113,6 +122,9 @@ class TestEvolve:
     def test_zero_time_returns_state(self, fig_rates):
         rho = make_state(ProbeSpec.fock(2), 10)
         assert evolve(rho, fig_rates, 0.0) is rho
+        # a valid state keeps its bits, its roundoff negative included
+        rho = BandState(np.array([1.0 - 1e-13, 2e-13, -1e-13]))
+        assert evolve(rho, fig_rates, 0.0) is rho
 
     def test_negative_time_rejected(self, fig_rates):
         rho = make_state(ProbeSpec.fock(2), 10)
@@ -179,13 +191,15 @@ class TestEvolve:
             evolve(rho, fig_rates, 1.0)
 
     @pytest.mark.parametrize("t", [0.0, 1e-12, 0.1])
-    def test_zero_time_runs_the_dim_and_leakage_checks(self, fig_rates, t):
+    def test_zero_time_runs_the_state_and_leakage_checks(self, fig_rates, t):
         # the top level of fock:39 at dim 40 holds everything from the start
         with pytest.raises(TruncationError, match=f"exceeded the leakage budget 1e-08 by t={t:.6g};"):
             evolve(make_state(ProbeSpec.fock(39), 40), fig_rates, t)
-        generator = BandGenerator.build(52, fig_rates)
-        with pytest.raises(DomainError, match="generator was built for dim 52, not for this dim-40"):
-            evolve(make_state(ProbeSpec.fock(1), 40), generator, t)
+        # a state that is not a distribution is refused as such, at every t
+        with pytest.raises(PositivityError, match="population -2.000e-01 below the roundoff clip"):
+            evolve(BandState(np.array([0.6, 0.6, -0.2, 0.0])), fig_rates, t)
+        with pytest.raises(DomainError, match="populations must be finite, got nan at m=0"):
+            evolve(BandState(np.array([np.nan, 1.0])), fig_rates, t)
 
 
 class TestShortTimePopulations:
@@ -251,18 +265,29 @@ class TestPopulations:
         p0 = np.zeros(dim)
         p0[1] = 1.0
         p = evolve(make_state(ProbeSpec.fock(1), dim), fig_rates, 0.5).populations
-        np.testing.assert_array_equal(p, expm(band_generator(dim, fig_rates) * 0.5) @ p0)
+        np.testing.assert_array_equal(p, expm(band_generator(dim, fig_rates, 0.5)) @ p0)
         np.testing.assert_array_equal(evolve(BandState(p0), fig_rates, 0.5).populations, p)
 
-    @pytest.mark.parametrize("spec", ["fock:3", "coherent:1.0"])
-    def test_a_prebuilt_generator_gives_the_same_bits(self, fig_rates, spec):
-        state = make_state(ProbeSpec.parse(spec), 40)
-        generator = BandGenerator.build(state.dim, fig_rates)
+    @pytest.mark.parametrize("T", [0.001, 0.5, 5.0])
+    @pytest.mark.parametrize("dim", [2, 40, 180])
+    def test_the_exponentiated_matrix_is_the_sum_of_three_diagonals(self, monkeypatch, dim, T):
+        # every entry of the t G handed to expm, signed zeros included; at
+        # T = 0.001, Gamma+ underflows to 0 and G[0, 0] is -0.0 + 0.0
+        bath_rates = rates(BathParams(T=T))
+        assert (bath_rates.gamma_plus == 0.0) == (T == 0.001)
+        exponentiated = []
+
+        def recorded(a):
+            exponentiated.append(a.copy())
+            return expm(a)
+
+        monkeypatch.setattr(dynamics, "expm", recorded)
         for t in (1e-3, 0.7, 30.0):
-            np.testing.assert_array_equal(evolve(state, generator, t).populations,
-                                          evolve(state, fig_rates, t).populations)
-        with pytest.raises(DomainError, match="generator was built for dim 40, not for this dim-41"):
-            evolve(make_state(ProbeSpec.parse(spec), 41), generator, 0.7)
+            dynamics._propagator(dim, bath_rates, t)
+            want = band_generator(dim, bath_rates, t)
+            np.testing.assert_array_equal(exponentiated[-1], want)
+            np.testing.assert_array_equal(np.signbit(exponentiated[-1]), np.signbit(want))
+        assert len(exponentiated) == 3
 
     @pytest.mark.parametrize("spec", ["fock:3", "thermal:0.5", "coherent:1.0", "squeezed:0.6"])
     def test_population_vector_evolves_alone(self, fig_bath, fig_rates, spec):
@@ -280,6 +305,9 @@ class TestPopulations:
             population_vector(np.array([0.5, 0.4]))
         with pytest.raises(PositivityError):
             population_vector(np.array([1.0 + 1e-6, -1e-6]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match=f"populations must be finite, got {bad} at m=0"):
+                population_vector(np.array([bad, 1.0]))
         clipped = population_vector(np.array([1.0, -1e-13, 1e-13]))
         assert clipped[1] == 0.0
 
@@ -317,11 +345,10 @@ class TestPropagatorCache:
     @pytest.mark.parametrize("spec", ["fock:3", "thermal:0.5", "coherent:1.0", "squeezed:0.6"])
     def test_cold_and_warm_give_the_bits_of_the_exponential(self, fig_rates, spec):
         state = make_state(ProbeSpec.parse(spec), 40)
-        generator = BandGenerator.build(40, fig_rates)
         for t in (1e-3, 0.7, 30.0):
-            want = expm(generator.dense(t)) @ state.populations
+            want = expm(band_generator(40, fig_rates, t)) @ state.populations
             cold = evolve(state, fig_rates, t).populations
-            warm = evolve(state, generator, t).populations
+            warm = evolve(state, fig_rates, t).populations
             np.testing.assert_array_equal(cold, want)
             np.testing.assert_array_equal(warm, want)
         assert len(PROPAGATORS) == 3

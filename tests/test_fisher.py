@@ -400,7 +400,7 @@ class TestQfiCurve:
 
     def test_a_curve_builds_its_five_generators_before_its_first_time(self, monkeypatch):
         calls = []
-        build, evolve = fisher.BandGenerator.build, fisher.evolve
+        rates, evolve = fisher.rates, fisher.evolve
 
         def recorded(name, call):
             def wrapper(*args, **kwargs):
@@ -408,11 +408,11 @@ class TestQfiCurve:
                 return call(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(fisher.BandGenerator, "build", recorded("build", build))
+        monkeypatch.setattr(fisher, "rates", recorded("rates", rates))
         monkeypatch.setattr(fisher, "evolve", recorded("evolve", evolve))
         derivs = fisher.d_dT_curve(ProbeSpec.coherent(1.0), BathParams(), [0.1, 0.2, 0.3])
         assert len(list(derivs)) == 3
-        assert calls == ["build"] * 5 + ["evolve"] * 15
+        assert calls == ["rates"] * 5 + ["evolve"] * 15
 
 
 def _outcome(evaluate):
