@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bath import BathParams, base_rate, rates, thermal_occupation, thermal_occupation_dT
-from .dynamics import evolve
+from .dynamics import evolve, mean_photon_analytic
 from .errors import DomainError, SingularSupportError
 from .fockspace import EIGENVALUE_FLOOR, BandState
 from .probes import ProbeKind, ProbeSpec, default_dim, make_state
@@ -124,15 +124,20 @@ def d_dT_curve(
     The grid is checked, the truncation sized, the probe prepared and the
     bath rates of the five stencil temperatures T, T +- h, T +- h/2
     computed once, before the first t; at each t the populations are
-    propagated under those five rates. The h and h/2 estimates combine
-    by one Richardson step as (4 D_{h/2} - D_h) / 3.
+    propagated under those five rates. An automatic Fock dim is the
+    exception: it is sized, and the probe prepared, at each t, for the
+    thermal noise N = nbar (1 - exp(-Gamma0 t)) of the hottest stencil
+    rates, T + h. The h and h/2 estimates combine by one Richardson step as
+    (4 D_{h/2} - D_h) / 3.
 
     Each t runs exactly what :func:`d_dT_state` runs there, so every value,
     and every error, is that of a loop over the times.
     """
     t_grid = _checked_grid(t_grid)
-    dim = default_dim(probe) if dim is None else dim
-    state = make_state(probe, dim)
+    # an automatic Fock dim is sized at each t, for the noise added by then
+    per_time = dim is None and probe.kind is ProbeKind.FOCK
+    if not per_time:
+        state = make_state(probe, default_dim(probe) if dim is None else dim)
 
     h = max(H_REL * bath.T, H_ABS_FLOOR)
     while bath.T - h <= 0.0:
@@ -150,7 +155,11 @@ def d_dT_curve(
 
     stencil = [rates(bath.with_temperature(T))
                for T in (bath.T, bath.T + h, bath.T - h, bath.T + h / 2.0, bath.T - h / 2.0)]
+    hottest = stencil[1]  # T + h, which adds the most noise
     for t in t_grid:
+        if per_time:
+            # N = nbar (1 - exp(-Gamma0 t)) is the mean the channel gives the vacuum
+            state = make_state(probe, default_dim(probe, mean_photon_analytic(0.0, hottest, t)))
         states = [evolve(state, r, t) for r in stencil]
         yield TemperatureDerivative(
             probe=probe,

@@ -33,6 +33,10 @@ TAIL_CAP = 1e-8
 DIM_CEILING = 4096
 DIM_MAX_ENV = "FOCKTHERMO_DIM_MAX"
 
+# The untruncated tail, at and above its top level, that the automatic dim
+# of a Fock probe leaves to the evolved populations.
+FOCK_TAIL_BUDGET = 1e-16
+
 
 def dim_ceiling() -> int:
     """Effective cap on automatic truncation growth."""
@@ -255,9 +259,58 @@ def make_state(spec: ProbeSpec, dim: int) -> BandState:
     return BandState((values * values.conj()).real)
 
 
-def default_dim(spec: ProbeSpec) -> int:
-    """Truncation adequate for the probe: max(40, 8*max(n, nbar)+20),
-    grown further until the discarded tail is negligible.
+def _fock_dim(n: int, noise: float, max_dim: int) -> int:
+    """The smallest d >= n + 2 at which |n>, spread upward by the thermal
+    noise N that the channel has added, leaves at most ``FOCK_TAIL_BUDGET``
+    at and above level d - 1.
+
+    The thermal attenuator is a pure loss followed by a quantum-limited
+    amplifier of gain 1 + N (Caruso, Giovannetti & Holevo, New J. Phys. 8,
+    310, 2006). The loss only lowers a level; the amplifier spreads level j
+    over m >= j as the negative binomial a_m = C(m, j) (1-r)^(j+1) r^(m-j),
+    r = N / (1 + N), whose upper tail grows with j, so the tail from j = n
+    bounds the evolved probe's. The terms rise while their ratio
+    r (m+1) / (m+1-n) is at least 1, up to the largest, a_M. At a cut
+    c <= M the tail is at least max(a_M, 1 - (c-n) a_M) >= 1 / (c-n+1), and
+    so, within the 4096-level cap, far above the budget; past M it is at
+    most a_c / (1 - ratio), summed in logs.
+    """
+    if n + 2 > max_dim:
+        raise TruncationError(f"Fock n={n} needs at least {n + 2} levels, above the cap {max_dim}")
+    r = noise / (1.0 + noise)
+    if not 0.0 <= r < 1.0:
+        raise TruncationError(
+            f"Fock n={n} under the added thermal noise N={noise!r} spreads past "
+            f"the cap {max_dim}"
+        )
+    if r == 0.0:
+        return n + 2
+    log_budget = math.log(FOCK_TAIL_BUDGET)
+    # start just below the largest term, where n / (1 - r) puts it
+    cut = max(n + 1, int(n / (1.0 - r)) - 1)
+    log_term = (math.lgamma(cut + 1) - math.lgamma(n + 1) - math.lgamma(cut - n + 1)
+                + (n + 1) * math.log1p(-r) + (cut - n) * math.log(r))
+    while cut < max_dim:
+        ratio = r * (cut + 1) / (cut + 1 - n)
+        if ratio < 1.0 and log_term - math.log1p(-ratio) <= log_budget:
+            return cut + 1
+        log_term += math.log(ratio)
+        cut += 1
+    raise TruncationError(
+        f"no dimension <= {max_dim} reaches the tail budget {FOCK_TAIL_BUDGET:.0e} of "
+        f"fock:{n} under the added thermal noise N={noise!r}"
+    )
+
+
+def default_dim(spec: ProbeSpec, noise: float = 0.0) -> int:
+    """Truncation adequate for the probe after the channel has added the
+    thermal noise ``noise`` (N = nbar (1 - exp(-Gamma0 t)); 0 for the probe
+    as prepared).
+
+    A Fock probe gets the smallest dim whose evolved tail at the top level
+    is within ``FOCK_TAIL_BUDGET`` (:func:`_fock_dim`). Any other probe
+    ignores N: it gets max(40, 8*nbar+20), grown further until the
+    discarded tail is negligible.
 
     Squeezed (and high-nbar thermal) states have slowly decaying tails, so
     the closed-form floor alone can under-truncate them; growth stops once
@@ -268,15 +321,10 @@ def default_dim(spec: ProbeSpec) -> int:
     returns the first of them that passes wherever the test is monotone in dim.
     """
     max_dim = dim_ceiling()
-    # past the cap the floor is the cap, so 8 n is never formed beyond it
-    base = max(40, int(math.ceil(8 * min(spec.mean_photon, max_dim) + 20)))
     if spec.kind is ProbeKind.FOCK:
-        n = spec.value
-        if n + 2 > max_dim:
-            raise TruncationError(
-                f"Fock n={n} needs at least {n + 2} levels, above the cap {max_dim}"
-            )
-        return min(max(base, n + 2), max_dim)
+        return _fock_dim(spec.value, noise, max_dim)
+    # past the cap the floor is the cap, so 8 nbar is never formed beyond it
+    base = max(40, int(math.ceil(8 * min(spec.mean_photon, max_dim) + 20)))
     dims = range(min(base, max_dim), max_dim + 1, 4)
     refusals: dict[int, TruncationError] = {}
 

@@ -449,7 +449,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            pytest.param(["qfi", "--T", "1e308"], id="qfi-T"),
+            pytest.param(["qfi", "--T", "1e308", "--dim", "40"], id="qfi-T"),
             pytest.param(["sweep", "--axis", "decay_gamma", "--axis-values", "1e308",
                           "--probes", "fock:1", "--workers", "1"], id="sweep-decay-gamma"),
         ],
@@ -462,6 +462,22 @@ class TestCommands:
         assert "the dense population exponential is not finite" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_noise_that_fills_every_level_is_refused_without_a_warning(self):
+        # without --dim, the Fock sizing refuses the noise N ~ 5e306 first
+        proc = run_cli("qfi", "--T", "1e308")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "numerical failure: TruncationError: Fock n=1 under the added thermal noise "
+            "N=4.877545255683593e+306 spreads past the cap 4096\n"
+        )
+
+    def test_a_fock_probe_is_sized_for_its_thermalised_state(self, capsys):
+        # the Fock half of the automatic sizing: 808 levels, where a dim of
+        # 40 refuses the point and 320 prints 0.00249691047
+        assert main(["qfi", "--probe", "fock:1", "--T", "20", "--t", "50", "--method", "cfi"]) == 0
+        out = capsys.readouterr().out
+        assert "qfi=0.00249695857 " in out and out.endswith(" dim=808\n")
+
     @pytest.mark.parametrize("T", ["6e-309", "2e-309"])
     def test_derivative_step_whose_reciprocal_overflows_is_refused(self, T, capsys):
         # T - h > 0 needs h < T, and 1/h then overflows: the quotient would be nan
@@ -473,15 +489,21 @@ class TestCommands:
         assert main(["qfi", "--T", "1e-308"]) == 0  # 1/h is finite here
         assert "qfi=0 " in capsys.readouterr().out
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="evolve refuses a trace drift past 1e-9 at large Gamma0 t")
-    @pytest.mark.parametrize("argv", [pytest.param(["--t", "3e6"], id="t-3e6"),
-                                      pytest.param(["--g", "1e10", "--rate-model", "purcell"],
-                                                   id="purcell-g-1e10")])
+    @pytest.mark.parametrize(
+        "argv",
+        [pytest.param(["--t", "3e6"], id="t-3e6"),
+         pytest.param(["--g", "1e10", "--rate-model", "purcell"], id="purcell-g-1e10",
+                      marks=pytest.mark.xfail(
+                          strict=True, raises=AssertionError,
+                          reason="evolve refuses a trace drift past 1e-9 at large Gamma0 t"))],
+    )
     def test_a_relaxed_probe_has_the_fisher_information_of_the_bath(self, argv, capsys):
         # at Gamma0 t >> 1 the probe relaxes to the thermal state of the bath,
         # whose Fisher information is nbar'^2/(nbar (nbar + 1)): 2.896246643865242
-        # at omega = 1, T = 0.5; today both points exit 2 with a PositivityError
+        # at omega = 1, T = 0.5. At t = 3e6 the Fock probe is sized for that
+        # state (22 levels). At g = 1e10 it is too, but the exponential of
+        # Gamma0 t = 2e21 drifts in trace, and the point exits 2 with a
+        # PositivityError
         omega, T = 1.0, 0.5
         x = omega / T
         nbar = 1.0 / math.expm1(x)

@@ -326,14 +326,17 @@ class TestPropagatorCache:
         assert calls == [40] * 45 + [68] * 45
 
     def test_excitation_sweep_exponentiates_each_key_once(self, monkeypatch):
-        # fock:1 and fock:2 both sit at dim 40; the Gaussian QFIs read no
-        # populations
+        # fock:1, fock:2 and fock:3 are sized for their evolved states, at
+        # dims 10, 12 and 13, so each exponentiates its five stencil keys;
+        # the Gaussian QFIs read no populations
         calls = count_expm(monkeypatch)
         spec = SweepSpec(axis=SweepAxis.EXCITATION_N, axis_values=(1, 2, 3),
                          probes=(ProbeKind.FOCK, ProbeKind.SQUEEZED, ProbeKind.COHERENT),
                          methods=(SweepMethod.QFI,), t=0.5)
-        assert not any(row.error for row in run_sweep(spec, workers=1).rows)
-        assert len(calls) == 10
+        rows = run_sweep(spec, workers=1).rows
+        assert not any(row.error for row in rows)
+        assert [row.dim for row in rows if row.probe.startswith("fock")] == [10, 12, 13]
+        assert calls == [10] * 5 + [12] * 5 + [13] * 5
 
     def test_a_kept_propagator_still_refuses(self, fig_rates, monkeypatch):
         calls = count_expm(monkeypatch)
@@ -365,7 +368,7 @@ class TestPropagatorCache:
         # matrices: four fit in the 1 MiB budget
         spec = SweepSpec(axis=SweepAxis.TEMPERATURE, axis_values=tuple(np.geomspace(0.05, 5.0, 12)),
                          probes=(ProbeSpec.fock(20),), methods=(SweepMethod.CFI,), t=0.5,
-                         bath=fig_bath)
+                         bath=fig_bath, dim=180)
         assert not any(row.error for row in run_sweep(spec, workers=1).rows)
         assert PROPAGATORS.nbytes <= PROPAGATORS.budget == 1 << 20
         assert PROPAGATORS.nbytes == len(PROPAGATORS) * 180 * 180 * 8

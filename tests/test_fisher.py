@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from oracle import density_matrix, evolved, evolved_qfi, sld_qfi
 
@@ -22,8 +22,9 @@ from fockthermo.fisher import (
     qfi_curve,
     qfi_point,
 )
+from fockthermo.dynamics import mean_photon_analytic
 from fockthermo.fockspace import EIGENVALUE_FLOOR
-from fockthermo.probes import ProbeSpec, default_dim
+from fockthermo.probes import ProbeKind, ProbeSpec, default_dim
 from fockthermo.sweep import fit_scaling_exponent
 
 
@@ -89,7 +90,9 @@ class TestStateDerivative:
         for T in (0.05, 0.5, 5.0):
             bath = BathParams(T=T, rate_model=model)
             for t in (1e-3, 0.5, 5.0):
-                if (T, t) == (5.0, 5.0):  # the thermalised state outgrows the automatic dim
+                # the thermalised state outgrows the automatic dim of every
+                # probe but a Fock one, which is sized for its evolved state
+                if (T, t) == (5.0, 5.0) and probe.kind is not ProbeKind.FOCK:
                     with pytest.raises(TruncationError):
                         d_dT_state(probe, bath, t)
                     continue
@@ -244,12 +247,30 @@ class TestQfiSld:
         # sum over the populations is the oracle's eigendecomposition of the
         # dense pair (rho, d rho/dT)
         probe = ProbeSpec.thermal(2.0 * size) if thermal else ProbeSpec.fock(round(6 * size))
-        deriv = d_dT_state(probe, BathParams(T=T), t, dim=default_dim(probe) + extra)
+        bath = BathParams(T=T)
+        deriv = d_dT_state(probe, bath, t, dim=d_dT_state(probe, bath, t).dim + extra)
         p, dp = deriv.populations
         assert p.shape == dp.shape == (deriv.dim,)
         want = sld_qfi(np.diag(p), deriv.drho)
         assert fisher_record(deriv, FisherMethod.QFI_SLD).value == pytest.approx(
             want, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 20), T=log_uniform(0.05, 20.0), t=log_uniform(1e-4, 50.0))
+    def test_the_automatic_fock_dim_holds_the_fisher_information(self, n, T, t):
+        # the CFI and QFI at the automatic dim are those of 40 more levels,
+        # within 1e-9, relative or absolute: at T ~ 0.05 the values are 1e-17
+        # to 1e-7, and the difference roundoff that any change of dim moves
+        # is 1e-4 of them. Draws whose dim passes 200 are skipped, since one
+        # dense exponential at d = 800 takes about a second; the fock:1,
+        # T = 20, t = 50 point of the CLI tests holds d = 808
+        probe, bath = ProbeSpec.fock(n), BathParams(T=T)
+        assume(default_dim(probe, mean_photon_analytic(0.0, rates(bath), t)) <= 200)
+        auto = d_dT_state(probe, bath, t)
+        wide = d_dT_state(probe, bath, t, dim=auto.dim + 40)
+        for method in FisherMethod:
+            want = fisher_record(wide, method).value
+            assert fisher_record(auto, method).value == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 class TestGaussianQfi:

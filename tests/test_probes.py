@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import number_operator
+from scipy.special import betainc
 
 from fockthermo import probes
 from fockthermo.errors import DomainError, InvalidDimensionError, TruncationError
 from fockthermo.probes import (
+    FOCK_TAIL_BUDGET,
     ProbeKind,
     ProbeSpec,
     _truncated,
@@ -180,10 +182,53 @@ class TestSqueezedAmplitudes:
         assert np.all(np.isfinite(c.real))
 
 
+def negative_binomial_tail(n: int, noise: float, cut: int) -> float:
+    """The mass at and above level ``cut`` of |n> spread upward by an
+    amplifier of gain 1 + N: the regularized incomplete beta I_r(cut - n, n + 1),
+    r = N / (1 + N)."""
+    return float(betainc(cut - n, n + 1, noise / (1.0 + noise)))
+
+
+def walked_fock_dim(n: int, noise: float) -> int:
+    """The Fock rule walked from d = n + 2: at each cut, the terms of the
+    negative binomial summed in logs, forward from the cut, and their
+    geometric bound once the term ratio drops below 1."""
+    r = noise / (1.0 + noise)
+    if r == 0.0:
+        return n + 2
+    for cut in range(n + 1, 4096):
+        log_term = (math.lgamma(cut + 1) - math.lgamma(n + 1) - math.lgamma(cut - n + 1)
+                    + (n + 1) * math.log1p(-r) + (cut - n) * math.log(r))
+        tail, m = 0.0, cut
+        while (ratio := r * (m + 1) / (m + 1 - n)) >= 1.0:
+            tail += math.exp(log_term)
+            log_term += math.log(ratio)
+            m += 1
+        if tail + math.exp(log_term) / (1.0 - ratio) <= FOCK_TAIL_BUDGET:
+            return cut + 1
+    raise AssertionError("no cut below 4096")
+
+
 class TestDefaultDim:
-    def test_fock_uses_floor(self):
-        assert default_dim(ProbeSpec.fock(1)) == 40
-        assert default_dim(ProbeSpec.fock(10)) == 100  # 8 n + 20
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 20), noise=st.one_of(st.just(0.0), st.floats(1e-300, 3.0)))
+    def test_fock_dim_is_the_first_cut_within_the_tail_budget(self, n, noise):
+        # the top level d - 1 of the automatic dim holds at most the budget of
+        # the spread |n>, and the walk from n + 2 finds no smaller cut
+        dim = default_dim(ProbeSpec.fock(n), noise)
+        assert dim == walked_fock_dim(n, noise)
+        assert negative_binomial_tail(n, noise, dim - 1) <= FOCK_TAIL_BUDGET
+
+    def test_fock_dim_of_the_probe_as_prepared(self):
+        # with no noise added, |n> leaves the level above it empty
+        assert default_dim(ProbeSpec.fock(0)) == 2
+        assert default_dim(ProbeSpec.fock(10)) == 12
+
+    @pytest.mark.parametrize("noise", [1e308, math.inf, math.nan, 1e17])
+    def test_fock_refuses_noise_that_fills_every_level(self, noise):
+        # r = N / (1 + N) rounds to 1, or is not a number: no dim holds the tail
+        with pytest.raises(TruncationError, match="spreads past the cap 4096"):
+            default_dim(ProbeSpec.fock(1), noise)
 
     def test_squeezed_grows_past_floor(self):
         dim = default_dim(ProbeSpec.squeezed(ASINH_1))
@@ -201,9 +246,14 @@ class TestDefaultDim:
         # squeezed nbar=1 needs 68 levels; the safety valve refuses to grow
         with pytest.raises(TruncationError):
             default_dim(ProbeSpec.squeezed(ASINH_1))
-        assert default_dim(ProbeSpec.fock(1)) == 40
-        with pytest.raises(TruncationError):
+        # fock:1 needs 39 levels under N = 0.5 and 102 under N = 2
+        assert default_dim(ProbeSpec.fock(1), 0.5) == 39
+        with pytest.raises(TruncationError, match="no dimension <= 50 reaches the tail budget"):
+            default_dim(ProbeSpec.fock(1), 2.0)
+        with pytest.raises(TruncationError, match="needs at least 62 levels, above the cap 50"):
             default_dim(ProbeSpec.fock(60))
+        with pytest.raises(TruncationError, match="spreads past the cap 50"):
+            default_dim(ProbeSpec.fock(1), math.inf)
 
 
     @pytest.mark.parametrize("r, expected", [(2.5, 1937), (3.0, None)])

@@ -109,10 +109,9 @@ def test_a_sweep_calls_the_derivative_site_once_per_value_and_probe(monkeypatch,
 
 
 @pytest.mark.parametrize(
-    "spec, method, dim",
-    [("fock:1", FisherMethod.QFI_SLD, 40), ("coherent:1.0", FisherMethod.CFI_NUMBER, 40)],
+    "spec, method", [("fock:1", FisherMethod.QFI_SLD), ("coherent:1.0", FisherMethod.CFI_NUMBER)]
 )
-def test_evolve_span_reads_the_dim_of_the_point(monkeypatch, fig_bath, spec, method, dim):
+def test_evolve_span_reads_the_dim_of_the_point(monkeypatch, fig_bath, spec, method):
     # the tracer reads the dim off the state that evolve takes first
     seen = []
     evolve = fisher.evolve
@@ -122,14 +121,20 @@ def test_evolve_span_reads_the_dim_of_the_point(monkeypatch, fig_bath, spec, met
         return evolve(*args, **kwargs)
 
     monkeypatch.setattr(fisher, "evolve", recorded)
-    fisher.qfi_point(ProbeSpec.parse(spec), fig_bath, 0.5, method)
-    assert seen == [{"dim": dim}] * 5
+    record = fisher.qfi_point(ProbeSpec.parse(spec), fig_bath, 0.5, method)
+    assert seen == [{"dim": record.dim}] * 5
 
 
 @pytest.mark.parametrize(
-    "spec, method", [("fock:1", FisherMethod.QFI_SLD), ("squeezed:0.6", FisherMethod.CFI_NUMBER)]
+    "spec, method, sizings",
+    [
+        # an automatic Fock dim is sized, and the probe prepared, at each t
+        ("fock:1", FisherMethod.QFI_SLD, 4),
+        ("squeezed:0.6", FisherMethod.CFI_NUMBER, 1),
+    ],
 )
-def test_a_curve_sizes_and_prepares_its_probe_once(monkeypatch, fig_bath, spec, method):
+def test_a_curve_sizes_and_prepares_its_probe_once_or_at_each_time(monkeypatch, fig_bath, spec,
+                                                                   method, sizings):
     ts = (1e-3, 1e-2, 0.1, 0.5)
     calls = _count_site_calls(monkeypatch)
     seen = []
@@ -146,13 +151,13 @@ def test_a_curve_sizes_and_prepares_its_probe_once(monkeypatch, fig_bath, spec, 
         "fisher.qfi_curve": 1,
         "fisher.qfi_point": 0,
         "fisher.d_dT_state": 0,
-        "probes.default_dim": 1,
-        "probes.make_state": 1,
+        "probes.default_dim": sizings,
+        "probes.make_state": sizings,
         "dynamics.evolve": evolutions,
         "dynamics.expm": evolutions,
     }
     assert {name: calls[name] for name in stages} == stages
-    assert seen == [{"dim": records[0].dim}] * evolutions
+    assert seen == [{"dim": record.dim} for record in records for _ in range(5)]
 
 
 def test_a_curve_yields_each_derivative_before_evolving_the_next_time(monkeypatch, fig_bath):
