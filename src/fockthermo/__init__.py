@@ -16,7 +16,7 @@ from .bounds import (
     bound_squeezed,
     scaling_table,
 )
-from .dynamics import evolve, mean_photon_analytic, short_time_populations
+from .dynamics import attenuate, evolve, mean_photon_analytic, short_time_populations
 from .errors import FockThermoError
 from .fisher import (
     FisherMethod,
@@ -43,6 +43,7 @@ __all__ = [
     "bound_fock_quadratic",
     "bound_squeezed",
     "scaling_table",
+    "attenuate",
     "evolve",
     "mean_photon_analytic",
     "short_time_populations",

@@ -7,29 +7,37 @@ The generator is the purely dissipative master equation
 
 which is phase covariant: it maps the coherence band k = j - i of rho
 (the entries rho[m, m+k]) onto itself. Band 0, the photon-number
-populations, therefore evolves on its own under the tridiagonal
-birth-death generator, and :func:`evolve` propagates it by one dense
-matrix exponential. No coherence band is propagated: the package reads
-nothing off the evolved probe but its populations
-(:mod:`fockthermo.fockspace`).
+populations, therefore evolves on its own. No coherence band is
+propagated: the package reads nothing off the evolved probe but its
+populations (:mod:`fockthermo.fockspace`). Two propagators evolve them.
 
-The exponential exp(t G) depends on nothing but (dim, Gamma+, Gamma-, t),
-so each distinct such key is exponentiated once per process and shared by
-every probe, curve and sweep task that propagates under it: ``PROPAGATORS``
+:func:`attenuate` takes a Fock, coherent or squeezed probe's populations
+through the thermal-attenuator channel that the master equation
+integrates to, a pure loss followed by a quantum-limited amplifier: two
+kernels of positive binomial terms, O(dim^2) per time, and the exact
+derivative q K p of the result in nbar. It is the untruncated evolution
+read on the kept levels; the mass it leaves above them is the leakage.
+
+:func:`evolve` propagates a thermal probe's populations, for the
+five-temperature stencil of :mod:`fockthermo.fisher`, by one dense matrix
+exponential of the tridiagonal birth-death generator. The exponential
+exp(t G) depends on nothing but (dim, Gamma+, Gamma-, t), so each
+distinct such key is exponentiated once per process and shared by every
+probe, curve and sweep task that propagates under it: ``PROPAGATORS``
 keeps the read-only matrices, least recently used first out, within a
-1 MiB budget. :func:`evolve` therefore takes the bath rates alone, and t G
-is assembled from (dim, rates, t) only where its exponential is not kept.
-A hit returns exactly the bits that a recomputation would; every check of
-:func:`evolve` still runs on every call.
-
-On the truncated space the top Fock level has no upward channel (the
-matrix element to the discarded level |dim> does not exist), so the
-truncated generator is exactly trace preserving; the leakage budget then
-monitors the genuinely physical truncation error.
+1 MiB budget. :func:`evolve` therefore takes the bath rates alone, and
+t G is assembled from (dim, rates, t) only where its exponential is not
+kept. A hit returns exactly the bits that a recomputation would; every
+check of :func:`evolve` still runs on every call. On the truncated space
+the top Fock level has no upward channel (the matrix element to the
+discarded level |dim> does not exist), so the truncated generator is
+exactly trace preserving; the leakage budget then monitors the genuinely
+physical truncation error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections import OrderedDict
@@ -191,6 +199,101 @@ def evolve(state: BandState, rates: Rates, t: float) -> BandState:
     if trace_defect > 1e-9:
         raise PositivityError(f"trace drifted by {trace_defect:.3e} during evolution")
     return BandState(p)
+
+
+@functools.lru_cache(maxsize=16)
+def _log_factorials(n: int) -> np.ndarray:
+    """The read-only table log k! for k < n, from ``math.lgamma``."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(n)])
+    table.flags.writeable = False
+    return table
+
+
+def _binomial_terms(rows: int, cols: int, log_x: float, log_y: float) -> np.ndarray:
+    """B[b, s] = C(b, s) x^s y^(b-s) for b < rows and s < cols <= rows, 0
+    where s > b, each term the exponential of its logarithm
+    log b! - log s! - log (b-s)! + s log_x + (b-s) log_y, with log_y finite.
+    The part in b - s alone is one vector read as a Toeplitz matrix, -inf
+    where s > b. x^0 is 1 also where x = 0 (log_x = -inf, Gamma0 t = inf),
+    and s log_x overflows to -inf where x^s underflows to 0."""
+    log_fact = _log_factorials(rows)
+    by_gap = np.empty(cols - 1 + rows)  # entry cols - 1 + g holds gap g = b - s
+    by_gap[: cols - 1] = -np.inf
+    by_gap[cols - 1:] = np.arange(rows) * log_y - log_fact
+    step = by_gap.strides[0]
+    toeplitz = np.lib.stride_tricks.as_strided(by_gap[cols - 1:], shape=(rows, cols),
+                                               strides=(step, -step), writeable=False)
+    powers = np.zeros(cols)
+    with np.errstate(over="ignore"):
+        powers[1:] = np.arange(1, cols) * log_x
+    return np.exp(toeplitz + log_fact[:, None] + (powers - log_fact[:cols]))
+
+
+def attenuate(state: BandState, rates: Rates, t: float) -> tuple[BandState, np.ndarray, float]:
+    """The populations after a time t under the bath ``rates``, by the
+    thermal-attenuator channel, their derivative in nbar, and the leakage.
+
+    The channel of transmissivity eta = exp(-Gamma0 t) and added noise
+    N = nbar q, q = 1 - eta, is a pure loss of transmissivity
+    tau = eta / (1 + N) followed by a quantum-limited amplifier of gain
+    G = 1 + N (Caruso, Giovannetti & Holevo, New J. Phys. 8, 310, 2006).
+    On populations both are kernels of positive terms,
+
+        loss:      L[j, k] = C(k, j) tau^j (1 - tau)^(k-j),
+        amplifier: A[m, j] = C(m, j) G^-(j+1) (1 - 1/G)^(m-j),
+
+    whose logarithms are formed without cancellation. The result is the
+    untruncated evolution on levels 0..dim: no level is cut off, and the
+    kept levels are never renormalised.
+
+    Gamma0 does not depend on nbar, and the generator G = Gamma0 D[a] +
+    Gamma0 nbar K, K = D[a] + D[a^dag], obeys [G, K] = -Gamma0 K, so
+    d p/d nbar = q K p(t) exactly, with (K p)_m = (m+1) p_{m+1} + m p_{m-1}
+    - (2m+1) p_m; level dim supplies the top row's p_{m+1}.
+
+    The state is checked by :func:`population_vector` first, at every t.
+    The leakage is the mass left at and above level dim, 1 - sum_{m<dim}
+    p_m; it, and the top-level population, are checked against
+    ``LEAKAGE_BUDGET``, and a violation raises :class:`TruncationError` with
+    a raise-dim diagnostic. A population that is not finite raises
+    :class:`DomainError`. Where q is 0 (t = 0) the state is returned as it
+    is, with a zero derivative, after the state and leakage checks.
+    """
+    _check_time(t)
+    p0 = population_vector(state.populations)
+    dim = state.dim
+    g0t = rates.gamma0 * t
+    q = -math.expm1(-g0t)
+    if q == 0.0:
+        p, dp, out = p0, np.zeros(dim), state
+    else:
+        noise = mean_photon_analytic(0.0, rates, t)
+        log_gain = math.log1p(noise)
+        lost = _binomial_terms(dim, dim, -g0t - log_gain, math.log(q + noise) - log_gain).T @ p0
+        if noise > 0.0:
+            amplify = _binomial_terms(dim + 1, dim, -log_gain, math.log(noise) - log_gain)
+            wide = amplify @ lost * math.exp(-log_gain)
+        else:
+            wide = np.append(lost, 0.0)
+        if not np.all(np.isfinite(wide)):
+            raise DomainError(
+                f"the thermal-attenuator populations are not finite at Gamma0*t={g0t:.3e} "
+                f"(N={noise:.3e})"
+            )
+        m = np.arange(dim + 1.0)
+        flow = m[1:] * wide[1:]  # (m+1) p_{m+1} on level m
+        k_p = flow - (2.0 * m[:-1] + 1.0) * wide[:-1]
+        k_p[1:] += m[1:-1] * wide[:-2]
+        p, dp = wide[:-1], q * k_p
+        out = BandState(p)
+    _check_leakage(p, t)
+    leakage = max(0.0, 1.0 - float(p.sum()))
+    if leakage > LEAKAGE_BUDGET:
+        raise TruncationError(
+            f"the channel leaves {leakage:.3e} at and above level {dim} by t={t:.6g}, over "
+            f"the leakage budget {LEAKAGE_BUDGET:.0e}; raise dim"
+        )
+    return out, dp, leakage
 
 
 def mean_photon_analytic(n0: float, rates: Rates, t: float) -> float:

@@ -1,9 +1,13 @@
 """Temperature-sensitivity measures of the evolved probe.
 
-The state derivative is taken end to end: the photon-number populations
-(band 0, :class:`~fockthermo.fockspace.BandState`) are evolved at shifted
-bath temperatures and differenced centrally with one Richardson step. From
-(p, dp/dT) two figures of merit follow:
+The state derivative is taken end to end, on the photon-number populations
+(band 0, :class:`~fockthermo.fockspace.BandState`). A Fock, coherent or
+squeezed probe is evolved by the thermal-attenuator channel
+(:func:`~fockthermo.dynamics.attenuate`), and its derivative is exact:
+dp/dT = nbar'(T) q K p(t), with no temperature step. A thermal probe is
+evolved at five shifted bath temperatures and differenced centrally with
+one Richardson step (:func:`stencil_curve`). From (p, dp/dT) two figures
+of merit follow:
 
 * the number-basis classical Fisher information sum_m (dp_m)^2 / p_m, and
 * the quantum Fisher information. A number-diagonal probe (Fock, thermal)
@@ -16,11 +20,11 @@ bath temperatures and differenced centrally with one Richardson step. From
 
 For number-diagonal states the two coincide; for states with coherences
 the quantum value can only be larger. A time curve is taken one time at a
-time, with the rates of the five stencil temperatures computed once,
-before its first time. The exponentials of their generators are kept by
+time, with the bath rates computed once, before its first time. The
+exponentials of a thermal probe's stencil are kept by
 :mod:`fockthermo.dynamics` under a 1 MiB bound, one per distinct (dim,
-Gamma+, Gamma-, t) per process, so points and curves of several probes at
-one truncation, bath and time share them.
+Gamma+, Gamma-, t) per process, so points and curves of several thermal
+probes at one truncation, bath and time share them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bath import BathParams, base_rate, rates, thermal_occupation, thermal_occupation_dT
-from .dynamics import evolve, mean_photon_analytic
+from .dynamics import attenuate, evolve, mean_photon_analytic
 from .errors import DomainError, SingularSupportError
 from .fockspace import EIGENVALUE_FLOOR, BandState
 from .probes import ProbeKind, ProbeSpec, default_dim, make_state
@@ -104,8 +108,8 @@ def d_dT_state(
     *,
     dim: int | None = None,
 ) -> TemperatureDerivative:
-    """Evolved populations p(t; T) and their central-difference dp/dT:
-    :func:`d_dT_curve` at the one time t.
+    """Evolved populations p(t; T) and their dp/dT: :func:`d_dT_curve` at
+    the one time t.
     """
     (deriv,) = d_dT_curve(probe, bath, [t], dim=dim)
     return deriv
@@ -122,13 +126,15 @@ def d_dT_curve(
 
     The probe itself is temperature independent; only the bath rates move.
     The grid is checked, the truncation sized, the probe prepared and the
-    bath rates of the five stencil temperatures T, T +- h, T +- h/2
-    computed once, before the first t; at each t the populations are
-    propagated under those five rates. An automatic Fock dim is the
-    exception: it is sized, and the probe prepared, at each t, for the
-    thermal noise N = nbar (1 - exp(-Gamma0 t)) of the hottest stencil
-    rates, T + h. The h and h/2 estimates combine by one Richardson step as
-    (4 D_{h/2} - D_h) / 3.
+    bath rates computed once, before the first t. An automatic Fock dim is
+    the exception: it is sized, and the probe prepared, at each t, for the
+    thermal noise N = nbar (1 - exp(-Gamma0 t)) the channel adds by then.
+
+    A Fock, coherent or squeezed probe is propagated by the thermal-
+    attenuator channel (:func:`~fockthermo.dynamics.attenuate`), one kernel
+    per t, and its dp/dT is the exact nbar'(T) q K p of that channel; its
+    ``h_used`` is 0. A thermal probe takes the five-temperature stencil of
+    :func:`stencil_curve`.
 
     Each t runs exactly what :func:`d_dT_state` runs there, so every value,
     and every error, is that of a loop over the times.
@@ -138,7 +144,38 @@ def d_dT_curve(
     per_time = dim is None and probe.kind is ProbeKind.FOCK
     if not per_time:
         state = make_state(probe, default_dim(probe) if dim is None else dim)
+    # Thermal probes stay on the stencil, bit for bit: the benchmark's
+    # references pin its finite-difference roundoff at thermal:0.5 and
+    # thermal:5.0 for T <= 0.09. Re-recording those references from an
+    # independent oracle (ROADMAP item 1) and the thermal closed form
+    # (item 4) delete this branch.
+    if probe.kind is ProbeKind.THERMAL:
+        yield from stencil_curve(probe, state, bath, t_grid)
+        return
+    bath_rates = rates(bath)
+    dnbar = thermal_occupation_dT(bath.omega, bath.T)
+    for t in t_grid:
+        if per_time:
+            # N = nbar (1 - exp(-Gamma0 t)) is the mean the channel gives the vacuum
+            state = make_state(probe, default_dim(probe, mean_photon_analytic(0.0, bath_rates, t)))
+        rho, dp_dnbar, leakage = attenuate(state, bath_rates, t)
+        yield TemperatureDerivative(probe=probe, rho=rho, dp=dnbar * dp_dnbar, h_used=0.0,
+                                    leakage=leakage)
 
+
+def stencil_curve(
+    probe: ProbeSpec,
+    state: BandState,
+    bath: BathParams,
+    t_grid: Sequence[float],
+) -> Iterator[TemperatureDerivative]:
+    """The central-difference dp/dT of ``state`` at each t of a checked
+    ``t_grid``: its populations evolved (:func:`~fockthermo.dynamics.evolve`)
+    under the bath rates of the five stencil temperatures T, T +- h,
+    T +- h/2, computed once, before the first t, and combined by one
+    Richardson step as (4 D_{h/2} - D_h) / 3. The leakage is the largest
+    top-level population of the five.
+    """
     h = max(H_REL * bath.T, H_ABS_FLOOR)
     while bath.T - h <= 0.0:
         h /= 2.0
@@ -155,11 +192,7 @@ def d_dT_curve(
 
     stencil = [rates(bath.with_temperature(T))
                for T in (bath.T, bath.T + h, bath.T - h, bath.T + h / 2.0, bath.T - h / 2.0)]
-    hottest = stencil[1]  # T + h, which adds the most noise
     for t in t_grid:
-        if per_time:
-            # N = nbar (1 - exp(-Gamma0 t)) is the mean the channel gives the vacuum
-            state = make_state(probe, default_dim(probe, mean_photon_analytic(0.0, hottest, t)))
         states = [evolve(state, r, t) for r in stencil]
         yield TemperatureDerivative(
             probe=probe,

@@ -19,7 +19,7 @@ from .bath import BathParams, rates, thermal_occupation, thermal_occupation_dT
 from .bounds import bound_coherent, bound_fock_linear, bound_fock_quadratic, bound_squeezed
 from .dynamics import evolve, mean_photon_analytic, short_time_populations
 from .errors import FockThermoError
-from .fisher import FisherMethod, qfi_point
+from .fisher import FisherMethod, d_dT_state, qfi_point, stencil_curve
 from .fockspace import LEAKAGE_BUDGET
 from .probes import ProbeKind, ProbeSpec, default_dim, make_state
 from .sweep import SweepAxis, SweepMethod, SweepSpec, fit_scaling_exponent, run_sweep
@@ -238,6 +238,19 @@ def _check_cramer_rao() -> tuple[bool, str]:
     # 1 / sqrt(F), squared, times F: four roundings, so within 4 ulp of 1
     ok = all(abs(p - 1.0) <= 4.0 * math.ulp(1.0) for p in products)
     return ok, f"deltaT^2 * F = {products!r} for |1>, |2>"
+
+
+@_register("fisher", "exact_derivative")
+def _check_exact_derivative() -> tuple[bool, str]:
+    # the channel's exact dp/dT against the five-temperature stencil over
+    # evolve, two independent paths, at the same truncation
+    worst = 0.0
+    for spec in (ProbeSpec.fock(2), ProbeSpec.coherent(1.0)):
+        exact = d_dT_state(spec, FIG_BATH, 0.5)
+        (stencil,) = stencil_curve(spec, make_state(spec, exact.dim), FIG_BATH, [0.5])
+        worst = max(worst, float(np.max(np.abs(exact.dp - stencil.dp)) / np.max(np.abs(exact.dp))))
+    return worst <= 1e-7, ("max |channel - stencil| of dp/dT over max |dp/dT|, fock:2 and "
+                           f"coherent:1.0 at t = 0.5: {worst:.1e}")
 
 
 @_register("fisher", "displacement_covariance")

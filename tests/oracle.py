@@ -1,12 +1,13 @@
 """Independent reference dynamics for the tests.
 
 The oracle builds its own dense ladder operators and forms the dissipator
-from them, never from the band generator the package propagates with, so
-agreement between the two is a real check. It propagates the whole density
-matrix, coherences included, and reduces it to the QFI by an
-eigendecomposition: the reference for the package's band-0 and
-closed-form QFIs. It imports nothing from :mod:`fockthermo.dynamics`;
-``test_dynamics.py`` asserts that.
+from them, never from the band generator or the thermal-attenuator channel
+the package propagates with, so agreement between them is a real check. It
+propagates the whole density matrix, coherences included, differences it in
+T, and reduces it to the QFI by an eigendecomposition: the reference for
+the package's populations, their temperature derivative and its QFIs. It
+imports nothing from :mod:`fockthermo.dynamics`; ``test_dynamics.py``
+asserts that.
 """
 
 from __future__ import annotations
@@ -144,3 +145,25 @@ def evolved_qfi(rho0: np.ndarray, bath: BathParams, t: float, h_rel: float = 1e-
     h = h_rel * bath.T
     plus, minus = (evolved(rho0, bath.with_temperature(bath.T + s), t) for s in (h, -h))
     return sld_qfi(evolved(rho0, bath, t), (plus - minus) / (2.0 * h))
+
+
+def evolved_dT(rho0: np.ndarray, bath: BathParams, t: float, h_rel: float = 1e-5) -> np.ndarray:
+    """The central difference (rho(T+h) - rho(T-h)) / 2h of exp(L t) rho0,
+    h = h_rel T, taken without the cancellation of subtracting two evolved
+    states near 1.
+
+    D = rho(T+h) - rho(T-h) solves D' = L+ D + (L+ - L-) rho-, D(0) = 0.
+    Gamma- - Gamma+ = Gamma0 at every T, so L+ - L- is dGamma times the
+    Liouvillian at unit rates, with dGamma the difference of the two Gamma+.
+    D / dGamma is then the top half of exp(t [[L+, L1], [0, L-]]) applied to
+    (0, rho0) (Van Loan, IEEE Trans. Autom. Control 23, 395, 1978), a
+    quantity of order t that the action resolves relative to its own size.
+    """
+    h = h_rel * bath.T
+    hot, cold = (rates(bath.with_temperature(bath.T + s)) for s in (h, -h))
+    dim = rho0.shape[0]
+    block = sparse.block_array([[liouvillian(dim, hot), liouvillian(dim, Rates(1.0, 1.0, 0.0))],
+                                [None, liouvillian(dim, cold)]], format="csr")
+    start = np.concatenate([np.zeros(dim * dim, dtype=complex), rho0.reshape(-1)])
+    top = expm_multiply(block * t, start)[: dim * dim].reshape(rho0.shape)
+    return top * ((hot.gamma_plus - cold.gamma_plus) / (2.0 * h))

@@ -423,7 +423,10 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("numerical failure: DomainError: Purcell rate")
 
     def test_non_finite_propagator_output_is_refused_by_name(self):
-        proc = run_cli("qfi", "--g", "1e15", "--rate-model", "purcell")
+        # the stencil of a thermal probe takes the dense exponential, which
+        # overflows here; the channel of any other probe gives the relaxed
+        # state (test_a_relaxed_probe_has_the_fisher_information_of_the_bath)
+        proc = run_cli("qfi", "--probe", "thermal:0.5", "--g", "1e15", "--rate-model", "purcell")
         assert proc.returncode == 2
         assert proc.stderr.startswith(
             "numerical failure: DomainError: the dense population exponential is not "
@@ -449,13 +452,15 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            pytest.param(["qfi", "--T", "1e308", "--dim", "40"], id="qfi-T"),
+            pytest.param(["qfi", "--probe", "thermal:0.5", "--T", "1e308", "--dim", "40"],
+                         id="qfi-T"),
             pytest.param(["sweep", "--axis", "decay_gamma", "--axis-values", "1e308",
-                          "--probes", "fock:1", "--workers", "1"], id="sweep-decay-gamma"),
+                          "--probes", "thermal:0.5", "--workers", "1"], id="sweep-decay-gamma"),
         ],
     )
     def test_overflowing_generator_is_refused_without_a_warning(self, argv, tmp_path):
-        # the band generator overflows; its exponential is refused as not finite
+        # the band generator of a thermal probe's stencil overflows; its
+        # exponential is refused as not finite
         out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "sweep" else []
         proc = run_cli(*argv, *out)
         assert proc.returncode == 2
@@ -468,7 +473,18 @@ class TestCommands:
         assert proc.returncode == 2
         assert proc.stderr == (
             "numerical failure: TruncationError: Fock n=1 under the added thermal noise "
-            "N=4.877545255683593e+306 spreads past the cap 4096\n"
+            "N=4.8770575499285994e+306 spreads past the cap 4096\n"
+        )
+
+    def test_noise_that_fills_an_explicit_dim_is_refused_not_renormalised(self):
+        # at --dim 40 the channel leaves nearly all of |1> above the space;
+        # the kept levels are not scaled back to a distribution
+        proc = run_cli("qfi", "--T", "1e308", "--dim", "40")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "numerical failure: TruncationError: the channel leaves 1.000e+00 at and above "
+            "level 40 by t=0.5, over the leakage budget 1e-08; raise dim\n"
         )
 
     def test_a_fock_probe_is_sized_for_its_thermalised_state(self, capsys):
@@ -480,30 +496,34 @@ class TestCommands:
 
     @pytest.mark.parametrize("T", ["6e-309", "2e-309"])
     def test_derivative_step_whose_reciprocal_overflows_is_refused(self, T, capsys):
-        # T - h > 0 needs h < T, and 1/h then overflows: the quotient would be nan
-        assert main(["qfi", "--T", T]) == 2
+        # a thermal probe's stencil: T - h > 0 needs h < T, and 1/h then
+        # overflows, so the quotient would be nan; the channel of a Fock
+        # probe takes no step
+        assert main(["qfi", "--probe", "thermal:0.5", "--T", T]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             f"numerical failure: DomainError: derivative step underflowed at T={T}\n")
-        assert main(["qfi", "--T", "1e-308"]) == 0  # 1/h is finite here
+        assert main(["qfi", "--probe", "thermal:0.5", "--T", "1e-308"]) == 0  # 1/h is finite here
+        assert "qfi=0 " in capsys.readouterr().out
+        assert main(["qfi", "--probe", "fock:1", "--T", T]) == 0
         assert "qfi=0 " in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
         [pytest.param(["--t", "3e6"], id="t-3e6"),
-         pytest.param(["--g", "1e10", "--rate-model", "purcell"], id="purcell-g-1e10",
-                      marks=pytest.mark.xfail(
-                          strict=True, raises=AssertionError,
-                          reason="evolve refuses a trace drift past 1e-9 at large Gamma0 t"))],
+         pytest.param(["--g", "1e10", "--rate-model", "purcell"], id="purcell-g-1e10"),
+         pytest.param(["--g", "1e15", "--rate-model", "purcell"], id="purcell-g-1e15"),
+         pytest.param(["--gamma", "1e308"], id="gamma-1e308"),
+         pytest.param(["--gamma", "1e308", "--t", "10"], id="gamma-t-overflows")],
     )
     def test_a_relaxed_probe_has_the_fisher_information_of_the_bath(self, argv, capsys):
         # at Gamma0 t >> 1 the probe relaxes to the thermal state of the bath,
         # whose Fisher information is nbar'^2/(nbar (nbar + 1)): 2.896246643865242
-        # at omega = 1, T = 0.5. At t = 3e6 the Fock probe is sized for that
-        # state (22 levels). At g = 1e10 it is too, but the exponential of
-        # Gamma0 t = 2e21 drifts in trace, and the point exits 2 with a
-        # PositivityError
+        # at omega = 1, T = 0.5. The Fock probe is sized for that state (22
+        # levels), and the channel gives it at Gamma0 t = 2e21, 2e31, 5e307
+        # and inf as at 3e5, where a dense exponential drifts in trace or
+        # overflows
         omega, T = 1.0, 0.5
         x = omega / T
         nbar = 1.0 / math.expm1(x)
@@ -517,7 +537,7 @@ class TestCommands:
     def test_sweep_marks_the_row_whose_derivative_step_overflows(self, tmp_path, capsys):
         out_csv = tmp_path / "T.csv"
         code = main(["sweep", "--axis", "temperature", "--axis-values", "6e-309,0.5",
-                     "--probes", "fock:1", "--method", "cfi", "--workers", "1",
+                     "--probes", "thermal:0.5", "--method", "cfi", "--workers", "1",
                      "--out", str(out_csv)])
         assert code == 2  # a failed row, not an aborted sweep
         rows = json.loads(out_csv.with_suffix(".json").read_text())["rows"]

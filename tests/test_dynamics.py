@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from oracle import apply, density_matrix, evolved, lindblad_rhs, propagator
@@ -16,6 +16,7 @@ from fockthermo.bath import BathParams, rates, thermal_occupation
 from fockthermo.dynamics import (
     PROPAGATORS,
     PropagatorCache,
+    attenuate,
     evolve,
     mean_photon_analytic,
     population_vector,
@@ -23,6 +24,7 @@ from fockthermo.dynamics import (
 )
 from fockthermo.errors import DomainError, InvalidDimensionError, PositivityError, TruncationError
 from fockthermo.fisher import FisherMethod, qfi_curve
+from fockthermo.fockspace import LEAKAGE_BUDGET
 from fockthermo.fockspace import BandState
 from fockthermo.probes import ProbeKind, ProbeSpec, make_state
 from fockthermo.sweep import SweepAxis, SweepMethod, SweepSpec, run_sweep
@@ -316,27 +318,34 @@ class TestPropagatorCache:
     TIMES = tuple(np.geomspace(1e-3, 1e-1, 9))
 
     def test_short_time_curves_exponentiate_each_key_once(self, fig_bath, monkeypatch):
-        # the criterion-1 curves: three at dim 40 share one bath and one
-        # grid, so only the first of them and the dim-68 squeezed curve
+        # the criterion-1 curves take the channel, which exponentiates
+        # nothing; three thermal curves at dim 40 share one bath and one
+        # grid, so only the first of them and the dim-68 thermal curve
         # exponentiate, 5 stencil temperatures x 9 times each
         calls = count_expm(monkeypatch)
         for probe, dim in ((ProbeSpec.fock(1), 40), (ProbeSpec.fock(3), 40),
                            (ProbeSpec.coherent(1.0), 40), (ProbeSpec.squeezed(math.asinh(1.0)), None)):
             qfi_curve(probe, fig_bath, self.TIMES, FisherMethod.CFI_NUMBER, dim=dim)
+        assert calls == []
+        for probe, dim in ((ProbeSpec.thermal(0.5), 40), (ProbeSpec.thermal(0.2), 40),
+                           (ProbeSpec.thermal(1.0), 40), (ProbeSpec.thermal(0.5), 68)):
+            qfi_curve(probe, fig_bath, self.TIMES, FisherMethod.CFI_NUMBER, dim=dim)
         assert calls == [40] * 45 + [68] * 45
 
     def test_excitation_sweep_exponentiates_each_key_once(self, monkeypatch):
-        # fock:1, fock:2 and fock:3 are sized for their evolved states, at
-        # dims 10, 12 and 13, so each exponentiates its five stencil keys;
-        # the Gaussian QFIs read no populations
+        # thermal:1, thermal:2 and thermal:3 have dims 40, 64 and 88, so each
+        # exponentiates its five stencil keys; fock:1, fock:2 and fock:3 are
+        # sized for their evolved states, at dims 10, 12 and 13, and take the
+        # channel
         calls = count_expm(monkeypatch)
         spec = SweepSpec(axis=SweepAxis.EXCITATION_N, axis_values=(1, 2, 3),
-                         probes=(ProbeKind.FOCK, ProbeKind.SQUEEZED, ProbeKind.COHERENT),
-                         methods=(SweepMethod.QFI,), t=0.5)
+                         probes=(ProbeKind.FOCK, ProbeKind.THERMAL), methods=(SweepMethod.QFI,),
+                         t=0.5)
         rows = run_sweep(spec, workers=1).rows
         assert not any(row.error for row in rows)
         assert [row.dim for row in rows if row.probe.startswith("fock")] == [10, 12, 13]
-        assert calls == [10] * 5 + [12] * 5 + [13] * 5
+        assert [row.dim for row in rows if row.probe.startswith("thermal")] == [40, 64, 88]
+        assert calls == [40] * 5 + [64] * 5 + [88] * 5
 
     def test_a_kept_propagator_still_refuses(self, fig_rates, monkeypatch):
         calls = count_expm(monkeypatch)
@@ -363,11 +372,11 @@ class TestPropagatorCache:
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
 
-    def test_a_fock_20_temperature_sweep_stays_within_the_budget(self, fig_bath):
+    def test_a_temperature_sweep_at_dim_180_stays_within_the_budget(self, fig_bath):
         # 12 temperatures x 5 stencil temperatures of 259 kB (dim 180)
         # matrices: four fit in the 1 MiB budget
         spec = SweepSpec(axis=SweepAxis.TEMPERATURE, axis_values=tuple(np.geomspace(0.05, 5.0, 12)),
-                         probes=(ProbeSpec.fock(20),), methods=(SweepMethod.CFI,), t=0.5,
+                         probes=(ProbeSpec.thermal(5.0),), methods=(SweepMethod.CFI,), t=0.5,
                          bath=fig_bath, dim=180)
         assert not any(row.error for row in run_sweep(spec, workers=1).rows)
         assert PROPAGATORS.nbytes <= PROPAGATORS.budget == 1 << 20
@@ -387,3 +396,100 @@ class TestPropagatorCache:
         assert cache.get("e") is None and len(cache) == 3
         cache.clear()
         assert len(cache) == 0 and cache.nbytes == 0
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestAttenuate:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+        dim=st.integers(14, 40),
+        T=log_uniform(0.05, 5.0),
+        t=log_uniform(1e-4, 5.0),
+    )
+    def test_matches_evolve_where_nothing_leaks(self, weights, dim, T, t):
+        # the channel is the untruncated evolution and evolve the truncated
+        # generator's: where the channel leaves at most 1e-12 above the
+        # space, the two agree
+        assume(sum(weights) > 0.0)
+        p0 = np.zeros(dim)
+        p0[: len(weights)] = weights
+        state = BandState(p0 / p0.sum())
+        r = rates(BathParams(T=T))
+        try:
+            got, _, leakage = attenuate(state, r, t)
+        except TruncationError:
+            reject()
+        assume(leakage <= 1e-12)
+        want = evolve(state, r, t).populations
+        assert np.max(np.abs(got.populations - want)) <= 1e-11
+
+    def test_zero_time_returns_the_state(self, fig_rates):
+        rho = make_state(ProbeSpec.fock(2), 10)
+        out, dp, leakage = attenuate(rho, fig_rates, 0.0)
+        assert out is rho and leakage == 0.0
+        np.testing.assert_array_equal(dp, np.zeros(10))
+
+    def test_pure_loss_at_zero_noise(self):
+        # Gamma+ underflows to 0 at T = 0.001: |3> thins binomially
+        r = rates(BathParams(T=0.001))
+        assert r.gamma_plus == 0.0
+        t = 2.0
+        eta = math.exp(-r.gamma0 * t)
+        out, _, _ = attenuate(make_state(ProbeSpec.fock(3), 6), r, t)
+        want = [math.comb(3, k) * eta**k * (1.0 - eta) ** (3 - k) for k in range(4)] + [0.0, 0.0]
+        np.testing.assert_allclose(out.populations, want, rtol=1e-14, atol=0.0)
+
+    def test_a_relaxed_probe_is_the_thermal_state_of_the_bath(self, fig_rates):
+        # Gamma0 t = 1e30: every probe has relaxed to p_m = nbar^m / (nbar+1)^(m+1),
+        # whose nbar-derivative is p_m (m / nbar - (m+1) / (nbar+1))
+        nbar, m = fig_rates.nbar, np.arange(30.0)
+        thermal = nbar**m / (nbar + 1.0) ** (m + 1.0)
+        out, dp, _ = attenuate(make_state(ProbeSpec.fock(4), 30), fig_rates, 1e31)
+        np.testing.assert_allclose(out.populations, thermal, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(dp, thermal * (m / nbar - (m + 1.0) / (nbar + 1.0)),
+                                   rtol=1e-9, atol=1e-300)
+
+    def test_noise_that_fills_the_space_is_refused_not_renormalised(self):
+        # nbar ~ 1e308: N ~ 5e306 spreads |1> over far more than 40 levels,
+        # which keep about 40 / N of it; they are not scaled back to 1
+        r = rates(BathParams(T=1e308))
+        with pytest.raises(TruncationError, match="at and above level 40 by t=0.5, over the "
+                                                  "leakage budget 1e-08; raise dim"):
+            attenuate(make_state(ProbeSpec.fock(1), 40), r, 0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("fockthermo.dynamics.LEAKAGE_BUDGET", 1.0)
+            out, _, leakage = attenuate(make_state(ProbeSpec.fock(1), 40), r, 0.5)
+        assert out.populations.sum() < 1e-300 and leakage == 1.0
+
+    @pytest.mark.parametrize("t", [0.0, 1e-12, 0.1])
+    def test_the_state_and_top_level_checks_run_at_every_time(self, fig_rates, t):
+        # fock:39 at dim 40 holds its top level from the start
+        with pytest.raises(TruncationError, match=f"top-level population [-+.e0-9]+ exceeded "
+                                                  f"the leakage budget 1e-08 by t={t:.6g};"):
+            attenuate(make_state(ProbeSpec.fock(39), 40), fig_rates, t)
+        with pytest.raises(PositivityError, match="population -2.000e-01 below the roundoff clip"):
+            attenuate(BandState(np.array([0.6, 0.6, -0.2, 0.0])), fig_rates, t)
+        with pytest.raises(DomainError, match="populations must be finite, got nan at m=0"):
+            attenuate(BandState(np.array([np.nan, 1.0])), fig_rates, t)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="t must be finite and >= 0"):
+                attenuate(make_state(ProbeSpec.fock(1), 8), fig_rates, bad)
+
+    def test_a_population_that_is_not_finite_is_refused(self, fig_rates, monkeypatch):
+        monkeypatch.setattr(dynamics, "_binomial_terms",
+                            lambda rows, cols, *logs: np.full((rows, cols), np.nan))
+        with pytest.raises(DomainError, match="thermal-attenuator populations are not finite"):
+            attenuate(make_state(ProbeSpec.fock(1), 8), fig_rates, 0.5)
+
+    def test_leakage_is_the_mass_left_above_the_space(self, fig_rates):
+        # the channel onto 7 levels leaves what it puts on levels 7 and up of 30
+        out, _, leakage = attenuate(make_state(ProbeSpec.fock(1), 7), fig_rates, 0.5)
+        wide = attenuate(make_state(ProbeSpec.fock(1), 30), fig_rates, 0.5)[0].populations
+        np.testing.assert_allclose(out.populations, wide[:7], rtol=1e-14, atol=0.0)
+        assert 0.0 < leakage <= LEAKAGE_BUDGET
+        assert leakage == pytest.approx(float(wide[7:].sum()), rel=1e-3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
-from oracle import density_matrix, evolved, evolved_qfi, sld_qfi
+from oracle import density_matrix, evolved, evolved_dT, evolved_qfi, sld_qfi
 
 from fockthermo import fisher
 from fockthermo.bath import BathParams, RateModel, rates, thermal_occupation_dT
@@ -69,9 +69,15 @@ class TestStateDerivative:
         assert np.max(np.abs(diag[4:])) < 1e-6
 
     def test_step_shrinks_near_zero_temperature(self, fig_bath):
+        # a thermal probe's stencil halves its step until T - h > 0
         cold = fig_bath.with_temperature(1e-8)
-        deriv = d_dT_state(ProbeSpec.fock(0), cold, 0.0)
-        assert deriv.h_used < 1e-8
+        deriv = d_dT_state(ProbeSpec.thermal(0.5), cold, 0.0)
+        assert 0.0 < deriv.h_used < 1e-8
+
+    @pytest.mark.parametrize("spec", ["fock:1", "coherent:1.0", "squeezed:0.6"])
+    def test_the_channel_takes_no_step(self, fig_bath, spec):
+        for t in (0.0, 0.1):
+            assert d_dT_state(ProbeSpec.parse(spec), fig_bath, t).h_used == 0.0
 
     def test_leakage_diagnostic_present(self, fig_bath):
         deriv = d_dT_state(ProbeSpec.fock(1), fig_bath, 0.1)
@@ -85,7 +91,12 @@ class TestStateDerivative:
     def test_first_moment_law(self, spec, model):
         # d<n>/dt = -Gamma0 <n> + Gamma+ for every state, and Gamma0 does not
         # depend on T under either rate model, so sum_m m dp_m/dT is
-        # nbar'(T) (1 - exp(-Gamma0 t)) whatever the probe
+        # nbar'(T) (1 - exp(-Gamma0 t)) whatever the probe. The thermal
+        # probe's stencil carries roundoff of order eps <n> / h. The
+        # channel's derivative nbar' q K p is exact, and on the kept levels
+        # sum_{m<d} m (K p)_m = 1 - leakage - d^2 p_{d-1} + d (d-1) p_d, with
+        # p_d at most the leakage: the automatic dim of squeezed:0.6 leaves
+        # 1.6e-11 on its top level at T = 5, t = 0.5
         probe = ProbeSpec.parse(spec)
         for T in (0.05, 0.5, 5.0):
             bath = BathParams(T=T, rate_model=model)
@@ -100,7 +111,11 @@ class TestStateDerivative:
                 p, dp = deriv.populations
                 m = np.arange(deriv.dim)
                 law = thermal_occupation_dT(bath.omega, T) * -math.expm1(-rates(bath).gamma0 * t)
-                tol = 1e-5 * abs(law) + fd_roundoff(float(m @ p), deriv.h_used)
+                if probe.kind is ProbeKind.THERMAL:
+                    tol = 1e-5 * abs(law) + fd_roundoff(float(m @ p), deriv.h_used)
+                else:
+                    kept = deriv.leakage + deriv.dim**2 * (float(p[-1]) + deriv.leakage)
+                    tol = (1e-9 + kept) * abs(law)
                 assert abs(float(m @ dp) - law) <= tol, (T, t, float(m @ dp), law, tol)
 
     @pytest.mark.parametrize("spec", ["coherent:1.0", "coherent:0.5+0.5j", "squeezed:0.6",
@@ -130,6 +145,22 @@ class TestStateDerivative:
         else:
             qfi = qfi_point(probe, fig_bath, t, FisherMethod.QFI_SLD).value
             assert qfi >= cfi * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("spec", ["fock:2", "coherent:0.5+0.5j", "squeezed:0.6"])
+    @pytest.mark.parametrize("T", [0.05, 0.5, 5.0])
+    @pytest.mark.parametrize("t", [1e-3, 0.5])
+    def test_the_channel_holds_to_the_oracle(self, spec, T, t):
+        # the channel's populations are the diagonal of the oracle's whole
+        # density matrix, and its exact dp/dT that of the oracle's central
+        # difference in T, down to T = 0.05, where dp/dT is 1e-10 of p; at
+        # dim 60 the truncation of the oracle's space is below 1e-15
+        probe, bath = ProbeSpec.parse(spec), BathParams(T=T)
+        deriv = d_dT_state(probe, bath, t, dim=60)
+        rho0 = density_matrix(probe, 60)
+        p, dp = deriv.populations
+        np.testing.assert_allclose(p, evolved(rho0, bath, t).diagonal().real, rtol=0.0, atol=1e-12)
+        want = evolved_dT(rho0, bath, t).diagonal().real
+        assert np.max(np.abs(dp - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 class TestCfi:
@@ -410,18 +441,22 @@ class TestQfiCurve:
 
     @pytest.mark.parametrize("method", list(FisherMethod))
     def test_a_late_failure_is_the_first_failure_of_the_points(self, method):
-        # at T = 5 and dim = 6, t = 0.014967 puts the top level of the T + h
-        # stencil temperature over the leakage budget but not that of T
-        # itself, and t = 0.05 puts both over it
-        bath, grid = BathParams(T=5.0), [0.01, 0.014967, 0.05]
-        points = _outcome(lambda: [qfi_point(ProbeSpec.fock(1), bath, t, method, dim=6)
-                                   for t in grid])
-        assert points[0] is TruncationError and "by t=0.014967" in points[1]
-        assert _outcome(lambda: qfi_curve(ProbeSpec.fock(1), bath, grid, method, dim=6)) == points
+        # thermal:0.1 at T = 5 and dim = 11: t = 0.20344 puts the top level of
+        # the T + h stencil temperature over the leakage budget but not that
+        # of T itself, and t = 0.5 puts both over it
+        probe, bath, grid = ProbeSpec.thermal(0.1), BathParams(T=5.0), [0.1, 0.20344, 0.5]
+        points = _outcome(lambda: [qfi_point(probe, bath, t, method, dim=11) for t in grid])
+        assert points[0] is TruncationError and "by t=0.20344" in points[1]
+        assert _outcome(lambda: qfi_curve(probe, bath, grid, method, dim=11)) == points
 
-    def test_a_curve_builds_its_five_generators_before_its_first_time(self, monkeypatch):
+    @pytest.mark.parametrize("spec, expected", [
+        # a thermal probe evolves under the five stencil temperatures
+        ("thermal:0.5", ["rates"] * 5 + ["evolve"] * 15),
+        # any other probe takes one channel kernel per time
+        ("coherent:1.0", ["rates"] + ["attenuate"] * 3),
+    ])
+    def test_a_curve_builds_its_rates_before_its_first_time(self, monkeypatch, spec, expected):
         calls = []
-        rates, evolve = fisher.rates, fisher.evolve
 
         def recorded(name, call):
             def wrapper(*args, **kwargs):
@@ -429,11 +464,11 @@ class TestQfiCurve:
                 return call(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(fisher, "rates", recorded("rates", rates))
-        monkeypatch.setattr(fisher, "evolve", recorded("evolve", evolve))
-        derivs = fisher.d_dT_curve(ProbeSpec.coherent(1.0), BathParams(), [0.1, 0.2, 0.3])
+        for name in ("rates", "evolve", "attenuate"):
+            monkeypatch.setattr(fisher, name, recorded(name, getattr(fisher, name)))
+        derivs = fisher.d_dT_curve(ProbeSpec.parse(spec), BathParams(), [0.1, 0.2, 0.3])
         assert len(list(derivs)) == 3
-        assert calls == ["rates"] * 5 + ["evolve"] * 15
+        assert calls == expected
 
 
 def _outcome(evaluate):

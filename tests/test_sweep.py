@@ -284,15 +284,25 @@ class TestSharedDerivative:
 
     def test_one_derivative_per_value_and_probe(self, fig_bath, monkeypatch):
         calls = []
-        evolve = fisher.evolve
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return evolve(*args, **kwargs)
+        def counted(name):
+            call = getattr(fisher, name)
 
-        monkeypatch.setattr(fisher, "evolve", counted)
-        d_dT_state(ProbeSpec.fock(1), fig_bath, 0.5)
-        per_derivative = len(calls)
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return call(*args, **kwargs)
+            return wrapper
+
+        for name in ("evolve", "attenuate"):
+            monkeypatch.setattr(fisher, name, counted(name))
+        per_derivative = {}
+        for probe in self.PROBES:
+            calls.clear()
+            d_dT_state(probe, fig_bath, 0.5)
+            per_derivative[probe] = sorted(calls)
+        # a thermal probe evolves under its five stencil temperatures, and
+        # any other probe takes one channel kernel
+        assert list(per_derivative.values()) == [["attenuate"], ["evolve"] * 5, ["attenuate"]]
         calls.clear()
         spec = SweepSpec(
             axis=SweepAxis.TEMPERATURE, axis_values=self.VALUES, probes=self.PROBES,
@@ -300,7 +310,7 @@ class TestSharedDerivative:
         )
         rows = run_sweep(spec, workers=1).rows
         assert len(rows) == 2 * len(self.VALUES) * len(self.PROBES)
-        assert len(calls) == per_derivative * len(self.VALUES) * len(self.PROBES)
+        assert sorted(calls) == sorted(sum(per_derivative.values(), []) * len(self.VALUES))
 
         direct = [
             (probe, qfi_point(probe, dataclasses.replace(fig_bath, T=T), spec.t, method))
@@ -446,7 +456,7 @@ class TestOutputs:
     def test_csv_is_the_same_at_every_worker_count_after_a_warm_parent(self, fig_bath,
                                                                         tmp_path):
         # pool workers fork with the parent's propagators, which hold the
-        # bits a recomputation gives
+        # bits a recomputation gives; the thermal probe's stencil reads them
         spec = SweepSpec(
             axis=SweepAxis.TEMPERATURE, axis_values=(0.3, 0.5, 1.0),
             probes=(ProbeSpec.fock(1), ProbeSpec.thermal(0.5), ProbeSpec.coherent(1.0)),
@@ -460,7 +470,7 @@ class TestOutputs:
 
         cold = csv_bytes(1)
         PROPAGATORS.clear()
-        qfi_point(ProbeSpec.fock(1), fig_bath, 0.5, FisherMethod.CFI_NUMBER)
+        qfi_point(ProbeSpec.thermal(0.5), fig_bath, 0.5, FisherMethod.CFI_NUMBER)
         assert len(PROPAGATORS) == 5
         assert [csv_bytes(workers) for workers in (1, 2, 3)] == [cold] * 3
 

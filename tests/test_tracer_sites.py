@@ -50,10 +50,16 @@ def test_stale_sites_are_still_listed_and_still_gone():
         assert getattr(_TRACER._owner(owner), attr, None) is None
 
 
+# The channel kernel that propagates every probe but a thermal one. The
+# benchmark's tracer has no site for it; the tests count it under this name.
+CHANNEL = "dynamics.attenuate"
+
+
 def _count_site_calls(monkeypatch) -> Counter:
-    """The calls through each traced name from here on, as the tracer would see them."""
+    """The calls through each traced name from here on, as the tracer would
+    see them, and through the channel kernel, as ``CHANNEL``."""
     calls: Counter = Counter()
-    for owner, attr, name in _LIVE:
+    for owner, attr, name in [*_LIVE, ("fockthermo.fisher", "attenuate", CHANNEL)]:
         target = _TRACER._owner(owner)
 
         def counted(*args, _fn=getattr(target, attr), _name=name, **kwargs):
@@ -67,14 +73,17 @@ def _count_site_calls(monkeypatch) -> Counter:
 @pytest.mark.parametrize(
     "spec, method, expected",
     [
-        # a number-diagonal QFI is the CFI sum with the eigenvalue floor
-        ("fock:1", FisherMethod.QFI_SLD, {"fisher.cfi": 1}),
-        ("coherent:1.0", FisherMethod.CFI_NUMBER, {"fisher.cfi": 1}),
+        # a number-diagonal QFI is the CFI sum with the eigenvalue floor; a
+        # thermal probe evolves under its five stencil temperatures
+        ("thermal:0.5", FisherMethod.QFI_SLD,
+         {CHANNEL: 0, "dynamics.evolve": 5, "dynamics.expm": 5}),
+        ("fock:1", FisherMethod.QFI_SLD, {}),
+        ("coherent:1.0", FisherMethod.CFI_NUMBER, {}),
         # a Gaussian QFI is a closed form, reduced from no sum and from no
         # derivative: nothing is sized, prepared or propagated
         ("coherent:1.0", FisherMethod.QFI_SLD,
          {"fisher.cfi": 0, "fisher.d_dT_state": 0, "probes.default_dim": 0,
-          "probes.make_state": 0, "dynamics.evolve": 0, "dynamics.expm": 0}),
+          "probes.make_state": 0, CHANNEL: 0}),
     ],
 )
 def test_a_point_calls_through_the_sites_of_its_stages(monkeypatch, fig_bath, spec, method, expected):
@@ -85,8 +94,10 @@ def test_a_point_calls_through_the_sites_of_its_stages(monkeypatch, fig_bath, sp
         "fisher.d_dT_state": 1,
         "probes.default_dim": 1,
         "probes.make_state": 1,
-        "dynamics.evolve": 5,
-        "dynamics.expm": 5,
+        "fisher.cfi": 1,
+        CHANNEL: 1,
+        "dynamics.evolve": 0,
+        "dynamics.expm": 0,
         **expected,
     }
     assert {name: calls[name] for name in stages} == stages
@@ -108,11 +119,11 @@ def test_a_sweep_calls_the_derivative_site_once_per_value_and_probe(monkeypatch,
     assert calls["fisher.d_dT_state"] == len(values) * len(probes)
 
 
-@pytest.mark.parametrize(
-    "spec, method", [("fock:1", FisherMethod.QFI_SLD), ("coherent:1.0", FisherMethod.CFI_NUMBER)]
-)
-def test_evolve_span_reads_the_dim_of_the_point(monkeypatch, fig_bath, spec, method):
-    # the tracer reads the dim off the state that evolve takes first
+@pytest.mark.parametrize("method", list(FisherMethod))
+def test_evolve_span_reads_the_dim_of_the_point(monkeypatch, fig_bath, method):
+    # the tracer reads the dim off the state that evolve takes first; a
+    # thermal probe is the one that evolve propagates
+    spec = "thermal:0.5"
     seen = []
     evolve = fisher.evolve
 
@@ -126,15 +137,17 @@ def test_evolve_span_reads_the_dim_of_the_point(monkeypatch, fig_bath, spec, met
 
 
 @pytest.mark.parametrize(
-    "spec, method, sizings",
+    "spec, method, sizings, evolutions",
     [
         # an automatic Fock dim is sized, and the probe prepared, at each t
-        ("fock:1", FisherMethod.QFI_SLD, 4),
-        ("squeezed:0.6", FisherMethod.CFI_NUMBER, 1),
+        ("fock:1", FisherMethod.QFI_SLD, 4, 0),
+        ("squeezed:0.6", FisherMethod.CFI_NUMBER, 1, 0),
+        # a thermal probe evolves under its five stencil temperatures at each t
+        ("thermal:0.5", FisherMethod.CFI_NUMBER, 1, 5),
     ],
 )
 def test_a_curve_sizes_and_prepares_its_probe_once_or_at_each_time(monkeypatch, fig_bath, spec,
-                                                                   method, sizings):
+                                                                   method, sizings, evolutions):
     ts = (1e-3, 1e-2, 0.1, 0.5)
     calls = _count_site_calls(monkeypatch)
     seen = []
@@ -146,25 +159,30 @@ def test_a_curve_sizes_and_prepares_its_probe_once_or_at_each_time(monkeypatch, 
 
     monkeypatch.setattr(fisher, "evolve", recorded)
     records = fisher.qfi_curve(ProbeSpec.parse(spec), fig_bath, ts, method)
-    evolutions = 5 * len(ts)  # one per stencil temperature and time
     stages = {
         "fisher.qfi_curve": 1,
         "fisher.qfi_point": 0,
         "fisher.d_dT_state": 0,
         "probes.default_dim": sizings,
         "probes.make_state": sizings,
-        "dynamics.evolve": evolutions,
-        "dynamics.expm": evolutions,
+        CHANNEL: 0 if evolutions else len(ts),  # one channel kernel per time
+        "dynamics.evolve": evolutions * len(ts),
+        "dynamics.expm": evolutions * len(ts),
     }
     assert {name: calls[name] for name in stages} == stages
-    assert seen == [{"dim": record.dim} for record in records for _ in range(5)]
+    assert seen == [{"dim": record.dim} for record in records for _ in range(evolutions)]
 
 
-def test_a_curve_yields_each_derivative_before_evolving_the_next_time(monkeypatch, fig_bath):
+@pytest.mark.parametrize("spec, name, first", [
+    ("thermal:0.5", "dynamics.evolve", 5),  # the five stencil temperatures of the first t
+    ("coherent:1.0", CHANNEL, 1),
+])
+def test_a_curve_yields_each_derivative_before_evolving_the_next_time(monkeypatch, fig_bath, spec,
+                                                                      name, first):
     calls = _count_site_calls(monkeypatch)
-    curve = fisher.d_dT_curve(ProbeSpec.coherent(1.0), fig_bath, [k / 3.0 for k in range(1, 10)])
+    curve = fisher.d_dT_curve(ProbeSpec.parse(spec), fig_bath, [k / 3.0 for k in range(1, 10)])
     next(curve)
-    assert calls["dynamics.evolve"] == 5  # the five stencil temperatures of the first t
+    assert calls[name] == first
 
 
 def test_benchmark_cross_check_path(fig_bath):
