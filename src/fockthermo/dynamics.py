@@ -33,6 +33,10 @@ the top Fock level has no upward channel (the matrix element to the
 discarded level |dim> does not exist), so the truncated generator is
 exactly trace preserving; the leakage budget then monitors the genuinely
 physical truncation error.
+
+scipy is loaded on the first thermal propagation, and only then: the
+channel runs on numpy alone, so importing the package, and evaluating
+every Fock, coherent and squeezed probe, leaves scipy unloaded.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bath import Rates
 from .errors import DomainError, PositivityError, TruncationError
@@ -94,6 +97,15 @@ class PropagatorCache:
 PROPAGATORS = PropagatorCache(PROPAGATOR_BUDGET)
 
 
+def expm(A: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm(A)``, with scipy imported on the first call.
+    That import costs about 0.2 s and 26 MiB of resident memory (2-vCPU
+    Xeon), and no probe but a thermal one needs it."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(A)
+
+
 def _propagator(dim: int, rates: Rates, t: float) -> np.ndarray:
     """The read-only exp(t G) of the populations at ``rates``, from
     ``PROPAGATORS`` or exponentiated and kept there. Called under
@@ -112,8 +124,8 @@ def _propagator(dim: int, rates: Rates, t: float) -> np.ndarray:
     the bits of the sum of three np.diag matrices times t, signed zeros
     included. Strided writes into one zero matrix build it about five
     times faster than that sum (17 against 93 us at n = 180 on a Xeon
-    core), and a temperature sweep of fock:20 builds 480 such matrices
-    per 96 temperatures.
+    core), and a temperature sweep builds 480 such matrices per 96
+    temperatures for each of thermal:0.5 (dim 40) and thermal:5.0 (dim 144).
     """
     gp, gm = rates.gamma_plus, rates.gamma_minus
     key = (dim, gp, gm, t)
@@ -301,10 +313,13 @@ def mean_photon_analytic(n0: float, rates: Rates, t: float) -> float:
 
     The mean obeys d<n>/dt = -Gamma0 <n> + Gamma+ for every initial state,
     so this serves as a state-independent oracle for the propagator.
+    Where 1 - e^{-Gamma0 t} is 0 the bath has added nothing, and nbar is
+    not read: an uncoupled bath (Gamma0 = 0) has no nbar to read.
     """
     _check_time(t)
     decay = math.exp(-rates.gamma0 * t)
-    return n0 * decay + rates.nbar * (-math.expm1(-rates.gamma0 * t))
+    q = -math.expm1(-rates.gamma0 * t)
+    return n0 * decay + (rates.nbar * q if q else 0.0)
 
 
 @dataclass(frozen=True)

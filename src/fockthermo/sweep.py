@@ -318,6 +318,11 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         # about four chunks of consecutive tasks per worker: few pickling round
         # trips, and no chunk so long that it leaves the other workers idle
         chunk = -(-len(tasks) // (4 * workers))
+        if any(task.probe.kind is ProbeKind.THERMAL for task in tasks):
+            # a thermal task exponentiates (dynamics.expm): load scipy here,
+            # once, so that the forked workers inherit it rather than each
+            # importing it again
+            import scipy.linalg  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(_evaluate_task, tasks, chunksize=chunk))
     rows = tuple(row for task_rows in per_task for row in task_rows)

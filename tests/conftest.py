@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +39,19 @@ def selfcheck_run():
     started = time.monotonic()
     results = run_selfcheck()
     return results, time.monotonic() - started
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run a snippet in a new interpreter that imports fockthermo from this
+    checkout, and return its stdout. What a snippet finds in ``sys.modules``
+    is its own: this process has scipy loaded already."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(code: str) -> str:
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

@@ -534,6 +534,14 @@ class TestCommands:
         # within 1e-9 relative, plus the rounding of the 9 digits printed
         assert abs(value - thermal) <= 1e-9 * thermal + 5e-9
 
+    @pytest.mark.parametrize("probe", ["fock:1", "coherent:1.0", "squeezed:0.6", "thermal:0.5"])
+    def test_an_uncoupled_bath_carries_no_information(self, probe, capsys):
+        # g = 0 under the Purcell model gives Gamma0 = 0, where Rates.nbar is
+        # 0/0: the Fock sizing read it and ended in a ZeroDivisionError
+        assert main(["qfi", "--probe", probe, "--g", "0", "--rate-model", "purcell",
+                     "--method", "cfi,qfi"]) == 0
+        assert re.findall(r"qfi=(\S+)", capsys.readouterr().out) == ["0", "0"]
+
     def test_sweep_marks_the_row_whose_derivative_step_overflows(self, tmp_path, capsys):
         out_csv = tmp_path / "T.csv"
         code = main(["sweep", "--axis", "temperature", "--axis-values", "6e-309,0.5",

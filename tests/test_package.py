@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import json
 import pydoc
 import re
 from pathlib import Path
@@ -75,3 +76,43 @@ def test_retired_coherence_machinery_is_gone():
     # a Gaussian QFI reads (probe, bath, t) directly, not off a derivative
     assert {"coherences_dropped", "bath", "t"}.isdisjoint(
         f.name for f in dataclasses.fields(fisher.TemperatureDerivative))
+
+
+def test_scipy_loads_only_for_a_thermal_probe(fresh_python):
+    # scipy takes ~0.2 s and ~26 MiB to import, and only a thermal probe's
+    # stencil (dynamics.expm) uses it. Each case runs in turn in one fresh
+    # interpreter and reports the scipy modules loaded by its end.
+    out = fresh_python("""
+        import contextlib, io, json, sys
+
+        def scipy_loaded():
+            return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+        seen = {}
+        import fockthermo
+        seen["import fockthermo"] = scipy_loaded()
+        from fockthermo.cli import main
+        seen["import fockthermo.cli"] = scipy_loaded()
+        argvs = [["qfi", "--probe", p, "--method", "cfi,qfi"]
+                 for p in ("fock:1", "coherent:1.0", "squeezed:0.6")]
+        argvs.append(["bounds", "--method", "cfi"])
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            seen[" ".join(argv)] = scipy_loaded()
+        from fockthermo.probes import ProbeKind
+        from fockthermo.sweep import SweepAxis, SweepMethod, SweepSpec, run_sweep
+        spec = SweepSpec(axis=SweepAxis.EXCITATION_N, axis_values=(1, 2),
+                         probes=(ProbeKind.FOCK, ProbeKind.SQUEEZED, ProbeKind.COHERENT),
+                         methods=(SweepMethod.QFI,), t=0.5)
+        assert not any(row.error for row in run_sweep(spec, workers=1).rows)
+        seen["excitation sweep"] = scipy_loaded()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["qfi", "--probe", "thermal:0.5", "--method", "cfi"]) == 0
+        seen["thermal"] = "scipy.linalg" in sys.modules
+        print(json.dumps(seen))
+    """)
+    seen = json.loads(out.splitlines()[-1])
+    assert seen.pop("thermal") is True  # the lazy import runs
+    assert seen == {case: [] for case in seen}
+    assert len(seen) == 7

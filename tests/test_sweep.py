@@ -4,10 +4,6 @@ import dataclasses
 import json
 import math
 import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -495,25 +491,31 @@ class TestOutputs:
         with pytest.raises(DomainError, match=f"workers must be an integer >= 1, got {workers!r}"):
             run_sweep(spec, workers=workers)
 
-    def test_excitation_sweep_leaves_scipy_sparse_unimported(self):
-        # importing scipy.sparse alone adds ~4 MiB of resident memory
-        code = textwrap.dedent("""
-            import sys
-            from fockthermo.probes import ProbeKind
+    def test_pool_inherits_scipy_from_the_parent(self, fresh_python):
+        # forked workers each imported scipy again (~0.2 s) unless the parent
+        # loaded it before forking; the parent loads it only for a thermal task
+        out = fresh_python("""
+            import json, sys
+            from fockthermo.probes import ProbeSpec
             from fockthermo.sweep import SweepAxis, SweepMethod, SweepSpec, run_sweep
-            spec = SweepSpec(
-                axis=SweepAxis.EXCITATION_N, axis_values=(1, 2),
-                probes=(ProbeKind.FOCK, ProbeKind.SQUEEZED, ProbeKind.COHERENT),
-                methods=(SweepMethod.QFI,), t=0.5,
-            )
-            assert not any(row.error for row in run_sweep(spec, workers=1).rows)
-            print(sorted(name for name in sys.modules if name.startswith("scipy.sparse")))
+
+            def sweep(*probes, workers):
+                spec = SweepSpec(axis=SweepAxis.TEMPERATURE, axis_values=(0.3, 0.5),
+                                 probes=probes, methods=(SweepMethod.CFI, SweepMethod.QFI))
+                return run_sweep(spec, workers=workers).rows
+
+            loaded = lambda: "scipy.linalg" in sys.modules
+            sweep(ProbeSpec.fock(1), ProbeSpec.fock(2), workers=2)
+            fock_only = loaded()
+            pooled = sweep(ProbeSpec.thermal(0.5), ProbeSpec.fock(1), workers=2)
+            thermal = loaded()
+            serial = sweep(ProbeSpec.thermal(0.5), ProbeSpec.fock(1), workers=1)
+            print(json.dumps({"fock_only": fock_only, "thermal": thermal,
+                              "errors": [r.error for r in pooled if r.error],
+                              "same_rows": pooled == serial}))
         """)
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert json.loads(out.splitlines()[-1]) == {
+            "fock_only": False, "thermal": True, "errors": [], "same_rows": True}
 
     def test_end_to_end_slopes_from_sweep(self, fig_bath):
         ts = tuple(np.logspace(-2, -1, 5))
