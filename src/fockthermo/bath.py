@@ -117,6 +117,9 @@ class Rates:
 
     @property
     def nbar(self) -> float:
+        """Gamma+ / Gamma0; an uncoupled bath (Gamma0 = 0) has none."""
+        if self.gamma0 == 0.0:
+            raise DomainError("an uncoupled bath (Gamma0 = 0) has no nbar to read")
         return self.gamma_plus / self.gamma0
 
 

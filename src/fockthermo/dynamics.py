@@ -20,19 +20,13 @@ read on the kept levels; the mass it leaves above them is the leakage.
 
 :func:`evolve` propagates a thermal probe's populations, for the
 five-temperature stencil of :mod:`fockthermo.fisher`, by one dense matrix
-exponential of the tridiagonal birth-death generator. The exponential
-exp(t G) depends on nothing but (dim, Gamma+, Gamma-, t), so each
-distinct such key is exponentiated once per process and shared by every
-probe, curve and sweep task that propagates under it: ``PROPAGATORS``
-keeps the read-only matrices, least recently used first out, within a
-1 MiB budget. :func:`evolve` therefore takes the bath rates alone, and
-t G is assembled from (dim, rates, t) only where its exponential is not
-kept. A hit returns exactly the bits that a recomputation would; every
-check of :func:`evolve` still runs on every call. On the truncated space
-the top Fock level has no upward channel (the matrix element to the
-discarded level |dim> does not exist), so the truncated generator is
-exactly trace preserving; the leakage budget then monitors the genuinely
-physical truncation error.
+exponential of the tridiagonal birth-death generator, taken afresh on
+every call at t > 0. exp(t G) depends on nothing but (dim, Gamma+,
+Gamma-, t), so :func:`evolve` takes the bath rates alone and assembles
+t G from them. On the truncated space the top Fock level has no upward
+channel (the matrix element to the discarded level |dim> does not
+exist), so the truncated generator is exactly trace preserving; the
+leakage budget then monitors the genuinely physical truncation error.
 
 scipy is loaded on the first thermal propagation, and only then: the
 channel runs on numpy alone, so importing the package, and evaluating
@@ -44,7 +38,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,45 +50,6 @@ from .fockspace import LEAKAGE_BUDGET, BandState
 # anything more negative aborts the run.
 NEGATIVE_CLIP = 1e-12
 
-# Bytes of propagators kept for reuse: four d = 180 matrices, or the 45
-# d = 40 matrices (five stencil temperatures at nine times) of a curve.
-PROPAGATOR_BUDGET = 1 << 20
-
-
-class PropagatorCache:
-    """The matrices exp(t G) keyed by (dim, Gamma+, Gamma-, t), least
-    recently used first, holding at most ``budget`` bytes in all. A matrix
-    larger than the budget is not kept."""
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.nbytes = 0
-        self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> np.ndarray | None:
-        matrix = self._entries.get(key)
-        if matrix is not None:
-            self._entries.move_to_end(key)
-        return matrix
-
-    def put(self, key: tuple, matrix: np.ndarray) -> None:
-        if matrix.nbytes > self.budget:
-            return
-        self._entries[key] = matrix
-        self.nbytes += matrix.nbytes
-        while self.nbytes > self.budget:
-            self.nbytes -= self._entries.popitem(last=False)[1].nbytes
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.nbytes = 0
-
-
-PROPAGATORS = PropagatorCache(PROPAGATOR_BUDGET)
-
 
 def expm(A: np.ndarray) -> np.ndarray:
     """``scipy.linalg.expm(A)``, with scipy imported on the first call.
@@ -107,8 +61,7 @@ def expm(A: np.ndarray) -> np.ndarray:
 
 
 def _propagator(dim: int, rates: Rates, t: float) -> np.ndarray:
-    """The read-only exp(t G) of the populations at ``rates``, from
-    ``PROPAGATORS`` or exponentiated and kept there. Called under
+    """exp(t G) of the populations at ``rates``. Called under
     :func:`evolve`'s ``np.errstate``: rates large enough to overflow t G
     give a non-finite exponential, which is refused there.
 
@@ -128,22 +81,16 @@ def _propagator(dim: int, rates: Rates, t: float) -> np.ndarray:
     temperatures for each of thermal:0.5 (dim 40) and thermal:5.0 (dim 144).
     """
     gp, gm = rates.gamma_plus, rates.gamma_minus
-    key = (dim, gp, gm, t)
-    matrix = PROPAGATORS.get(key)
-    if matrix is None:
-        m = np.arange(float(dim))
-        u = m + 1.0
-        u[-1] = 0.0
-        tg = np.zeros((dim, dim))
-        flat = tg.reshape(-1)
-        flat[::dim + 1] = (-(gm * m) - gp * u + 0.0) * t
-        flat[dim::dim + 1] = (gp * m[1:] + 0.0) * t
-        flat[1::dim + 1] = (gm * m[1:] + 0.0) * t
-        # looked up at call time, so that a wrapped expm sees every miss
-        matrix = expm(tg)
-        matrix.flags.writeable = False
-        PROPAGATORS.put(key, matrix)
-    return matrix
+    m = np.arange(float(dim))
+    u = m + 1.0
+    u[-1] = 0.0
+    tg = np.zeros((dim, dim))
+    flat = tg.reshape(-1)
+    flat[::dim + 1] = (-(gm * m) - gp * u + 0.0) * t
+    flat[dim::dim + 1] = (gp * m[1:] + 0.0) * t
+    flat[1::dim + 1] = (gm * m[1:] + 0.0) * t
+    # looked up at call time, so that a wrapped expm sees every call
+    return expm(tg)
 
 
 def population_vector(p: np.ndarray) -> np.ndarray:
@@ -186,9 +133,7 @@ def evolve(state: BandState, rates: Rates, t: float) -> BandState:
     ``LEAKAGE_BUDGET``; a violation raises :class:`TruncationError` with a
     raise-dim diagnostic. A propagated population that is not finite raises
     :class:`DomainError`. At t = 0 the state is returned as it is, after
-    the state and leakage checks. The exponential comes from
-    ``PROPAGATORS`` when its (dim, Gamma+, Gamma-, t) was exponentiated
-    before; every check runs anyway.
+    the state and leakage checks.
     """
     _check_time(t)
     p0 = population_vector(state.populations)

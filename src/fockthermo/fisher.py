@@ -20,11 +20,9 @@ of merit follow:
 
 For number-diagonal states the two coincide; for states with coherences
 the quantum value can only be larger. A time curve is taken one time at a
-time, with the bath rates computed once, before its first time. The
-exponentials of a thermal probe's stencil are kept by
-:mod:`fockthermo.dynamics` under a 1 MiB bound, one per distinct (dim,
-Gamma+, Gamma-, t) per process, so points and curves of several thermal
-probes at one truncation, bath and time share them.
+time, with the bath rates computed once, before its first time. Each
+stencil evolution of a thermal probe is one dense exponential of the
+birth-death generator (:func:`~fockthermo.dynamics.evolve`).
 """
 
 from __future__ import annotations

@@ -10,15 +10,7 @@ from pathlib import Path
 import pytest
 
 from fockthermo import BathParams, rates
-from fockthermo.dynamics import PROPAGATORS
 from fockthermo.selfcheck import run_selfcheck
-
-
-@pytest.fixture(autouse=True)
-def empty_propagator_cache():
-    """Every test starts with no propagator kept, so the exponentials it
-    counts do not depend on the tests that ran before it."""
-    PROPAGATORS.clear()
 
 
 @pytest.fixture(scope="session")

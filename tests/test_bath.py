@@ -136,6 +136,12 @@ class TestRates:
     def test_nbar_round_trip(self, fig_rates):
         assert fig_rates.nbar == pytest.approx(NBAR_REF, rel=1e-14)
 
+    def test_an_uncoupled_bath_has_no_nbar(self):
+        uncoupled = rates(BathParams(g=0.0, rate_model=RateModel.PURCELL))
+        assert uncoupled.gamma0 == uncoupled.gamma_plus == uncoupled.gamma_minus == 0.0
+        with pytest.raises(DomainError, match="uncoupled bath"):
+            uncoupled.nbar
+
 
 class TestBathParams:
     @pytest.mark.parametrize(

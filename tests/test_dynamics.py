@@ -14,8 +14,6 @@ from oracle import apply, density_matrix, evolved, lindblad_rhs, propagator
 from fockthermo import dynamics
 from fockthermo.bath import BathParams, rates, thermal_occupation
 from fockthermo.dynamics import (
-    PROPAGATORS,
-    PropagatorCache,
     attenuate,
     evolve,
     mean_photon_analytic,
@@ -313,26 +311,34 @@ class TestPopulations:
         clipped = population_vector(np.array([1.0, -1e-13, 1e-13]))
         assert clipped[1] == 0.0
 
+    @pytest.mark.parametrize("spec", ["fock:3", "thermal:0.5", "coherent:1.0", "squeezed:0.6"])
+    def test_repeated_evolutions_give_the_bits_of_the_exponential(self, fig_rates, spec,
+                                                                   monkeypatch):
+        calls = count_expm(monkeypatch)
+        state = make_state(ProbeSpec.parse(spec), 40)
+        for t in (1e-3, 0.7, 30.0):
+            want = expm(band_generator(40, fig_rates, t)) @ state.populations
+            for _ in range(2):
+                np.testing.assert_array_equal(evolve(state, fig_rates, t).populations, want)
+        assert calls == [40] * 6
 
-class TestPropagatorCache:
-    TIMES = tuple(np.geomspace(1e-3, 1e-1, 9))
-
-    def test_short_time_curves_exponentiate_each_key_once(self, fig_bath, monkeypatch):
+    def test_short_time_curves_exponentiate_once_per_stencil_evolution(self, fig_bath,
+                                                                       monkeypatch):
         # the criterion-1 curves take the channel, which exponentiates
-        # nothing; three thermal curves at dim 40 share one bath and one
-        # grid, so only the first of them and the dim-68 thermal curve
-        # exponentiate, 5 stencil temperatures x 9 times each
+        # nothing; each thermal curve exponentiates at each of its 9 times
+        # under each of its 5 stencil temperatures
+        times = tuple(np.geomspace(1e-3, 1e-1, 9))
         calls = count_expm(monkeypatch)
         for probe, dim in ((ProbeSpec.fock(1), 40), (ProbeSpec.fock(3), 40),
                            (ProbeSpec.coherent(1.0), 40), (ProbeSpec.squeezed(math.asinh(1.0)), None)):
-            qfi_curve(probe, fig_bath, self.TIMES, FisherMethod.CFI_NUMBER, dim=dim)
+            qfi_curve(probe, fig_bath, times, FisherMethod.CFI_NUMBER, dim=dim)
         assert calls == []
         for probe, dim in ((ProbeSpec.thermal(0.5), 40), (ProbeSpec.thermal(0.2), 40),
                            (ProbeSpec.thermal(1.0), 40), (ProbeSpec.thermal(0.5), 68)):
-            qfi_curve(probe, fig_bath, self.TIMES, FisherMethod.CFI_NUMBER, dim=dim)
-        assert calls == [40] * 45 + [68] * 45
+            qfi_curve(probe, fig_bath, times, FisherMethod.CFI_NUMBER, dim=dim)
+        assert calls == [40] * 135 + [68] * 45
 
-    def test_excitation_sweep_exponentiates_each_key_once(self, monkeypatch):
+    def test_excitation_sweep_exponentiates_five_stencil_keys_per_thermal_probe(self, monkeypatch):
         # thermal:1, thermal:2 and thermal:3 have dims 40, 64 and 88, so each
         # exponentiates its five stencil keys; fock:1, fock:2 and fock:3 are
         # sized for their evolved states, at dims 10, 12 and 13, and take the
@@ -346,56 +352,6 @@ class TestPropagatorCache:
         assert [row.dim for row in rows if row.probe.startswith("fock")] == [10, 12, 13]
         assert [row.dim for row in rows if row.probe.startswith("thermal")] == [40, 64, 88]
         assert calls == [40] * 5 + [64] * 5 + [88] * 5
-
-    def test_a_kept_propagator_still_refuses(self, fig_rates, monkeypatch):
-        calls = count_expm(monkeypatch)
-        evolve(make_state(ProbeSpec.fock(1), 40), fig_rates, 0.5)
-        with pytest.raises(TruncationError, match="raise dim"):
-            evolve(make_state(ProbeSpec.fock(39), 40), fig_rates, 0.5)
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("spec", ["fock:3", "thermal:0.5", "coherent:1.0", "squeezed:0.6"])
-    def test_cold_and_warm_give_the_bits_of_the_exponential(self, fig_rates, spec):
-        state = make_state(ProbeSpec.parse(spec), 40)
-        for t in (1e-3, 0.7, 30.0):
-            want = expm(band_generator(40, fig_rates, t)) @ state.populations
-            cold = evolve(state, fig_rates, t).populations
-            warm = evolve(state, fig_rates, t).populations
-            np.testing.assert_array_equal(cold, want)
-            np.testing.assert_array_equal(warm, want)
-        assert len(PROPAGATORS) == 3
-
-    def test_kept_propagators_are_read_only(self, fig_rates):
-        evolve(make_state(ProbeSpec.fock(1), 40), fig_rates, 0.5)
-        matrix = PROPAGATORS.get((40, fig_rates.gamma_plus, fig_rates.gamma_minus, 0.5))
-        assert matrix is not None and not matrix.flags.writeable
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 0.0
-
-    def test_a_temperature_sweep_at_dim_180_stays_within_the_budget(self, fig_bath):
-        # 12 temperatures x 5 stencil temperatures of 259 kB (dim 180)
-        # matrices: four fit in the 1 MiB budget
-        spec = SweepSpec(axis=SweepAxis.TEMPERATURE, axis_values=tuple(np.geomspace(0.05, 5.0, 12)),
-                         probes=(ProbeSpec.thermal(5.0),), methods=(SweepMethod.CFI,), t=0.5,
-                         bath=fig_bath, dim=180)
-        assert not any(row.error for row in run_sweep(spec, workers=1).rows)
-        assert PROPAGATORS.nbytes <= PROPAGATORS.budget == 1 << 20
-        assert PROPAGATORS.nbytes == len(PROPAGATORS) * 180 * 180 * 8
-        assert len(PROPAGATORS) == 4
-
-    def test_least_recently_used_goes_first_and_oversize_is_not_kept(self):
-        cache = PropagatorCache(budget=3 * 800)
-        matrices = {key: np.zeros((10, 10)) for key in "abcd"}
-        for key in "abc":
-            cache.put(key, matrices[key])
-        assert cache.get("a") is matrices["a"]  # b is now the least recently used
-        cache.put("d", matrices["d"])
-        assert [cache.get(key) is not None for key in "abcd"] == [True, False, True, True]
-        assert cache.nbytes == 3 * 800
-        cache.put("e", np.zeros((20, 20)))
-        assert cache.get("e") is None and len(cache) == 3
-        cache.clear()
-        assert len(cache) == 0 and cache.nbytes == 0
 
 
 def log_uniform(lo: float, hi: float):
