@@ -353,6 +353,33 @@ class TestPopulations:
         assert [row.dim for row in rows if row.probe.startswith("thermal")] == [40, 64, 88]
         assert calls == [40] * 5 + [64] * 5 + [88] * 5
 
+    def test_a_repeated_evolution_still_refuses(self, fig_rates, monkeypatch):
+        # the refusal follows the exponential, which each call takes afresh
+        calls = count_expm(monkeypatch)
+        evolve(make_state(ProbeSpec.fock(1), 40), fig_rates, 0.5)
+        with pytest.raises(TruncationError, match="raise dim"):
+            evolve(make_state(ProbeSpec.fock(39), 40), fig_rates, 0.5)
+        assert calls == [40, 40]
+
+    def test_evolved_populations_are_read_only(self, fig_rates):
+        state = make_state(ProbeSpec.thermal(0.5), 40)
+        evolved_state = evolve(state, fig_rates, 0.5)
+        assert not evolved_state.populations.flags.writeable
+        with pytest.raises(ValueError):
+            evolved_state.populations[0] = 0.0
+        np.testing.assert_array_equal(evolve(state, fig_rates, 0.5).populations,
+                                      evolved_state.populations)
+
+    def test_a_temperature_sweep_at_dim_180_exponentiates_once_per_stencil_evolution(
+            self, fig_bath, monkeypatch):
+        # 12 temperatures x 5 stencil temperatures, each a dim-180 exponential
+        calls = count_expm(monkeypatch)
+        spec = SweepSpec(axis=SweepAxis.TEMPERATURE, axis_values=tuple(np.geomspace(0.05, 5.0, 12)),
+                         probes=(ProbeSpec.thermal(5.0),), methods=(SweepMethod.CFI,), t=0.5,
+                         bath=fig_bath, dim=180)
+        assert not any(row.error for row in run_sweep(spec, workers=1).rows)
+        assert calls == [180] * 60
+
 
 def log_uniform(lo: float, hi: float):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
