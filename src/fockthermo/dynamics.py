@@ -17,6 +17,10 @@ integrates to, a pure loss followed by a quantum-limited amplifier: two
 kernels of positive binomial terms, O(dim^2) per time, and the exact
 derivative q K p of the result in nbar. It is the untruncated evolution
 read on the kept levels; the mass it leaves above them is the leakage.
+It takes a grid of times and evaluates the kernels of many times as one
+stacked array: on these small matrices the cost of each numpy call, not
+their arithmetic, is most of a short curve's time. Each time keeps the
+bits it has on a grid of its own.
 
 :func:`evolve` propagates a thermal probe's populations, for the
 five-temperature stencil of :mod:`fockthermo.fisher`, by one dense matrix
@@ -39,6 +43,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +54,12 @@ from .fockspace import LEAKAGE_BUDGET, BandState
 # Populations inside this band of zero are roundoff and are clipped;
 # anything more negative aborts the run.
 NEGATIVE_CLIP = 1e-12
+
+# :func:`attenuate` takes BATCH_ENTRIES // (dim (dim + 1)) times per batch,
+# at least one. A batch's kernels, one loss and one amplifier of
+# (dim + 1) dim entries per time, then stay within 1 MiB whatever the
+# grid's length, unless one time's alone is larger.
+BATCH_ENTRIES = 2**16
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -159,36 +170,48 @@ def evolve(state: BandState, rates: Rates, t: float) -> BandState:
 
 
 @functools.lru_cache(maxsize=16)
-def _log_factorials(n: int) -> np.ndarray:
-    """The read-only table log k! for k < n, from ``math.lgamma``."""
+def _log_factorials(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only levels 0, ..., n-1 as floats, and the table of their
+    log k!, from ``math.lgamma``."""
+    levels = np.arange(float(n))
     table = np.array([math.lgamma(k + 1.0) for k in range(n)])
-    table.flags.writeable = False
-    return table
+    levels.flags.writeable = table.flags.writeable = False
+    return levels, table
 
 
-def _binomial_terms(rows: int, cols: int, log_x: float, log_y: float) -> np.ndarray:
-    """B[b, s] = C(b, s) x^s y^(b-s) for b < rows and s < cols <= rows, 0
-    where s > b, each term the exponential of its logarithm
-    log b! - log s! - log (b-s)! + s log_x + (b-s) log_y, with log_y finite.
-    The part in b - s alone is one vector read as a Toeplitz matrix, -inf
-    where s > b. x^0 is 1 also where x = 0 (log_x = -inf, Gamma0 t = inf),
-    and s log_x overflows to -inf where x^s underflows to 0."""
-    log_fact = _log_factorials(rows)
-    by_gap = np.empty(cols - 1 + rows)  # entry cols - 1 + g holds gap g = b - s
-    by_gap[: cols - 1] = -np.inf
-    by_gap[cols - 1:] = np.arange(rows) * log_y - log_fact
-    step = by_gap.strides[0]
-    toeplitz = np.lib.stride_tricks.as_strided(by_gap[cols - 1:], shape=(rows, cols),
-                                               strides=(step, -step), writeable=False)
-    powers = np.zeros(cols)
+def _binomial_terms(rows: int, cols: int, log_x: np.ndarray, log_y: np.ndarray) -> np.ndarray:
+    """B[n, b, s] = C(b, s) x_n^s y_n^(b-s) for b < rows and s < cols <= rows,
+    0 where s > b: one (rows, cols) kernel for each entry of the vectors
+    ``log_x`` and ``log_y``. Each term is the exponential of its logarithm,
+    summed as (b-s) log_y - log (b-s)!, then + log b!, then
+    + (s log_x - log s!), with log_y finite. The part in b - s alone is one
+    vector per kernel read as a Toeplitz matrix, -inf where s > b. x^0 is 1
+    also where x = 0 (log_x = -inf, Gamma0 t = inf), and s log_x overflows
+    to -inf where x^s underflows to 0. The sums are formed in the one
+    buffer that is returned, and exponentiated in place."""
+    levels, log_fact = _log_factorials(rows)
+    by_gap = np.empty((len(log_x), cols - 1 + rows))  # column cols - 1 + g holds gap g = b - s
+    by_gap[:, : cols - 1] = -np.inf
+    gaps = by_gap[:, cols - 1:]
+    np.multiply(levels, log_y[:, None], out=gaps)
+    gaps -= log_fact
+    step = by_gap.strides[1]
+    toeplitz = np.ndarray((len(log_x), rows, cols), buffer=by_gap, offset=(cols - 1) * step,
+                          strides=(by_gap.strides[0], step, -step))
+    powers = np.zeros((len(log_x), cols))
     with np.errstate(over="ignore"):
-        powers[1:] = np.arange(1, cols) * log_x
-    return np.exp(toeplitz + log_fact[:, None] + (powers - log_fact[:cols]))
+        np.multiply(levels[1:cols], log_x[:, None], out=powers[:, 1:])
+    powers -= log_fact[:cols]
+    terms = np.add(toeplitz, log_fact[:, None])
+    terms += powers[:, None, :]
+    return np.exp(terms, out=terms)
 
 
-def attenuate(state: BandState, rates: Rates, t: float) -> tuple[BandState, np.ndarray, float]:
-    """The populations after a time t under the bath ``rates``, by the
-    thermal-attenuator channel, their derivative in nbar, and the leakage.
+def attenuate(state: BandState, rates: Rates,
+              t_grid: Sequence[float]) -> Iterator[tuple[BandState, np.ndarray, float]]:
+    """The populations after each time of ``t_grid`` under the bath
+    ``rates``, by the thermal-attenuator channel, with their derivative in
+    nbar and the leakage, yielded in the order of the grid.
 
     The channel of transmissivity eta = exp(-Gamma0 t) and added noise
     N = nbar q, q = 1 - eta, is a pure loss of transmissivity
@@ -208,49 +231,100 @@ def attenuate(state: BandState, rates: Rates, t: float) -> tuple[BandState, np.n
     d p/d nbar = q K p(t) exactly, with (K p)_m = (m+1) p_{m+1} + m p_{m-1}
     - (2m+1) p_m; level dim supplies the top row's p_{m+1}.
 
-    The state is checked by :func:`population_vector` first, at every t.
-    The leakage is the mass left at and above level dim, 1 - sum_{m<dim}
-    p_m; it, and the top-level population, are checked against
-    ``LEAKAGE_BUDGET``, and a violation raises :class:`TruncationError` with
-    a raise-dim diagnostic. A population that is not finite raises
-    :class:`DomainError`. Where q is 0 (t = 0) the state is returned as it
-    is, with a zero derivative, after the state and leakage checks.
+    Every t is checked, and then the state by :func:`population_vector`,
+    before the first result. The times are taken in batches of
+    ``BATCH_ENTRIES // (dim (dim + 1))``, at least one, and all kernels of a
+    batch are one stacked array; a time's values are those of a grid that
+    holds it alone, bit for bit. The leakage is the mass left at and above
+    level dim, 1 - sum_{m<dim} p_m; it, and the top-level population, are
+    checked against ``LEAKAGE_BUDGET``, and a violation raises
+    :class:`TruncationError` with a raise-dim diagnostic. A population that
+    is not finite raises :class:`DomainError`. Each check raises at its own
+    t, after the earlier times have been yielded. Where q is 0 (t = 0) the
+    state is returned as it is, with a zero derivative, after the state and
+    leakage checks.
     """
-    _check_time(t)
+    t_grid = list(t_grid)
+    for t in t_grid:
+        _check_time(t)
     p0 = population_vector(state.populations)
+    batch = max(1, BATCH_ENTRIES // (state.dim * (state.dim + 1)))
+    for start in range(0, len(t_grid), batch):
+        yield from _attenuate_batch(state, p0, rates, t_grid[start:start + batch])
+
+
+def _attenuate_batch(state: BandState, p0: np.ndarray, rates: Rates,
+                     times: list[float]) -> Iterator[tuple[BandState, np.ndarray, float]]:
+    """:func:`attenuate` over a batch of checked ``times``, from the checked
+    populations ``p0`` of ``state``."""
     dim = state.dim
-    g0t = rates.gamma0 * t
-    q = -math.expm1(-g0t)
-    if q == 0.0:
-        p, dp, out = p0, np.zeros(dim), state
-    else:
+    qs = [-math.expm1(-rates.gamma0 * t) for t in times]
+    moved = [t for t, q in zip(times, qs) if q != 0.0]
+    if moved:
+        wide, k_p, finite = _channel(p0, rates, moved)
+        totals = wide[:, :-1].sum(axis=1)
+    row = 0
+    for t, q in zip(times, qs):
+        if q == 0.0:
+            p, dp, out, total = p0, np.zeros(dim), state, float(p0.sum())
+        elif not finite[row]:
+            raise DomainError(
+                f"the thermal-attenuator populations are not finite at "
+                f"Gamma0*t={rates.gamma0 * t:.3e} (N={mean_photon_analytic(0.0, rates, t):.3e})"
+            )
+        else:
+            p, dp, total = wide[row, :-1], k_p[row], float(totals[row])
+            out = BandState(p)
+            row += 1
+        _check_leakage(p, t)
+        leakage = max(0.0, 1.0 - total)
+        if leakage > LEAKAGE_BUDGET:
+            raise TruncationError(
+                f"the channel leaves {leakage:.3e} at and above level {dim} by t={t:.6g}, over "
+                f"the leakage budget {LEAKAGE_BUDGET:.0e}; raise dim"
+            )
+        yield out, dp, leakage
+
+
+def _channel(p0: np.ndarray, rates: Rates,
+             times: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The channel's populations of ``p0`` on levels 0..dim after each of
+    ``times``, at none of which q is 0, one row per time; with the q K p of
+    each row on levels 0..dim-1, and whether each row is finite. The losses
+    of all times and then their amplifiers are one stack of kernels on
+    dim + 1 rows, each loss read on its first dim rows."""
+    dim, moved = len(p0), len(times)
+    qs, log_x, log_y = [], [], []  # the losses' logarithms, then the amplifiers'
+    amplified, amp_x, amp_y, inverse_gain = [], [], [], []  # the rows where N > 0
+    for row, t in enumerate(times):
+        g0t = rates.gamma0 * t
+        q = -math.expm1(-g0t)
         noise = mean_photon_analytic(0.0, rates, t)
         log_gain = math.log1p(noise)
-        lost = _binomial_terms(dim, dim, -g0t - log_gain, math.log(q + noise) - log_gain).T @ p0
+        qs.append(q)
+        log_x.append(-g0t - log_gain)
+        log_y.append(math.log(q + noise) - log_gain)
         if noise > 0.0:
-            amplify = _binomial_terms(dim + 1, dim, -log_gain, math.log(noise) - log_gain)
-            wide = amplify @ lost * math.exp(-log_gain)
-        else:
-            wide = np.append(lost, 0.0)
-        if not np.all(np.isfinite(wide)):
-            raise DomainError(
-                f"the thermal-attenuator populations are not finite at Gamma0*t={g0t:.3e} "
-                f"(N={noise:.3e})"
-            )
-        m = np.arange(dim + 1.0)
-        flow = m[1:] * wide[1:]  # (m+1) p_{m+1} on level m
-        k_p = flow - (2.0 * m[:-1] + 1.0) * wide[:-1]
-        k_p[1:] += m[1:-1] * wide[:-2]
-        p, dp = wide[:-1], q * k_p
-        out = BandState(p)
-    _check_leakage(p, t)
-    leakage = max(0.0, 1.0 - float(p.sum()))
-    if leakage > LEAKAGE_BUDGET:
-        raise TruncationError(
-            f"the channel leaves {leakage:.3e} at and above level {dim} by t={t:.6g}, over "
-            f"the leakage budget {LEAKAGE_BUDGET:.0e}; raise dim"
-        )
-    return out, dp, leakage
+            amplified.append(row)
+            amp_x.append(-log_gain)
+            amp_y.append(math.log(noise) - log_gain)
+            inverse_gain.append(math.exp(-log_gain))
+    kernels = _binomial_terms(dim + 1, dim, np.array(log_x + amp_x), np.array(log_y + amp_y))
+    lost = kernels[:moved, :dim].transpose(0, 2, 1) @ p0
+    wide = np.zeros((moved, dim + 1))  # where N = 0, nothing reaches level dim
+    wide[:, :-1] = lost
+    if amplified:
+        rows = slice(None) if len(amplified) == moved else amplified
+        inverse_gain = np.array(inverse_gain)[:, None]
+        wide[rows] = (kernels[moved:] @ lost[rows, :, None])[..., 0] * inverse_gain
+    finite = np.isfinite(wide).all(axis=1)
+    m, _ = _log_factorials(dim + 1)
+    with np.errstate(invalid="ignore"):  # a row that is not finite is refused at its time
+        flow = m[1:] * wide[:, 1:]  # (m+1) p_{m+1} on level m
+        k_p = flow - (2.0 * m[:-1] + 1.0) * wide[:, :-1]
+        k_p[:, 1:] += m[1:-1] * wide[:, :-2]
+    k_p *= np.array(qs)[:, None]
+    return wide, k_p, finite
 
 
 def mean_photon_analytic(n0: float, rates: Rates, t: float) -> float:

@@ -19,10 +19,13 @@ of merit follow:
   with no truncation or state, and its record holds dim 0, leakage 0, step 0.
 
 For number-diagonal states the two coincide; for states with coherences
-the quantum value can only be larger. A time curve is taken one time at a
-time, with the bath rates computed once, before its first time. Each
-stencil evolution of a thermal probe is one dense exponential of the
-birth-death generator (:func:`~fockthermo.dynamics.evolve`).
+the quantum value can only be larger. A time curve computes the bath rates
+once, before its first time. A channel probe's curve takes the channel
+once for each run of consecutive times at one dim, with the kernels of
+many times stacked; a thermal probe's is taken one time at a time, each
+stencil evolution one dense exponential of the birth-death generator
+(:func:`~fockthermo.dynamics.evolve`). Either way each time keeps the
+value it has alone.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bath import BathParams, base_rate, rates, thermal_occupation, thermal_occupation_dT
+from .bath import (BathParams, Rates, base_rate, rates, thermal_occupation,
+                   thermal_occupation_dT)
 from .dynamics import attenuate, evolve, mean_photon_analytic
-from .errors import DomainError, SingularSupportError
+from .errors import DomainError, FockThermoError, SingularSupportError
 from .fockspace import EIGENVALUE_FLOOR, BandState
 from .probes import ProbeKind, ProbeSpec, default_dim, make_state
 
@@ -125,17 +129,21 @@ def d_dT_curve(
     The probe itself is temperature independent; only the bath rates move.
     The grid is checked, the truncation sized, the probe prepared and the
     bath rates computed once, before the first t. An automatic Fock dim is
-    the exception: it is sized, and the probe prepared, at each t, for the
-    thermal noise N = nbar (1 - exp(-Gamma0 t)) the channel adds by then.
+    the exception: it is sized at each t, for the thermal noise
+    N = nbar (1 - exp(-Gamma0 t)) the channel adds by then, and the probe is
+    prepared once for each run of consecutive times that share a dim.
 
     A Fock, coherent or squeezed probe is propagated by the thermal-
-    attenuator channel (:func:`~fockthermo.dynamics.attenuate`), one kernel
-    per t, and its dp/dT is the exact nbar'(T) q K p of that channel; its
-    ``h_used`` is 0. A thermal probe takes the five-temperature stencil of
-    :func:`stencil_curve`.
+    attenuator channel (:func:`~fockthermo.dynamics.attenuate`), one call
+    for each run of times at one dim, which computes the kernels of many of
+    them at once, before the run's first derivative is yielded. Its dp/dT
+    is the exact nbar'(T) q K p of that channel, and its ``h_used`` is 0. A
+    thermal probe takes the five-temperature stencil of
+    :func:`stencil_curve`, one time at a time.
 
-    Each t runs exactly what :func:`d_dT_state` runs there, so every value,
-    and every error, is that of a loop over the times.
+    Every value is that of :func:`d_dT_state` at its t, bit for bit, and
+    the curve raises what the first failing time raises there, after the
+    derivatives of the times before it.
     """
     t_grid = _checked_grid(t_grid)
     # an automatic Fock dim is sized at each t, for the noise added by then
@@ -152,13 +160,34 @@ def d_dT_curve(
         return
     bath_rates = rates(bath)
     dnbar = thermal_occupation_dT(bath.omega, bath.T)
+    runs = _fock_runs(probe, bath_rates, t_grid) if per_time else [(state, t_grid)]
+    for state, times in runs:
+        for rho, dp_dnbar, leakage in attenuate(state, bath_rates, times):
+            yield TemperatureDerivative(probe=probe, rho=rho, dp=dnbar * dp_dnbar, h_used=0.0,
+                                        leakage=leakage)
+
+
+def _fock_runs(probe: ProbeSpec, bath_rates: Rates,
+               t_grid: list[float]) -> Iterator[tuple[BandState, list[float]]]:
+    """Each run of consecutive times of ``t_grid`` that share the automatic
+    dim of the Fock ``probe``, with the probe prepared at that dim, as
+    (state, times). Each t is sized for the noise N = nbar (1 - exp(-Gamma0 t))
+    that the channel adds by then, the mean it gives the vacuum. A time that
+    cannot be sized raises after the runs before it have been yielded."""
+    run_dim, run = None, []
     for t in t_grid:
-        if per_time:
-            # N = nbar (1 - exp(-Gamma0 t)) is the mean the channel gives the vacuum
-            state = make_state(probe, default_dim(probe, mean_photon_analytic(0.0, bath_rates, t)))
-        rho, dp_dnbar, leakage = attenuate(state, bath_rates, t)
-        yield TemperatureDerivative(probe=probe, rho=rho, dp=dnbar * dp_dnbar, h_used=0.0,
-                                    leakage=leakage)
+        try:
+            t_dim = default_dim(probe, mean_photon_analytic(0.0, bath_rates, t))
+        except FockThermoError:
+            if run:
+                yield make_state(probe, run_dim), run
+            raise
+        if run and t_dim != run_dim:
+            yield make_state(probe, run_dim), run
+            run = []
+        run_dim = t_dim
+        run.append(t)
+    yield make_state(probe, run_dim), run
 
 
 def stencil_curve(

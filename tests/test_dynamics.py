@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -404,7 +406,7 @@ class TestAttenuate:
         state = BandState(p0 / p0.sum())
         r = rates(BathParams(T=T))
         try:
-            got, _, leakage = attenuate(state, r, t)
+            ((got, _, leakage),) = attenuate(state, r, [t])
         except TruncationError:
             reject()
         assume(leakage <= 1e-12)
@@ -413,7 +415,7 @@ class TestAttenuate:
 
     def test_zero_time_returns_the_state(self, fig_rates):
         rho = make_state(ProbeSpec.fock(2), 10)
-        out, dp, leakage = attenuate(rho, fig_rates, 0.0)
+        ((out, dp, leakage),) = attenuate(rho, fig_rates, [0.0])
         assert out is rho and leakage == 0.0
         np.testing.assert_array_equal(dp, np.zeros(10))
 
@@ -423,7 +425,7 @@ class TestAttenuate:
         assert r.gamma_plus == 0.0
         t = 2.0
         eta = math.exp(-r.gamma0 * t)
-        out, _, _ = attenuate(make_state(ProbeSpec.fock(3), 6), r, t)
+        ((out, _, _),) = attenuate(make_state(ProbeSpec.fock(3), 6), r, [t])
         want = [math.comb(3, k) * eta**k * (1.0 - eta) ** (3 - k) for k in range(4)] + [0.0, 0.0]
         np.testing.assert_allclose(out.populations, want, rtol=1e-14, atol=0.0)
 
@@ -432,7 +434,7 @@ class TestAttenuate:
         # whose nbar-derivative is p_m (m / nbar - (m+1) / (nbar+1))
         nbar, m = fig_rates.nbar, np.arange(30.0)
         thermal = nbar**m / (nbar + 1.0) ** (m + 1.0)
-        out, dp, _ = attenuate(make_state(ProbeSpec.fock(4), 30), fig_rates, 1e31)
+        ((out, dp, _),) = attenuate(make_state(ProbeSpec.fock(4), 30), fig_rates, [1e31])
         np.testing.assert_allclose(out.populations, thermal, rtol=1e-12, atol=1e-300)
         np.testing.assert_allclose(dp, thermal * (m / nbar - (m + 1.0) / (nbar + 1.0)),
                                    rtol=1e-9, atol=1e-300)
@@ -443,10 +445,10 @@ class TestAttenuate:
         r = rates(BathParams(T=1e308))
         with pytest.raises(TruncationError, match="at and above level 40 by t=0.5, over the "
                                                   "leakage budget 1e-08; raise dim"):
-            attenuate(make_state(ProbeSpec.fock(1), 40), r, 0.5)
+            list(attenuate(make_state(ProbeSpec.fock(1), 40), r, [0.5]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("fockthermo.dynamics.LEAKAGE_BUDGET", 1.0)
-            out, _, leakage = attenuate(make_state(ProbeSpec.fock(1), 40), r, 0.5)
+            ((out, _, leakage),) = attenuate(make_state(ProbeSpec.fock(1), 40), r, [0.5])
         assert out.populations.sum() < 1e-300 and leakage == 1.0
 
     @pytest.mark.parametrize("t", [0.0, 1e-12, 0.1])
@@ -454,25 +456,128 @@ class TestAttenuate:
         # fock:39 at dim 40 holds its top level from the start
         with pytest.raises(TruncationError, match=f"top-level population [-+.e0-9]+ exceeded "
                                                   f"the leakage budget 1e-08 by t={t:.6g};"):
-            attenuate(make_state(ProbeSpec.fock(39), 40), fig_rates, t)
+            list(attenuate(make_state(ProbeSpec.fock(39), 40), fig_rates, [t]))
         with pytest.raises(PositivityError, match="population -2.000e-01 below the roundoff clip"):
-            attenuate(BandState(np.array([0.6, 0.6, -0.2, 0.0])), fig_rates, t)
+            list(attenuate(BandState(np.array([0.6, 0.6, -0.2, 0.0])), fig_rates, [t]))
         with pytest.raises(DomainError, match="populations must be finite, got nan at m=0"):
-            attenuate(BandState(np.array([np.nan, 1.0])), fig_rates, t)
+            list(attenuate(BandState(np.array([np.nan, 1.0])), fig_rates, [t]))
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="t must be finite and >= 0"):
-                attenuate(make_state(ProbeSpec.fock(1), 8), fig_rates, bad)
+                list(attenuate(make_state(ProbeSpec.fock(1), 8), fig_rates, [bad]))
 
     def test_a_population_that_is_not_finite_is_refused(self, fig_rates, monkeypatch):
+        # the kernels take their stacked shape, one (rows, cols) kernel per logarithm
         monkeypatch.setattr(dynamics, "_binomial_terms",
-                            lambda rows, cols, *logs: np.full((rows, cols), np.nan))
+                            lambda rows, cols, log_x, log_y: np.full((len(log_x), rows, cols),
+                                                                     np.nan))
         with pytest.raises(DomainError, match="thermal-attenuator populations are not finite"):
-            attenuate(make_state(ProbeSpec.fock(1), 8), fig_rates, 0.5)
+            list(attenuate(make_state(ProbeSpec.fock(1), 8), fig_rates, [0.5]))
 
     def test_leakage_is_the_mass_left_above_the_space(self, fig_rates):
         # the channel onto 7 levels leaves what it puts on levels 7 and up of 30
-        out, _, leakage = attenuate(make_state(ProbeSpec.fock(1), 7), fig_rates, 0.5)
-        wide = attenuate(make_state(ProbeSpec.fock(1), 30), fig_rates, 0.5)[0].populations
+        ((out, _, leakage),) = attenuate(make_state(ProbeSpec.fock(1), 7), fig_rates, [0.5])
+        ((wide, _, _),) = attenuate(make_state(ProbeSpec.fock(1), 30), fig_rates, [0.5])
+        wide = wide.populations
         np.testing.assert_allclose(out.populations, wide[:7], rtol=1e-14, atol=0.0)
         assert 0.0 < leakage <= LEAKAGE_BUDGET
         assert leakage == pytest.approx(float(wide[7:].sum()), rel=1e-3)
+
+
+def _channel_outcome(results) -> list:
+    """float.hex of the populations, derivative and leakage of each result,
+    then the type and message of what the results raise, if they raise."""
+    outcome = []
+    try:
+        for state, dp, leakage in results:
+            outcome.append(([x.hex() for x in state.populations.tolist()],
+                            [x.hex() for x in dp.tolist()], leakage.hex()))
+    except Exception as exc:
+        outcome.append((type(exc), str(exc)))
+    return outcome
+
+
+def _time_by_time(state, r, grid) -> list:
+    """:func:`_channel_outcome` of one grid per time, up to the first that raises."""
+    outcome = []
+    for t in grid:
+        outcome += _channel_outcome(attenuate(state, r, [t]))
+        if isinstance(outcome[-1][0], type):
+            break
+    return outcome
+
+
+class TestAttenuateGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+        dim=st.integers(2, 40),
+        T=log_uniform(1e-3, 50.0),
+        grid=st.lists(log_uniform(1e-6, 1e3), min_size=1, max_size=12, unique=True),
+    )
+    def test_a_grid_gives_the_bits_of_each_single_time(self, weights, dim, T, grid):
+        # the grid need not be ascending; a leaking time ends both alike
+        assume(sum(weights[:dim]) > 0.0)
+        p0 = np.zeros(dim)
+        p0[: min(dim, len(weights))] = weights[:dim]
+        state, r = BandState(p0 / p0.sum()), rates(BathParams(T=T))
+        assert _channel_outcome(attenuate(state, r, grid)) == _time_by_time(state, r, grid)
+
+    @pytest.mark.parametrize("bath, grid", [
+        (BathParams(), [0.0, 0.1, 1.0]),  # q = 0 at t = 0: the state itself
+        (BathParams(T=0.001), [0.5, 2.0, 8.0]),  # Gamma+ = 0: a pure loss, no amplifier
+        (BathParams(T=0.0015), [1e-40, 0.5]),  # N = nbar q underflows to 0 at the first time only
+        (BathParams(), [0.5, 1e31]),  # Gamma0 t = 1e30: the bath's thermal state
+        (BathParams(gamma=1e300), [1e-300, 1e31]),  # Gamma0 t = 1 and inf
+    ])
+    def test_the_special_times_give_the_bits_of_each_single_time(self, bath, grid):
+        state, r = make_state(ProbeSpec.fock(3), 30), rates(bath)
+        outcome = _channel_outcome(attenuate(state, r, grid))
+        assert len(outcome) == len(grid) and not isinstance(outcome[-1][0], type)
+        assert outcome == _time_by_time(state, r, grid)
+
+    def test_a_later_time_over_the_budget_raises_after_the_earlier_results(self, fig_rates):
+        # fock:1 on 8 levels relaxes toward the bath's thermal state, whose
+        # level 7 holds nbar^7 / (nbar+1)^8 ~ 9e-7: over the leakage budget
+        state, grid = make_state(ProbeSpec.fock(1), 8), [0.1, 0.5, 50.0]
+        results = attenuate(state, fig_rates, grid)
+        assert [leakage <= LEAKAGE_BUDGET for _, _, leakage in itertools.islice(results, 2)] == [
+            True, True]
+        with pytest.raises(TruncationError, match="exceeded the leakage budget 1e-08 by t=50;"):
+            next(results)
+        assert _channel_outcome(attenuate(state, fig_rates, grid)) == _time_by_time(
+            state, fig_rates, grid)
+
+
+class TestAttenuateWorkingSet:
+    def test_a_grid_split_over_many_batches_gives_the_bits_of_one(self, fig_rates, monkeypatch):
+        # coherent:1.0 on 14 levels: 210 entries per kernel, 312 times per batch
+        state, grid = make_state(ProbeSpec.coherent(1.0), 14), [1e-3 * 1.5**k for k in range(20)]
+        stacks = []
+        kernels = dynamics._binomial_terms
+
+        def recorded(rows, cols, log_x, log_y):
+            stacks.append(len(log_x))
+            return kernels(rows, cols, log_x, log_y)
+
+        monkeypatch.setattr(dynamics, "_binomial_terms", recorded)
+        whole = _channel_outcome(attenuate(state, fig_rates, grid))
+        assert stacks == [40]  # one loss and one amplifier per time
+        for entries, batches in ((3 * 210, [6] * 6 + [4]), (1, [2] * 20)):
+            stacks.clear()
+            monkeypatch.setattr(dynamics, "BATCH_ENTRIES", entries)
+            assert _channel_outcome(attenuate(state, fig_rates, grid)) == whole
+            assert stacks == batches
+
+    def test_a_long_curve_holds_a_few_kernels_at_a_time(self, fig_rates):
+        # at 800 levels a batch holds one time; 24 times of kernels would be 24 * 5 MB
+        dim, grid = 800, [0.05 * k for k in range(1, 25)]
+        state = make_state(ProbeSpec.fock(1), dim)
+        kernel = dim * (dim + 1) * 8
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in attenuate(state, fig_rates, grid))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == len(grid)
+        assert peak < 3 * kernel

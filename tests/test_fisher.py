@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from oracle import density_matrix, evolved, evolved_dT, evolved_qfi, sld_qfi
 
@@ -432,12 +432,27 @@ class TestQfiCurve:
         T=log_uniform(0.2, 5.0),
         grid=st.lists(log_uniform(1e-4, 5.0), min_size=1, max_size=4, unique=True).map(sorted),
     )
+    @example(probe=ProbeSpec.fock(1), method=FisherMethod.CFI_NUMBER, dim=None, T=0.5,
+             grid=[1e-3 * 100.0 ** (k / 8) for k in range(9)])
+    @example(probe=ProbeSpec.fock(1), method=FisherMethod.QFI_SLD, dim=None, T=1e4,
+             grid=[1e-3, 2e-3, 1.0])
     def test_a_curve_is_its_points_bit_for_bit(self, probe, method, dim, T, grid):
         # a small explicit dim or a hot bath fails some points: the curve then
-        # raises what the first failing point raises
+        # raises what the first failing point raises. The first example sizes
+        # fock:1 to 6, 7 and 8 levels along its grid, so the channel runs
+        # three times; in the second, no dim within the cap holds fock:1 at
+        # t = 1.0, and that sizing is refused after the earlier times
         bath = BathParams(T=T)
         assert _outcome(lambda: qfi_curve(probe, bath, grid, method, dim=dim)) == _outcome(
             lambda: [qfi_point(probe, bath, t, method, dim=dim) for t in grid])
+
+    def test_a_late_sizing_refusal_follows_the_earlier_times(self):
+        # fock:1 at T = 1e4 takes 61 and 102 levels at the first two times, one
+        # channel run each, and no dim within the cap at t = 1.0
+        curve = fisher.d_dT_curve(ProbeSpec.fock(1), BathParams(T=1e4), [1e-3, 2e-3, 1.0])
+        assert [next(curve).dim for _ in range(2)] == [61, 102]
+        with pytest.raises(TruncationError, match="^no dimension <= 4096 reaches the tail"):
+            next(curve)
 
     @pytest.mark.parametrize("method", list(FisherMethod))
     def test_a_late_failure_is_the_first_failure_of_the_points(self, method):
@@ -452,8 +467,8 @@ class TestQfiCurve:
     @pytest.mark.parametrize("spec, expected", [
         # a thermal probe evolves under the five stencil temperatures
         ("thermal:0.5", ["rates"] * 5 + ["evolve"] * 15),
-        # any other probe takes one channel kernel per time
-        ("coherent:1.0", ["rates"] + ["attenuate"] * 3),
+        # any other probe takes one channel run for its times of equal dim
+        ("coherent:1.0", ["rates", "attenuate"]),
     ])
     def test_a_curve_builds_its_rates_before_its_first_time(self, monkeypatch, spec, expected):
         calls = []

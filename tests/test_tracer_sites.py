@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fockthermo import fisher
+from fockthermo import dynamics, fisher
 from fockthermo.dynamics import population_vector
 from fockthermo.fisher import FisherMethod
 from fockthermo.fockspace import EIGENVALUE_FLOOR
@@ -137,18 +137,21 @@ def test_evolve_span_reads_the_dim_of_the_point(monkeypatch, fig_bath, method):
 
 
 @pytest.mark.parametrize(
-    "spec, method, sizings, evolutions",
+    "spec, method, sizings, runs, evolutions",
     [
-        # an automatic Fock dim is sized, and the probe prepared, at each t
-        ("fock:1", FisherMethod.QFI_SLD, 4, 0),
-        ("squeezed:0.6", FisherMethod.CFI_NUMBER, 1, 0),
+        # an automatic Fock dim is sized at each t, here to 6, 6, 6, 7, 7, 7,
+        # 8, 8 and 8 levels; the probe is prepared, and the channel run, once
+        # for each run of equal dims
+        ("fock:1", FisherMethod.QFI_SLD, 9, 3, 0),
+        ("squeezed:0.6", FisherMethod.CFI_NUMBER, 1, 1, 0),
         # a thermal probe evolves under its five stencil temperatures at each t
-        ("thermal:0.5", FisherMethod.CFI_NUMBER, 1, 5),
+        ("thermal:0.5", FisherMethod.CFI_NUMBER, 1, 0, 5),
     ],
 )
 def test_a_curve_sizes_and_prepares_its_probe_once_or_at_each_time(monkeypatch, fig_bath, spec,
-                                                                   method, sizings, evolutions):
-    ts = (1e-3, 1e-2, 0.1, 0.5)
+                                                                   method, sizings, runs,
+                                                                   evolutions):
+    ts = [1e-3 * 100.0 ** (k / 8) for k in range(9)]
     calls = _count_site_calls(monkeypatch)
     seen = []
     evolve = fisher.evolve
@@ -164,25 +167,42 @@ def test_a_curve_sizes_and_prepares_its_probe_once_or_at_each_time(monkeypatch, 
         "fisher.qfi_point": 0,
         "fisher.d_dT_state": 0,
         "probes.default_dim": sizings,
-        "probes.make_state": sizings,
-        CHANNEL: 0 if evolutions else len(ts),  # one channel kernel per time
+        "probes.make_state": max(runs, 1),
+        CHANNEL: runs,  # one channel run per run of times of equal dim
         "dynamics.evolve": evolutions * len(ts),
         "dynamics.expm": evolutions * len(ts),
     }
     assert {name: calls[name] for name in stages} == stages
     assert seen == [{"dim": record.dim} for record in records for _ in range(evolutions)]
+    if runs:
+        assert len({record.dim for record in records}) == runs
 
 
-@pytest.mark.parametrize("spec, name, first", [
-    ("thermal:0.5", "dynamics.evolve", 5),  # the five stencil temperatures of the first t
-    ("coherent:1.0", CHANNEL, 1),
-])
-def test_a_curve_yields_each_derivative_before_evolving_the_next_time(monkeypatch, fig_bath, spec,
-                                                                      name, first):
+def test_a_curve_yields_each_thermal_derivative_before_evolving_the_next_time(monkeypatch,
+                                                                              fig_bath):
     calls = _count_site_calls(monkeypatch)
-    curve = fisher.d_dT_curve(ProbeSpec.parse(spec), fig_bath, [k / 3.0 for k in range(1, 10)])
+    curve = fisher.d_dT_curve(ProbeSpec.thermal(0.5), fig_bath, [k / 3.0 for k in range(1, 10)])
     next(curve)
-    assert calls[name] == first
+    assert calls["dynamics.evolve"] == 5  # the five stencil temperatures of the first t
+
+
+def test_a_curve_computes_a_channel_run_before_its_first_derivative(monkeypatch, fig_bath):
+    # coherent:1.0 takes 40 levels at each of the 9 times: one channel run,
+    # whose 9 losses and 9 amplifiers are one stack of kernels
+    calls = _count_site_calls(monkeypatch)
+    stacks = []
+    kernels = dynamics._binomial_terms
+
+    def recorded(rows, cols, log_x, log_y):
+        stacks.append(len(log_x))
+        return kernels(rows, cols, log_x, log_y)
+
+    monkeypatch.setattr(dynamics, "_binomial_terms", recorded)
+    curve = fisher.d_dT_curve(ProbeSpec.coherent(1.0), fig_bath, [k / 3.0 for k in range(1, 10)])
+    next(curve)
+    assert (calls[CHANNEL], stacks) == (1, [18])
+    assert len(list(curve)) == 8
+    assert (calls[CHANNEL], stacks) == (1, [18])
 
 
 def test_benchmark_cross_check_path(fig_bath):
