@@ -17,10 +17,12 @@ integrates to, a pure loss followed by a quantum-limited amplifier: two
 kernels of positive binomial terms, O(dim^2) per time, and the exact
 derivative q K p of the result in nbar. It is the untruncated evolution
 read on the kept levels; the mass it leaves above them is the leakage.
-It takes a grid of times and evaluates the kernels of many times as one
-stacked array: on these small matrices the cost of each numpy call, not
-their arithmetic, is most of a short curve's time. Each time keeps the
-bits it has on a grid of its own.
+It takes a grid of times and evaluates the kernels of many times as
+stacked arrays, the losses of a batch as one stack and then its
+amplifiers as another, built only once the losses have been applied and
+let go: on these small matrices the cost of each numpy call, not their
+arithmetic, is most of a short curve's time, and one stack at a time is
+all a batch holds. Each time keeps the bits it has on a grid of its own.
 
 :func:`evolve` propagates a thermal probe's populations, for the
 five-temperature stencil of :mod:`fockthermo.fisher`, by one dense matrix
@@ -56,9 +58,10 @@ from .fockspace import LEAKAGE_BUDGET, BandState
 NEGATIVE_CLIP = 1e-12
 
 # :func:`attenuate` takes BATCH_ENTRIES // (dim (dim + 1)) times per batch,
-# at least one. A batch's kernels, one loss and one amplifier of
-# (dim + 1) dim entries per time, then stay within 1 MiB whatever the
-# grid's length, unless one time's alone is larger.
+# at least one. A batch's two stacks of kernels, the losses of dim^2
+# entries per time and then the amplifiers of (dim + 1) dim, are held one
+# at a time, and each stays within 512 KiB whatever the grid's length,
+# unless one time's kernel alone is larger.
 BATCH_ENTRIES = 2**16
 
 
@@ -179,16 +182,17 @@ def _log_factorials(n: int) -> tuple[np.ndarray, np.ndarray]:
     return levels, table
 
 
-def _binomial_terms(rows: int, cols: int, log_x: np.ndarray, log_y: np.ndarray) -> np.ndarray:
-    """B[n, b, s] = C(b, s) x_n^s y_n^(b-s) for b < rows and s < cols <= rows,
-    0 where s > b: one (rows, cols) kernel for each entry of the vectors
-    ``log_x`` and ``log_y``. Each term is the exponential of its logarithm,
-    summed as (b-s) log_y - log (b-s)!, then + log b!, then
-    + (s log_x - log s!), with log_y finite. The part in b - s alone is one
-    vector per kernel read as a Toeplitz matrix, -inf where s > b. x^0 is 1
-    also where x = 0 (log_x = -inf, Gamma0 t = inf), and s log_x overflows
-    to -inf where x^s underflows to 0. The sums are formed in the one
-    buffer that is returned, and exponentiated in place."""
+def _binomial_logs(rows: int, cols: int, log_x: np.ndarray,
+                   log_y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The logarithm of B[n, b, s] = C(b, s) x_n^s y_n^(b-s) for b < rows
+    and s < cols <= rows, for each entry of the vectors ``log_x`` and
+    ``log_y`` (log_y finite), in the three parts that :func:`_binomial_terms`
+    sums, in this order: the part in b - s, (b-s) log_y - log (b-s)!, as an
+    (n, rows, cols) Toeplitz view of one vector per kernel, -inf where
+    s > b; the (rows,) table of log b!; and the part in s, s log_x - log s!,
+    as an (n, cols) array. x^0 is 1 also where x = 0 (log_x = -inf,
+    Gamma0 t = inf), and s log_x overflows to -inf where x^s underflows
+    to 0. Each part is backed by O(rows + cols) entries per kernel."""
     levels, log_fact = _log_factorials(rows)
     by_gap = np.empty((len(log_x), cols - 1 + rows))  # column cols - 1 + g holds gap g = b - s
     by_gap[:, : cols - 1] = -np.inf
@@ -202,7 +206,20 @@ def _binomial_terms(rows: int, cols: int, log_x: np.ndarray, log_y: np.ndarray) 
     with np.errstate(over="ignore"):
         np.multiply(levels[1:cols], log_x[:, None], out=powers[:, 1:])
     powers -= log_fact[:cols]
-    terms = np.add(toeplitz, log_fact[:, None])
+    return toeplitz, log_fact, powers
+
+
+def _binomial_terms(gaps: np.ndarray, log_fact: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The kernels B whose logarithm has the parts ``gaps``, ``log_fact``
+    and ``powers`` of :func:`_binomial_logs`, one per entry, on the rows of
+    ``gaps``. Each term is the exponential of its logarithm, summed as the
+    part in b - s, then + log b!, then + the part in s, in the one buffer
+    that is returned, and exponentiated in place. Every term is formed from
+    its own (n, b, s) alone, so the kernels of some of the entries and rows
+    of the parts are, bit for bit, those entries and rows of the kernels of
+    the whole: the losses are built on the first dim rows of parts on
+    dim + 1."""
+    terms = np.add(gaps, log_fact[:, None])
     terms += powers[:, None, :]
     return np.exp(terms, out=terms)
 
@@ -233,11 +250,12 @@ def attenuate(state: BandState, rates: Rates,
 
     Every t is checked, and then the state by :func:`population_vector`,
     before the first result. The times are taken in batches of
-    ``BATCH_ENTRIES // (dim (dim + 1))``, at least one, and all kernels of a
-    batch are one stacked array; a time's values are those of a grid that
-    holds it alone, bit for bit. The leakage is the mass left at and above
-    level dim, 1 - sum_{m<dim} p_m; it, and the top-level population, are
-    checked against ``LEAKAGE_BUDGET``, and a violation raises
+    ``BATCH_ENTRIES // (dim (dim + 1))``, at least one; a batch's losses are
+    one stacked array, applied and let go before its amplifiers are built
+    as another. A time's values are those of a grid that holds it alone,
+    bit for bit. The leakage is the mass left at and above level dim,
+    1 - sum_{m<dim} p_m; it, and the top-level population, are checked
+    against ``LEAKAGE_BUDGET``, and a violation raises
     :class:`TruncationError` with a raise-dim diagnostic. A population that
     is not finite raises :class:`DomainError`. Each check raises at its own
     t, after the earlier times have been yielded. Where q is 0 (t = 0) the
@@ -290,9 +308,12 @@ def _channel(p0: np.ndarray, rates: Rates,
              times: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The channel's populations of ``p0`` on levels 0..dim after each of
     ``times``, at none of which q is 0, one row per time; with the q K p of
-    each row on levels 0..dim-1, and whether each row is finite. The losses
-    of all times and then their amplifiers are one stack of kernels on
-    dim + 1 rows, each loss read on its first dim rows."""
+    each row on levels 0..dim-1, and whether each row is finite. The
+    logarithms of every loss and amplifier are formed once, on dim + 1 rows.
+    The losses of all times are then one (n, dim, dim) stack of kernels,
+    read on the first dim rows, applied and let go before the amplifiers of
+    the rows where N > 0 are built as one (n_amp, dim + 1, dim) stack: at
+    most one of the two is held at a time."""
     dim, moved = len(p0), len(times)
     qs, log_x, log_y = [], [], []  # the losses' logarithms, then the amplifiers'
     amplified, amp_x, amp_y, inverse_gain = [], [], [], []  # the rows where N > 0
@@ -309,14 +330,17 @@ def _channel(p0: np.ndarray, rates: Rates,
             amp_x.append(-log_gain)
             amp_y.append(math.log(noise) - log_gain)
             inverse_gain.append(math.exp(-log_gain))
-    kernels = _binomial_terms(dim + 1, dim, np.array(log_x + amp_x), np.array(log_y + amp_y))
-    lost = kernels[:moved, :dim].transpose(0, 2, 1) @ p0
+    gaps, log_fact, powers = _binomial_logs(dim + 1, dim, np.array(log_x + amp_x),
+                                            np.array(log_y + amp_y))
+    lost = _binomial_terms(gaps[:moved, :dim], log_fact[:dim],
+                           powers[:moved]).transpose(0, 2, 1) @ p0
     wide = np.zeros((moved, dim + 1))  # where N = 0, nothing reaches level dim
     wide[:, :-1] = lost
     if amplified:
         rows = slice(None) if len(amplified) == moved else amplified
+        gains = _binomial_terms(gaps[moved:], log_fact, powers[moved:])
         inverse_gain = np.array(inverse_gain)[:, None]
-        wide[rows] = (kernels[moved:] @ lost[rows, :, None])[..., 0] * inverse_gain
+        wide[rows] = (gains @ lost[rows, :, None])[..., 0] * inverse_gain
     finite = np.isfinite(wide).all(axis=1)
     m, _ = _log_factorials(dim + 1)
     with np.errstate(invalid="ignore"):  # a row that is not finite is refused at its time

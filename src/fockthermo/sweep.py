@@ -3,8 +3,9 @@ rate, or time, evaluated point by point with deterministic aggregation.
 
 Every point is a pure computation, so results are identical for any worker
 count. The rows of one (axis value, probe) pair form a task, whose rows
-that read the populations reduce one shared temperature derivative; a
-process pool maps the tasks, and its map returns their rows in task order.
+that read the populations reduce one shared temperature derivative; at
+more than one worker a process pool, imported only then, maps the tasks,
+and its map returns their rows in task order.
 A bound method gets rows only for the probe class its closed form was
 derived for. The CSV header is the field order of :class:`SweepRow`; files
 are written atomically (temp file + rename), and a JSON mirror adds each
@@ -20,7 +21,6 @@ import numbers
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -318,6 +318,10 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         # about four chunks of consecutive tasks per worker: few pickling round
         # trips, and no chunk so long that it leaves the other workers idle
         chunk = -(-len(tasks) // (4 * workers))
+        # the pool's modules load here, on the first fork: a serial sweep,
+        # and the package's import, never hold them
+        from concurrent.futures import ProcessPoolExecutor
+
         if any(task.probe.kind is ProbeKind.THERMAL for task in tasks):
             # a thermal task exponentiates (dynamics.expm): load scipy here,
             # once, so that the forked workers inherit it rather than each

@@ -12,6 +12,8 @@ asserts that.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
@@ -19,7 +21,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from fockthermo.bath import BathParams, Rates, rates
 from fockthermo.fockspace import check_dim
-from fockthermo.probes import ProbeSpec, _truncated, make_state
+from fockthermo.probes import ProbeKind, ProbeSpec, _truncated, make_state
 
 # Pairs of eigenvalues of rho whose sum is at or below this are left out of
 # the QFI sum: below it they are roundoff of the evolved matrix.
@@ -108,6 +110,30 @@ def cfi_quadratic_coefficient(p0: np.ndarray, drates: Rates) -> float:
     dflow = lindblad_rhs(np.diag(p0).astype(complex), drates).diagonal().real
     held = p0 > 0.0
     return float(np.sum(dflow[held] ** 2 / p0[held]))
+
+
+def short_time_qfi_coefficient(spec: ProbeSpec, bath: BathParams) -> float:
+    """The coefficient of t in the QFI of a Fock, coherent or squeezed
+    probe as t -> 0, with nbar' = dnbar/dT:
+
+    * Fock n: Gamma0 nbar'^2 [(n+1)/nbar + n/(nbar+1)], from the levels
+      n + 1 and n - 1 that the bath feeds at rates Gamma+ (n+1) and Gamma- n;
+    * coherent, any alpha: Gamma0 nbar'^2 / nbar, the vacuum's value;
+    * squeezed vacuum r: Gamma0 nbar'^2 cosh^2 2r / (sinh^2 r + nbar cosh 2r).
+
+    nbar = 1 / (e^{omega/T} - 1) and nbar' = (omega / T^2) nbar (nbar + 1)
+    are formed here, not read from the package."""
+    nbar = 1.0 / math.expm1(bath.omega / bath.T)
+    dnbar = bath.omega / bath.T**2 * nbar * (nbar + 1.0)
+    scale = rates(bath).gamma0 * dnbar**2
+    if spec.kind is ProbeKind.FOCK:
+        return scale * ((spec.value + 1) / nbar + spec.value / (nbar + 1.0))
+    if spec.kind is ProbeKind.COHERENT:
+        return scale / nbar
+    if spec.kind is ProbeKind.SQUEEZED:
+        r = spec.value
+        return scale * math.cosh(2.0 * r) ** 2 / (math.sinh(r) ** 2 + nbar * math.cosh(2.0 * r))
+    raise ValueError(f"no linear short-time coefficient for {spec.canonical()}")
 
 
 def density_matrix(spec: ProbeSpec, dim: int) -> np.ndarray:

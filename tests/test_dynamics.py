@@ -468,8 +468,7 @@ class TestAttenuate:
     def test_a_population_that_is_not_finite_is_refused(self, fig_rates, monkeypatch):
         # the kernels take their stacked shape, one (rows, cols) kernel per logarithm
         monkeypatch.setattr(dynamics, "_binomial_terms",
-                            lambda rows, cols, log_x, log_y: np.full((len(log_x), rows, cols),
-                                                                     np.nan))
+                            lambda gaps, log_fact, powers: np.full(gaps.shape, np.nan))
         with pytest.raises(DomainError, match="thermal-attenuator populations are not finite"):
             list(attenuate(make_state(ProbeSpec.fock(1), 8), fig_rates, [0.5]))
 
@@ -555,18 +554,62 @@ class TestAttenuateWorkingSet:
         stacks = []
         kernels = dynamics._binomial_terms
 
-        def recorded(rows, cols, log_x, log_y):
-            stacks.append(len(log_x))
-            return kernels(rows, cols, log_x, log_y)
+        def recorded(gaps, log_fact, powers):
+            stacks.append(gaps.shape)
+            return kernels(gaps, log_fact, powers)
+
+        def batches(*sizes):  # each batch: a stack of losses, then one of amplifiers
+            return [(n, rows, 14) for n in sizes for rows in (14, 15)]
 
         monkeypatch.setattr(dynamics, "_binomial_terms", recorded)
         whole = _channel_outcome(attenuate(state, fig_rates, grid))
-        assert stacks == [40]  # one loss and one amplifier per time
-        for entries, batches in ((3 * 210, [6] * 6 + [4]), (1, [2] * 20)):
+        assert stacks == batches(20)
+        for entries, sizes in ((3 * 210, [3] * 6 + [2]), (1, [1] * 20)):
             stacks.clear()
             monkeypatch.setattr(dynamics, "BATCH_ENTRIES", entries)
             assert _channel_outcome(attenuate(state, fig_rates, grid)) == whole
-            assert stacks == batches
+            assert stacks == batches(*sizes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 60),
+        data=st.data(),
+        logs=st.lists(st.tuples(st.one_of(st.just(-math.inf), st.floats(-1e3, 0.0)),
+                                st.floats(-1e3, 0.0)), min_size=1, max_size=6),
+    )
+    def test_a_stack_on_fewer_rows_is_the_first_rows_of_a_taller_one(self, rows, data, logs):
+        # a batch's losses are built on the first dim rows, and its amplifiers
+        # on the last entries, of the logarithms of every kernel on dim + 1
+        # rows: each has the bits it would have as part of one taller stack
+        cols = data.draw(st.integers(1, rows))
+        split = data.draw(st.integers(0, len(logs)))
+        log_x, log_y = (np.array(v) for v in zip(*logs))
+        gaps, log_fact, powers = dynamics._binomial_logs(rows + 1, cols, log_x, log_y)
+        tall = dynamics._binomial_terms(gaps, log_fact, powers)
+        short = dynamics._binomial_terms(*dynamics._binomial_logs(rows, cols, log_x, log_y))
+        losses = dynamics._binomial_terms(gaps[:split, :rows], log_fact[:rows], powers[:split])
+        gains = dynamics._binomial_terms(gaps[split:], log_fact, powers[split:])
+        assert tall.shape == (len(logs), rows + 1, cols)
+        assert short.tobytes() == tall[:, :rows].tobytes()
+        assert losses.tobytes() == tall[:split, :rows].tobytes()
+        assert gains.tobytes() == tall[split:].tobytes()
+
+    def test_a_batch_holds_one_stack_at_a_time(self, fig_rates):
+        # squeezed:asinh(1) at its automatic dim 68 over the nine short times
+        # of the criterion-1 curves: one batch, whose losses are let go
+        # before its amplifiers are built
+        dim, grid = 68, [float(t) for t in np.geomspace(1e-3, 1e-1, 9)]
+        state = make_state(ProbeSpec.squeezed(math.asinh(1.0)), dim)
+        assert len(grid) <= dynamics.BATCH_ENTRIES // (dim * (dim + 1))
+        stack = len(grid) * (dim + 1) * dim * 8
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in attenuate(state, fig_rates, grid))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == len(grid)
+        assert peak < 1.5 * stack
 
     def test_a_long_curve_holds_a_few_kernels_at_a_time(self, fig_rates):
         # at 800 levels a batch holds one time; 24 times of kernels would be 24 * 5 MB

@@ -116,3 +116,44 @@ def test_scipy_loads_only_for_a_thermal_probe(fresh_python):
     assert seen.pop("thermal") is True  # the lazy import runs
     assert seen == {case: [] for case in seen}
     assert len(seen) == 7
+
+
+def test_the_process_pool_loads_only_when_a_sweep_forks_one(fresh_python):
+    # concurrent.futures and multiprocessing take ~1.4 MiB and ~10 ms to
+    # import, and only run_sweep at workers > 1 uses them. Each case runs in
+    # turn in one fresh interpreter and reports the pool modules loaded by its end.
+    out = fresh_python("""
+        import contextlib, io, json, sys
+
+        def pool_loaded():
+            return sorted(name for name in sys.modules
+                          if name == "concurrent.futures.process"
+                          or name.split(".")[0] == "multiprocessing")
+
+        seen = {}
+        import fockthermo
+        seen["import fockthermo"] = pool_loaded()
+        from fockthermo.cli import main
+        seen["import fockthermo.cli"] = pool_loaded()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["qfi", "--probe", "fock:1", "--method", "cfi,qfi"]) == 0
+        seen["qfi"] = pool_loaded()
+        from fockthermo import BathParams, FisherMethod, ProbeSpec, qfi_curve
+        from fockthermo.sweep import SweepAxis, SweepMethod, SweepSpec, run_sweep
+        spec = SweepSpec(axis=SweepAxis.TIME, axis_values=(0.01, 0.1),
+                         probes=(ProbeSpec.fock(1), ProbeSpec.coherent(1.0)),
+                         methods=(SweepMethod.CFI, SweepMethod.QFI))
+        serial = run_sweep(spec, workers=1).rows
+        seen["workers=1 sweep"] = pool_loaded()
+        qfi_curve(ProbeSpec.fock(1), BathParams(), [0.01, 0.1], FisherMethod.CFI_NUMBER)
+        seen["qfi_curve"] = pool_loaded()
+        forked = run_sweep(spec, workers=2).rows
+        seen["workers=2 sweep"] = pool_loaded()
+        print(json.dumps({"seen": seen, "len": len(spec.plan), "same": forked == serial}))
+    """)
+    report = json.loads(out.splitlines()[-1])
+    seen = report["seen"]
+    forked = seen.pop("workers=2 sweep")
+    assert seen == {case: [] for case in seen} and len(seen) == 5
+    assert "concurrent.futures.process" in forked and "multiprocessing" in forked
+    assert report["len"] >= 2 and report["same"]

@@ -188,21 +188,21 @@ def test_a_curve_yields_each_thermal_derivative_before_evolving_the_next_time(mo
 
 def test_a_curve_computes_a_channel_run_before_its_first_derivative(monkeypatch, fig_bath):
     # coherent:1.0 takes 40 levels at each of the 9 times: one channel run,
-    # whose 9 losses and 9 amplifiers are one stack of kernels
+    # whose 9 losses are one stack of kernels and its 9 amplifiers another
     calls = _count_site_calls(monkeypatch)
     stacks = []
     kernels = dynamics._binomial_terms
 
-    def recorded(rows, cols, log_x, log_y):
-        stacks.append(len(log_x))
-        return kernels(rows, cols, log_x, log_y)
+    def recorded(gaps, log_fact, powers):
+        stacks.append(len(gaps))
+        return kernels(gaps, log_fact, powers)
 
     monkeypatch.setattr(dynamics, "_binomial_terms", recorded)
     curve = fisher.d_dT_curve(ProbeSpec.coherent(1.0), fig_bath, [k / 3.0 for k in range(1, 10)])
     next(curve)
-    assert (calls[CHANNEL], stacks) == (1, [18])
+    assert (calls[CHANNEL], stacks) == (1, [9, 9])
     assert len(list(curve)) == 8
-    assert (calls[CHANNEL], stacks) == (1, [18])
+    assert (calls[CHANNEL], stacks) == (1, [9, 9])
 
 
 def test_benchmark_cross_check_path(fig_bath):
